@@ -346,3 +346,65 @@ func TestIngestFallback(t *testing.T) {
 		t.Fatalf("external ingest should record zero hops, got %d", tp.Hops[0])
 	}
 }
+
+// TestCampaignReconstructionAllocs pins the lake's campaign rebuild to
+// a fixed allocation count however many months the lake holds: every
+// partition is fetched first and the result slice is sized once.
+// Growing the slice once per month would allocate (and recopy every
+// row so far) per partition, which is quadratic in the window.
+func TestCampaignReconstructionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates AllocsPerRun")
+	}
+	long := testConfig()
+	long.TraceStart = months.MustParse("2017-01")
+	long.ChaosStart = months.MustParse("2017-01")
+	wLong, err := world.Build(long)
+	if err != nil {
+		t.Fatalf("build world: %v", err)
+	}
+	short, full := builtLake(t, testWorld(t)), builtLake(t, wLong)
+	if n := len(full.TraceMonths()); n < 10 {
+		t.Fatalf("long lake holds %d trace months, want >= 10", n)
+	}
+	if len(short.ChaosMonths()) >= len(full.ChaosMonths()) {
+		t.Fatalf("short lake (%d months) is not shorter than the long one (%d)", len(short.ChaosMonths()), len(full.ChaosMonths()))
+	}
+
+	// allocs measures one reconstruction on a warm lake: the first call
+	// decodes every partition, so the measured runs see only the rebuild.
+	allocs := func(l *Lake) (trace, chaos float64) {
+		if _, err := l.TraceCampaign(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := l.ChaosCampaign(); err != nil {
+			t.Fatal(err)
+		}
+		trace = testing.AllocsPerRun(5, func() {
+			if _, err := l.TraceCampaign(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		chaos = testing.AllocsPerRun(5, func() {
+			if _, err := l.ChaosCampaign(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return trace, chaos
+	}
+	shortTrace, shortChaos := allocs(short)
+	longTrace, longChaos := allocs(full)
+	if longTrace != shortTrace {
+		t.Errorf("TraceCampaign allocs grow with months: %d months %.0f, %d months %.0f",
+			len(short.TraceMonths()), shortTrace, len(full.TraceMonths()), longTrace)
+	}
+	if longChaos != shortChaos {
+		t.Errorf("ChaosCampaign allocs grow with months: %d months %.0f, %d months %.0f",
+			len(short.ChaosMonths()), shortChaos, len(full.ChaosMonths()), longChaos)
+	}
+	// The campaign, the partition list and the one result slice.
+	const budget = 3
+	if longTrace > budget || longChaos > budget {
+		t.Errorf("reconstruction allocs trace %.0f, chaos %.0f; want <= %d each", longTrace, longChaos, budget)
+	}
+}

@@ -369,10 +369,13 @@ func (l *Lake) noteCorrupt(path string, err error) error {
 // partition files. Rows come back in kernel emission order month by
 // month, so the result is byte-identical to the campaign the lake was
 // built from — the contract the differential test net pins against the
-// golden experiment tables.
+// golden experiment tables. Every partition is fetched first, in month
+// order, so the result slice is sized and allocated once rather than
+// regrown (and recopied) per month.
 func (l *Lake) TraceCampaign() (*atlas.TraceCampaign, error) {
 	st := l.state()
-	tc := atlas.NewTraceCampaign()
+	parts := make([]*TracePartition, 0, len(st.traceMonths))
+	rows := 0
 	for _, m := range st.traceMonths {
 		p, err := l.TracePart(m)
 		if err != nil {
@@ -381,7 +384,12 @@ func (l *Lake) TraceCampaign() (*atlas.TraceCampaign, error) {
 		if p == nil {
 			continue
 		}
-		tc.Grow(p.Rows())
+		parts = append(parts, p)
+		rows += p.Rows()
+	}
+	tc := atlas.NewTraceCampaign()
+	tc.Grow(rows)
+	for _, p := range parts {
 		for i := 0; i < p.Rows(); i++ {
 			tc.Add(atlas.TraceSample{
 				Month:   p.Month,
@@ -398,7 +406,8 @@ func (l *Lake) TraceCampaign() (*atlas.TraceCampaign, error) {
 // TraceCampaign.
 func (l *Lake) ChaosCampaign() (*atlas.ChaosCampaign, error) {
 	st := l.state()
-	cc := atlas.NewChaosCampaign()
+	parts := make([]*ChaosPartition, 0, len(st.chaosMonths))
+	rows := 0
 	for _, m := range st.chaosMonths {
 		p, err := l.ChaosPart(m)
 		if err != nil {
@@ -407,7 +416,12 @@ func (l *Lake) ChaosCampaign() (*atlas.ChaosCampaign, error) {
 		if p == nil {
 			continue
 		}
-		cc.Grow(p.Rows())
+		parts = append(parts, p)
+		rows += p.Rows()
+	}
+	cc := atlas.NewChaosCampaign()
+	cc.Grow(rows)
+	for _, p := range parts {
 		for i := 0; i < p.Rows(); i++ {
 			cc.Add(atlas.ChaosResult{
 				Month:   p.Month,

@@ -190,36 +190,64 @@ func (r *Resolver) CatchmentIndexCached(srcAS bgp.ASN, srcCity geo.City, sites [
 // hosts it). The selection arithmetic is shared, so the index and
 // latency are bit-identical to CatchmentIndexCached — the hop count is
 // a free by-product the fact-emission path records per probe class.
+//
+// Per-source work runs once per call, not once per candidate site: the
+// source's tree and dense view are fetched on the first site the source
+// AS does not host, and the first segment (the source's city to its
+// AS's location) is computed then. Locations come from that same dense
+// view, which already honors overlay relocations. Each site's distance
+// from the source is computed once and serves both the hosted-site
+// latency and the geo policy's ranking.
 func (r *Resolver) CatchmentInfoCached(srcAS bgp.ASN, srcCity geo.City, sites []Site, policy CatchmentPolicy, pc *PairCache) (int, float64, int, error) {
 	var best catchCand
 	found := false
-	asCity, asCityOK := r.topo.Location(srcAS)
+	var (
+		tree     []PathInfo
+		d        *denseTopo // nil until the first site srcAS does not host
+		hasFirst bool
+		firstMs  float64
+	)
 	for i, site := range sites {
 		var hops int
-		var lat float64
+		var lat, distKm float64
 		if site.Host == srcAS {
+			distKm = pc.DistKm(srcCity.Lat, srcCity.Lon, site.City.Lat, site.City.Lon)
 			hops = 1
-			lat = geo.PropagationDelayMs(pc.DistKm(srcCity.Lat, srcCity.Lon, site.City.Lat, site.City.Lon))
+			lat = geo.PropagationDelayMs(distKm)
 		} else {
-			info := r.PathInfoFrom(srcAS, site.Host)
+			if d == nil {
+				tree, d = r.treeFor(srcAS)
+				if tree != nil {
+					if si := d.index[srcAS]; d.hasLoc[si] {
+						hasFirst = true
+						firstMs = geo.PropagationDelayMs(pc.DistKm(srcCity.Lat, srcCity.Lon, d.locLat[si], d.locLon[si]))
+					}
+				}
+			}
+			if tree == nil {
+				continue
+			}
+			hi, ok := d.index[site.Host]
+			if !ok {
+				continue
+			}
+			info := tree[hi]
 			if !info.OK {
 				continue
 			}
 			hops = info.Hops
 			lat = info.LatencyMs
 			// First segment: the source's city to its AS's location.
-			if asCityOK {
-				lat += geo.PropagationDelayMs(pc.DistKm(srcCity.Lat, srcCity.Lon, asCity.Lat, asCity.Lon))
+			if hasFirst {
+				lat += firstMs
 			}
 			// Final segment: the host AS's location to the replica city.
-			if hostCity, ok := r.topo.Location(site.Host); ok {
-				lat += geo.PropagationDelayMs(pc.DistKm(hostCity.Lat, hostCity.Lon, site.City.Lat, site.City.Lon))
+			if d.hasLoc[hi] {
+				lat += geo.PropagationDelayMs(pc.DistKm(d.locLat[hi], d.locLon[hi], site.City.Lat, site.City.Lon))
 			}
+			distKm = pc.DistKm(srcCity.Lat, srcCity.Lon, site.City.Lat, site.City.Lon)
 		}
-		cand := catchCand{
-			index: i, site: site, hops: hops, latency: lat,
-			distKm: pc.DistKm(srcCity.Lat, srcCity.Lon, site.City.Lat, site.City.Lon),
-		}
+		cand := catchCand{index: i, site: site, hops: hops, latency: lat, distKm: distKm}
 		if !found || cand.better(best, policy) {
 			best = cand
 			found = true

@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"vzlens/internal/bgp"
@@ -146,4 +149,163 @@ func absDiff(a, b float64) float64 {
 		return a - b
 	}
 	return b - a
+}
+
+// naiveCatchment is an independent reference for CatchmentInfoCached:
+// the plain per-site loop written only against PathInfoFrom,
+// Topology.Location and geo.HaversineKm, recomputing every per-source
+// quantity for every site. ok is false when no site is reachable.
+func naiveCatchment(r *Resolver, srcAS bgp.ASN, srcCity geo.City, sites []Site, policy CatchmentPolicy) (idx int, lat float64, hops int, ok bool) {
+	top := r.Topology()
+	type cand struct {
+		idx, hops   int
+		lat, distKm float64
+	}
+	less := func(a, b cand) bool {
+		if policy == PolicyGeo {
+			if a.distKm != b.distKm {
+				return a.distKm < b.distKm
+			}
+		} else {
+			if a.hops != b.hops {
+				return a.hops < b.hops
+			}
+			if a.lat != b.lat {
+				return a.lat < b.lat
+			}
+		}
+		sa, sb := sites[a.idx], sites[b.idx]
+		if sa.Host != sb.Host {
+			return sa.Host < sb.Host
+		}
+		return sa.City.Name < sb.City.Name
+	}
+	var best cand
+	for i, site := range sites {
+		c := cand{idx: i, distKm: geo.HaversineKm(srcCity.Lat, srcCity.Lon, site.City.Lat, site.City.Lon)}
+		if site.Host == srcAS {
+			c.hops = 1
+			c.lat = geo.PropagationDelayMs(c.distKm)
+		} else {
+			info := r.PathInfoFrom(srcAS, site.Host)
+			if !info.OK {
+				continue
+			}
+			c.hops = info.Hops
+			c.lat = info.LatencyMs
+			if asCity, located := top.Location(srcAS); located {
+				c.lat += geo.PropagationDelayMs(geo.HaversineKm(srcCity.Lat, srcCity.Lon, asCity.Lat, asCity.Lon))
+			}
+			if hostCity, located := top.Location(site.Host); located {
+				c.lat += geo.PropagationDelayMs(geo.HaversineKm(hostCity.Lat, hostCity.Lon, site.City.Lat, site.City.Lon))
+			}
+		}
+		if !ok || less(c, best) {
+			best, ok = c, true
+		}
+	}
+	return best.idx, best.lat, best.hops, ok
+}
+
+// checkCatchmentMatchesNaive compares CatchmentInfoCached against the
+// naive reference for one query, with no PairCache and with pc, under
+// both policies: same site index, same hop count, same latency bits.
+func checkCatchmentMatchesNaive(t *testing.T, label string, r *Resolver, pc *PairCache, src bgp.ASN, city geo.City, sites []Site) {
+	t.Helper()
+	for _, policy := range []CatchmentPolicy{PolicyBGP, PolicyGeo} {
+		wantIdx, wantLat, wantHops, wantOK := naiveCatchment(r, src, city, sites, policy)
+		for _, cache := range []*PairCache{nil, pc} {
+			idx, lat, hops, err := r.CatchmentInfoCached(src, city, sites, policy, cache)
+			if (err == nil) != wantOK {
+				t.Fatalf("%s: AS%d policy %d cache %v: err %v, reference reachable %v", label, src, policy, cache != nil, err, wantOK)
+			}
+			if !wantOK {
+				continue
+			}
+			if idx != wantIdx || hops != wantHops || math.Float64bits(lat) != math.Float64bits(wantLat) {
+				t.Fatalf("%s: AS%d policy %d cache %v: got (site %d, %d hops, %v ms), reference (site %d, %d hops, %v ms)",
+					label, src, policy, cache != nil, idx, hops, lat, wantIdx, wantHops, wantLat)
+			}
+		}
+	}
+}
+
+// TestCatchmentMatchesNaiveReference drives the catchment loop over
+// random topologies and overlays of them (relocations included, some
+// to the zero City) against the naive reference. Site lists mix hosts
+// in the graph, the source AS itself and an AS the topology has never
+// seen; sources include every AS plus an unknown one.
+func TestCatchmentMatchesNaiveReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	cities := []string{"MIA", "BOG", "GRU", "CCS", "SCL", "EZE", "MEX", "LIM"}
+	randCity := func() geo.City {
+		c, _ := geo.LookupIATA(cities[rng.Intn(len(cities))])
+		return c
+	}
+	const unknownAS = bgp.ASN(65000)
+	var pc PairCache // shared across queries, as a kernel arena shares it
+	for trial := 0; trial < 40; trial++ {
+		base := randomTopology(rng)
+		view := base
+		if trial%4 != 0 {
+			ov, err := base.Overlay(randomEdits(t, rng, base, 1+rng.Intn(8)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			view = ov
+		}
+		r := NewResolver(view)
+		ases := view.Graph().ASes()
+		label := fmt.Sprintf("trial %d", trial)
+		for _, src := range append(ases, unknownAS) {
+			sites := make([]Site, 2+rng.Intn(5))
+			for i := range sites {
+				host := ases[rng.Intn(len(ases))]
+				switch rng.Intn(6) {
+				case 0:
+					host = src
+				case 1:
+					host = unknownAS + 1
+				}
+				sites[i] = Site{Host: host, City: randCity()}
+			}
+			checkCatchmentMatchesNaive(t, label, r, &pc, src, randCity(), sites)
+		}
+	}
+}
+
+// TestCatchmentMatchesNaiveEdgeCases pins the cases the random drive
+// may hit rarely: a source and a host relocated to the zero City (no
+// location in the view, though the base has one), an unknown source
+// reaching only a site it hosts, an unknown host, and a hosted site
+// competing with transit-reached ones.
+func TestCatchmentMatchesNaiveEdgeCases(t *testing.T) {
+	top := testTopology()
+	bog, _ := geo.LookupIATA("BOG")
+	mia, _ := geo.LookupIATA("MIA")
+	mde, _ := geo.LookupIATA("MDE")
+	if _, ok := top.Location(201); !ok {
+		t.Fatal("test topology leaves AS201 unlocated")
+	}
+	if _, ok := top.Location(100); !ok {
+		t.Fatal("test topology leaves AS100 unlocated")
+	}
+	cleared, err := top.Overlay([]Edit{
+		{Op: EditRelocate, A: 201, City: geo.City{}},
+		{Op: EditRelocate, A: 100, City: geo.City{}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pc PairCache
+	sites := []Site{{Host: 100, City: mia}, {Host: 200, City: bog}, {Host: 201, City: mde}}
+	for _, view := range []*Topology{top, cleared} {
+		r := NewResolver(view)
+		checkCatchmentMatchesNaive(t, "hosted and transit sites", r, &pc, 201, mde, sites)
+		checkCatchmentMatchesNaive(t, "transit sites only", r, &pc, 201, mde, sites[:2])
+		checkCatchmentMatchesNaive(t, "unknown host", r, &pc, 201, bog, []Site{{Host: 64999, City: bog}, {Host: 100, City: mia}})
+		checkCatchmentMatchesNaive(t, "unknown host alone", r, &pc, 201, bog, []Site{{Host: 64999, City: bog}})
+		checkCatchmentMatchesNaive(t, "unknown source", r, &pc, 64998, bog, sites)
+		checkCatchmentMatchesNaive(t, "unknown source, own site", r, &pc, 64998, bog, append(sites, Site{Host: 64998, City: mia}))
+	}
 }

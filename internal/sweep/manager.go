@@ -610,19 +610,25 @@ func (m *Manager) record(sw *sweepRun, res *Result) {
 }
 
 // finish appends the done record and persists the final status (with
-// its leaderboard) to the result store as a durable artifact.
+// its leaderboard) to the result store as a durable artifact. The run
+// reads as done only once that Put has returned, so a status poll that
+// sees "done" always finds the artifact; sw.mu is not held across the
+// Put's fsync.
 func (m *Manager) finish(sw *sweepRun) {
 	sw.mu.Lock()
 	payload, _ := json.Marshal(journalRecord{Kind: recDone})
 	if err := sw.journal.Append(payload); err != nil {
 		m.met.journalErrors.Inc()
 	}
-	sw.done = true
 	status := sw.statusLocked()
 	sw.mu.Unlock()
+	status.State = StateDone
 	if data, err := json.Marshal(status); err == nil {
 		m.store.Put("sweep-"+sw.key, data) //nolint:errcheck // journal is the source of truth
 	}
+	sw.mu.Lock()
+	sw.done = true
+	sw.mu.Unlock()
 	m.met.completed.Inc()
 	m.met.active.Add(-1)
 }

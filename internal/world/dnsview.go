@@ -18,9 +18,10 @@ import (
 // localization memo, same catchment arithmetic — so a DNS response and
 // a campaign row for the same (letter, month, client location) can
 // never disagree. The only divergence is the PairCache: the campaign
-// threads an arena-local one, the DNS path passes nil, and
-// netsim.PairCache documents that a cached distance feeds the exact
-// arithmetic the direct path uses, so results are bit-identical.
+// threads an arena-local one, the DNS path passes nil. The cache keys
+// by the coordinates' bit patterns, so a hit returns exactly the
+// distance the direct path computes and results are bit-identical
+// (netsim's TestCatchmentMatchesNaiveReference runs both ways).
 
 // ErrNoInstances reports a root letter with no active instances at the
 // requested month (the paper's post-withdrawal Venezuela, letter-wide):
