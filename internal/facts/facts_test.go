@@ -262,6 +262,41 @@ func TestQuarantineCorruptPartition(t *testing.T) {
 	}
 }
 
+// TestQuarantineFallsBackToRemoval: when the quarantine directory
+// cannot be created (a regular file sits at its path), a corrupt
+// partition is removed instead of left in place, so a reopen does not
+// hit it again.
+func TestQuarantineFallsBackToRemoval(t *testing.T) {
+	w := testWorld(t)
+	l := builtLake(t, w)
+	if err := os.WriteFile(filepath.Join(l.Dir(), "quarantine"), []byte("not a directory"), 0o644); err != nil {
+		t.Fatalf("block quarantine dir: %v", err)
+	}
+	m := l.ChaosMonths()[0]
+	path := filepath.Join(l.Dir(), "chaos-"+m.String()+".vzfp")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read partition: %v", err)
+	}
+	raw[len(raw)/2] ^= 0xFF
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatalf("write corrupt partition: %v", err)
+	}
+	l2, err := Open(l.Dir(), w.Config.Scope())
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if _, err := l2.ChaosPart(m); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("corrupt partition: err=%v, want ErrCorrupt", err)
+	}
+	if got := l2.Quarantines(); got != 1 {
+		t.Fatalf("quarantine count %d, want 1", got)
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("corrupt partition still in place: %v", err)
+	}
+}
+
 // TestScopeMismatch: a lake built under one configuration must never be
 // served to a world with another.
 func TestScopeMismatch(t *testing.T) {

@@ -4,9 +4,9 @@
 // dimension tables (probe fleet membership, topology eras, anycast
 // site-list eras) with validity windows. Each partition is one VZRS
 // frame (resultstore's checksummed envelope) whose payload is the VZFC
-// columnar layout below; readers mmap the file, validate, decode the
-// columns they need, and never touch partitions outside the queried
-// month window — partition pruning is structural, not an optimizer
+// columnar layout below; readers read and validate the file, decode
+// its columns, and never touch partitions outside the queried month
+// window — partition pruning is structural, not an optimizer
 // decision.
 package facts
 
@@ -283,8 +283,7 @@ func decodeHead(payload []byte) (frameHead, error) {
 
 // DecodePartition validates and decodes a VZFC payload into exactly one
 // of a trace or chaos partition. The returned partitions copy out of
-// payload, so callers may unmap the backing file immediately — decoded
-// partitions never alias the mapping.
+// payload and never alias it.
 func DecodePartition(payload []byte) (*TracePartition, *ChaosPartition, error) {
 	h, err := decodeHead(payload)
 	if err != nil {

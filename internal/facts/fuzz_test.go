@@ -2,6 +2,7 @@ package facts
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -13,7 +14,8 @@ import (
 // ErrCorrupt — never a panic, and never an allocation larger than the
 // input itself (every length is bounded against the payload before any
 // make). Successful decodes must re-encode into a payload that decodes
-// back equal, so the fuzzer also guards round-trip fidelity.
+// back equal, so the fuzzer also guards round-trip fidelity (RTTs
+// bit for bit, so a NaN read from arbitrary bytes must survive too).
 func FuzzFactFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("VZFC"))
@@ -51,7 +53,7 @@ func FuzzFactFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("re-encode of valid trace partition fails: %v", err)
 			}
-			if !reflect.DeepEqual(again, tp) {
+			if !sameTrace(again, tp) {
 				t.Fatal("trace partition round trip diverges")
 			}
 		case cp != nil:
@@ -66,4 +68,20 @@ func FuzzFactFrame(f *testing.F) {
 			t.Fatal("decode returned neither partition nor error")
 		}
 	})
+}
+
+// sameTrace is reflect.DeepEqual with the RTT column compared by bits:
+// DeepEqual treats every NaN as unequal to itself.
+func sameTrace(a, b *TracePartition) bool {
+	if len(a.RTT) != len(b.RTT) {
+		return false
+	}
+	for i := range a.RTT {
+		if math.Float64bits(a.RTT[i]) != math.Float64bits(b.RTT[i]) {
+			return false
+		}
+	}
+	x, y := *a, *b
+	x.RTT, y.RTT = nil, nil
+	return (a.RTT == nil) == (b.RTT == nil) && reflect.DeepEqual(x, y)
 }

@@ -167,13 +167,13 @@ func (l *Lake) commit(rec *Recorder, dims *Dimensions) error {
 	}
 	for _, m := range rec.TraceMonths() {
 		man.TraceMonths = append(man.TraceMonths, m.String())
-		if err := writeDurable(l.partPath(KindTrace, m), resultstore.EncodeEntry(trace[m])); err != nil {
+		if err := resultstore.WriteAtomic(l.partPath(KindTrace, m), resultstore.EncodeEntry(trace[m])); err != nil {
 			return err
 		}
 	}
 	for _, m := range rec.ChaosMonths() {
 		man.ChaosMonths = append(man.ChaosMonths, m.String())
-		if err := writeDurable(l.partPath(KindChaos, m), resultstore.EncodeEntry(chaos[m])); err != nil {
+		if err := resultstore.WriteAtomic(l.partPath(KindChaos, m), resultstore.EncodeEntry(chaos[m])); err != nil {
 			return err
 		}
 	}
@@ -181,14 +181,14 @@ func (l *Lake) commit(rec *Recorder, dims *Dimensions) error {
 	if err != nil {
 		return fmt.Errorf("facts: encode dimensions: %w", err)
 	}
-	if err := writeDurable(filepath.Join(l.dir, "dims.vzr"), resultstore.EncodeEntry(dimsDoc)); err != nil {
+	if err := resultstore.WriteAtomic(filepath.Join(l.dir, "dims.vzr"), resultstore.EncodeEntry(dimsDoc)); err != nil {
 		return err
 	}
 	manDoc, err := json.Marshal(man)
 	if err != nil {
 		return fmt.Errorf("facts: encode manifest: %w", err)
 	}
-	if err := writeDurable(filepath.Join(l.dir, "manifest.vzr"), resultstore.EncodeEntry(manDoc)); err != nil {
+	if err := resultstore.WriteAtomic(filepath.Join(l.dir, "manifest.vzr"), resultstore.EncodeEntry(manDoc)); err != nil {
 		return err
 	}
 	st, err := loadState(l.dir, l.scope)
@@ -215,11 +215,13 @@ func (l *Lake) partPath(kind byte, m months.Month) string {
 
 // loadState reads the manifest and dimensions of a committed lake.
 // Returns (nil, nil) when no lake is committed or the committed one
-// belongs to a different scope; corrupt framing quarantines and reports
-// an error.
+// belongs to a different scope. A corrupt manifest or dimension
+// document is reported as an error wrapping ErrCorrupt and left in
+// place: Open treats that as no lake, and the next Build overwrites
+// both.
 func loadState(dir, scope string) (*lakeState, error) {
-	manRaw, err := readFrame(filepath.Join(dir, "manifest.vzr"))
-	if os.IsNotExist(err) {
+	manRaw, err := resultstore.ReadEntry(filepath.Join(dir, "manifest.vzr"))
+	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {
@@ -232,7 +234,7 @@ func loadState(dir, scope string) (*lakeState, error) {
 	if man.Version != manifestVersion || man.Scope != scope {
 		return nil, nil
 	}
-	dimsRaw, err := readFrame(filepath.Join(dir, "dims.vzr"))
+	dimsRaw, err := resultstore.ReadEntry(filepath.Join(dir, "dims.vzr"))
 	if err != nil {
 		return nil, err
 	}
@@ -263,20 +265,6 @@ func loadState(dir, scope string) (*lakeState, error) {
 	sort.Slice(st.traceMonths, func(i, j int) bool { return st.traceMonths[i] < st.traceMonths[j] })
 	sort.Slice(st.chaosMonths, func(i, j int) bool { return st.chaosMonths[i] < st.chaosMonths[j] })
 	return st, nil
-}
-
-// readFrame reads and validates one VZRS-framed file via the mmap
-// reader, returning a copy of the payload (the mapping is released
-// before returning).
-func readFrame(path string) ([]byte, error) {
-	mp, err := resultstore.OpenMapped(path)
-	if err != nil {
-		return nil, err
-	}
-	defer mp.Close()
-	out := make([]byte, len(mp.Payload))
-	copy(out, mp.Payload)
-	return out, nil
 }
 
 // Dims returns the dimension tables, or nil when the lake is not
@@ -315,26 +303,25 @@ func (l *Lake) ChaosPart(m months.Month) (*ChaosPartition, error) {
 	return cell.cp, cell.err
 }
 
-// decodeCell maps, validates, decodes, and unmaps one partition file,
-// exactly once per cell. Corruption — at either the VZRS framing or the
-// VZFC columnar layer — quarantines the file so the next rebuild
-// replaces it, and leaves the cell failed.
+// decodeCell reads, validates and decodes one partition file, exactly
+// once per cell. Corruption — at either the VZRS framing or the VZFC
+// columnar layer — quarantines the file so the next rebuild replaces
+// it, and leaves the cell failed.
 func (l *Lake) decodeCell(cell *partCell, kind byte) {
 	cell.once.Do(func() {
 		l.decodes.Add(1)
-		mp, err := resultstore.OpenMapped(cell.path)
+		payload, err := resultstore.ReadEntry(cell.path)
+		if errors.Is(err, os.ErrNotExist) {
+			// Manifest names it but the file is gone: surface as
+			// corruption (rebuild fixes it) but nothing to quarantine.
+			cell.err = fmt.Errorf("%w: facts partition %s missing", ErrCorrupt, filepath.Base(cell.path))
+			return
+		}
 		if err != nil {
-			if os.IsNotExist(err) {
-				// Manifest names it but the file is gone: surface as
-				// corruption (rebuild fixes it) but nothing to quarantine.
-				cell.err = fmt.Errorf("%w: facts partition %s missing", ErrCorrupt, filepath.Base(cell.path))
-				return
-			}
 			cell.err = l.noteCorrupt(cell.path, err)
 			return
 		}
-		defer mp.Close()
-		tp, cp, err := DecodePartition(mp.Payload)
+		tp, cp, err := DecodePartition(payload)
 		if err != nil {
 			cell.err = l.noteCorrupt(cell.path, err)
 			return
@@ -350,18 +337,15 @@ func (l *Lake) decodeCell(cell *partCell, kind byte) {
 	})
 }
 
-// noteCorrupt quarantines a partition that failed validation, mirroring
-// the result store's recovery discipline: move the evidence aside,
-// surface ErrCorrupt, let the next build rewrite it.
+// noteCorrupt quarantines a partition that failed validation (see
+// resultstore.Quarantine) and surfaces ErrCorrupt; the next build
+// rewrites it. Other errors pass through and leave the file alone.
 func (l *Lake) noteCorrupt(path string, err error) error {
 	if !errors.Is(err, ErrCorrupt) {
 		return err
 	}
 	l.quarantines.Add(1)
-	qdir := filepath.Join(l.dir, "quarantine")
-	if mkErr := os.MkdirAll(qdir, 0o755); mkErr == nil {
-		_ = os.Rename(path, filepath.Join(qdir, filepath.Base(path)+fmt.Sprintf(".%d", time.Now().UnixNano())))
-	}
+	resultstore.Quarantine(path)
 	return err
 }
 
@@ -433,39 +417,4 @@ func (l *Lake) ChaosCampaign() (*atlas.ChaosCampaign, error) {
 		}
 	}
 	return cc, nil
-}
-
-// writeDurable writes data with the store's crash-safety protocol:
-// write a temp file, fsync it, rename over the target, fsync the
-// directory.
-func writeDurable(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("facts: temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("facts: write %s: %w", path, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("facts: fsync %s: %w", path, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("facts: close %s: %w", path, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("facts: rename %s: %w", path, err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	return nil
 }

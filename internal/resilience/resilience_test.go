@@ -105,55 +105,6 @@ func TestDelayDeterministicJitter(t *testing.T) {
 	}
 }
 
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	clock := time.Unix(1700000000, 0)
-	b := &Breaker{Threshold: 2, Cooldown: time.Minute, Now: func() time.Time { return clock }}
-	fail := func() error { return errBoom }
-	ok := func() error { return nil }
-
-	if err := b.Do(fail); !errors.Is(err, errBoom) {
-		t.Fatalf("first failure = %v", err)
-	}
-	if got := b.State(); got != "closed" {
-		t.Fatalf("state after 1 failure = %s", got)
-	}
-	if err := b.Do(fail); !errors.Is(err, errBoom) {
-		t.Fatalf("second failure = %v", err)
-	}
-	if got := b.State(); got != "open" {
-		t.Fatalf("state after threshold = %s", got)
-	}
-	if err := b.Do(ok); !errors.Is(err, ErrOpen) {
-		t.Fatalf("open circuit admitted a call: %v", err)
-	}
-
-	clock = clock.Add(2 * time.Minute)
-	if got := b.State(); got != "half-open" {
-		t.Fatalf("state after cooldown = %s", got)
-	}
-	if err := b.Do(ok); err != nil {
-		t.Fatalf("half-open probe = %v", err)
-	}
-	if got := b.State(); got != "closed" {
-		t.Fatalf("state after probe success = %s", got)
-	}
-}
-
-func TestBreakerHalfOpenFailureReopens(t *testing.T) {
-	clock := time.Unix(1700000000, 0)
-	b := &Breaker{Threshold: 1, Cooldown: time.Minute, Now: func() time.Time { return clock }}
-	if err := b.Do(func() error { return errBoom }); !errors.Is(err, errBoom) {
-		t.Fatal(err)
-	}
-	clock = clock.Add(61 * time.Second)
-	if err := b.Do(func() error { return errBoom }); !errors.Is(err, errBoom) {
-		t.Fatalf("probe = %v", err)
-	}
-	if got := b.State(); got != "open" {
-		t.Fatalf("state after failed probe = %s", got)
-	}
-}
-
 func TestLazyResultCachesSuccess(t *testing.T) {
 	var l LazyResult[int]
 	calls := 0

@@ -1,10 +1,10 @@
 // Package resilience supplies the fault-handling primitives the pipeline
 // uses to survive the realities of decade-scale archival data: mirrors
 // stall, dumps truncate, and APIs rate-limit. It provides retry with
-// exponential backoff and deterministic jitter, a circuit breaker for
-// persistently failing dependencies, deadline-wrapped execution, and an
-// error-aware lazy cache that — unlike sync.Once — does not poison itself
-// on a transient first failure.
+// exponential backoff and deterministic jitter, latency hedging,
+// deadline-wrapped execution, and an error-aware lazy cache that —
+// unlike sync.Once — does not poison itself on a transient first
+// failure.
 //
 // Everything is deterministic under test: jitter draws from a seedable
 // RNG and sleeping is injectable.
@@ -120,38 +120,18 @@ func IsPermanent(err error) bool {
 // context is done, or MaxAttempts is exhausted. The returned error wraps
 // the last failure and records the attempt count.
 func Retry(ctx context.Context, p Policy, fn func(ctx context.Context) error) error {
-	p = p.withDefaults()
-	rng := rand.New(rand.NewSource(p.Seed))
-	var last error
-	for attempt := 1; attempt <= p.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("resilience: retry aborted before attempt %d: %w", attempt, err)
-		}
-		last = fn(ctx)
-		if last == nil {
-			return nil
-		}
-		var pe *permanentError
-		if errors.As(last, &pe) {
-			return fmt.Errorf("resilience: permanent failure on attempt %d: %w", attempt, pe.err)
-		}
-		if attempt == p.MaxAttempts {
-			break
-		}
-		if err := p.Sleep(ctx, p.Delay(attempt, rng)); err != nil {
-			return fmt.Errorf("resilience: retry aborted after attempt %d: %w (last error: %v)", attempt, err, last)
-		}
-	}
-	return fmt.Errorf("resilience: %d attempts exhausted: %w", p.MaxAttempts, last)
+	_, err := RetryValue(ctx, p, func(ctx context.Context) (struct{}, error) {
+		return struct{}{}, fn(ctx)
+	})
+	return err
 }
 
-// RetryValue is the value-returning, context-aware Retry variant the
-// sweep workers use: fn runs under the caller's context, every backoff
+// RetryValue is Retry for functions that return a value; the sweep
+// workers use it. fn runs under the caller's context, every backoff
 // sleep aborts immediately on context cancellation or deadline expiry
 // (the abort error wraps ctx.Err, so callers can distinguish a
 // canceled retry from an exhausted one), and the zero T accompanies
-// every failure. Permanent errors stop the loop on the spot, exactly
-// like Retry.
+// every failure. Permanent errors stop the loop on the spot.
 func RetryValue[T any](ctx context.Context, p Policy, fn func(ctx context.Context) (T, error)) (T, error) {
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed))

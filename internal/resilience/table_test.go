@@ -1,103 +1,10 @@
 package resilience
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 	"time"
 )
-
-// TestBreakerTransitionsTable walks the breaker's full state machine
-// through scripted sequences of calls and clock advances, checking the
-// observable state after every step. A fake clock makes the cooldown
-// edge exact.
-func TestBreakerTransitionsTable(t *testing.T) {
-	failCall := errors.New("backend down")
-	type step struct {
-		advance   time.Duration // move the fake clock before acting
-		call      bool          // invoke Do (otherwise just check state)
-		fail      bool          // fn outcome when called
-		wantOpen  bool          // expect Do to reject with ErrOpen
-		wantState string        // state after the step
-	}
-	cases := []struct {
-		name      string
-		threshold int
-		cooldown  time.Duration
-		steps     []step
-	}{
-		{
-			name: "opens only at the threshold", threshold: 3, cooldown: time.Minute,
-			steps: []step{
-				{call: true, fail: true, wantState: "closed"},
-				{call: true, fail: true, wantState: "closed"},
-				{call: true, fail: true, wantState: "open"},
-			},
-		},
-		{
-			name: "success resets the consecutive count", threshold: 2, cooldown: time.Minute,
-			steps: []step{
-				{call: true, fail: true, wantState: "closed"},
-				{call: true, fail: false, wantState: "closed"},
-				{call: true, fail: true, wantState: "closed"},
-				{call: true, fail: true, wantState: "open"},
-			},
-		},
-		{
-			name: "open rejects until the cooldown elapses", threshold: 1, cooldown: time.Minute,
-			steps: []step{
-				{call: true, fail: true, wantState: "open"},
-				{advance: 30 * time.Second, call: true, wantOpen: true, wantState: "open"},
-				{advance: 29 * time.Second, call: true, wantOpen: true, wantState: "open"},
-				{advance: time.Second, wantState: "half-open"},
-			},
-		},
-		{
-			name: "half-open probe success closes", threshold: 1, cooldown: time.Minute,
-			steps: []step{
-				{call: true, fail: true, wantState: "open"},
-				{advance: time.Minute, call: true, fail: false, wantState: "closed"},
-				{call: true, fail: false, wantState: "closed"},
-			},
-		},
-		{
-			name: "half-open probe failure reopens immediately", threshold: 3, cooldown: time.Minute,
-			steps: []step{
-				{call: true, fail: true, wantState: "closed"},
-				{call: true, fail: true, wantState: "closed"},
-				{call: true, fail: true, wantState: "open"},
-				// One failed probe re-opens even though it is a single
-				// failure — the threshold only applies while closed.
-				{advance: time.Minute, call: true, fail: true, wantState: "open"},
-				{advance: 30 * time.Second, call: true, wantOpen: true, wantState: "open"},
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			clock := time.Unix(1700000000, 0)
-			b := &Breaker{Threshold: tc.threshold, Cooldown: tc.cooldown,
-				Now: func() time.Time { return clock }}
-			for i, s := range tc.steps {
-				clock = clock.Add(s.advance)
-				if s.call {
-					err := b.Do(func() error {
-						if s.fail {
-							return failCall
-						}
-						return nil
-					})
-					if gotOpen := errors.Is(err, ErrOpen); gotOpen != s.wantOpen {
-						t.Fatalf("step %d: ErrOpen = %v, want %v (err %v)", i, gotOpen, s.wantOpen, err)
-					}
-				}
-				if got := b.State(); got != s.wantState {
-					t.Fatalf("step %d: state = %q, want %q", i, got, s.wantState)
-				}
-			}
-		})
-	}
-}
 
 // TestDelayBackoffTable pins the un-jittered backoff schedule:
 // geometric growth from BaseDelay, capped at MaxDelay.

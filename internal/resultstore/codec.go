@@ -59,15 +59,18 @@ func payloadLen(frame []byte) uint64 {
 
 // EncodeEntry frames payload with the checksummed header.
 func EncodeEntry(payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload))
-	copy(buf[0:4], magic)
-	binary.LittleEndian.PutUint16(buf[4:6], version)
-	binary.LittleEndian.PutUint16(buf[6:8], 0)
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(buf[16:20], crc32.Checksum(payload, castagnoli))
-	binary.LittleEndian.PutUint32(buf[20:24], crc32.Checksum(buf[:20], castagnoli))
-	copy(buf[headerSize:], payload)
-	return buf
+	return appendEntry(make([]byte, 0, headerSize+len(payload)), payload)
+}
+
+// appendEntry appends payload's frame to dst.
+func appendEntry(dst, payload []byte) []byte {
+	var h [headerSize]byte
+	copy(h[0:4], magic)
+	binary.LittleEndian.PutUint16(h[4:6], version)
+	binary.LittleEndian.PutUint64(h[8:16], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(h[16:20], crc32.Checksum(payload, castagnoli))
+	binary.LittleEndian.PutUint32(h[20:24], crc32.Checksum(h[:20], castagnoli))
+	return append(append(dst, h[:]...), payload...)
 }
 
 // DecodeEntry validates data and returns the payload. Any structural

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"vzlens/internal/obs"
 )
@@ -14,9 +13,7 @@ import (
 // manifest — accumulate records forever, and some of those records are
 // superseded (a spec re-assigned three times only needs its last
 // assignment). Compact rewrites the journal keeping only the records
-// the caller still wants, with the same crash-safety discipline as a
-// Store.Put: write the survivors to a temp file in the same directory,
-// fsync, rename over the old journal, fsync the directory. A crash at
+// the caller still wants, with WriteAtomic like a Store.Put. A crash at
 // any byte offset leaves either the old journal or the new one, never
 // a torn mix.
 
@@ -41,9 +38,9 @@ func InstrumentCompactions(reg *obs.Registry) *obs.Counter {
 // Compact rewrites the journal in place: every valid record currently
 // in the file is handed to rewrite, and exactly the records it returns
 // (in the order it returns them) survive. Returned slices may alias
-// the input records. The rewrite is atomic — temp file, fsync, rename
-// — and the journal stays open for appending afterwards. It returns
-// the number of records dropped.
+// the input records. The survivors are framed into one buffer and
+// written with WriteAtomic, and the journal stays open for appending
+// afterwards. It returns the number of records dropped.
 //
 // Compact holds the journal lock for the duration, so concurrent
 // Appends serialize against it and never land in the pre-compaction
@@ -64,32 +61,17 @@ func (j *Journal) Compact(rewrite func(records [][]byte) [][]byte) (dropped int,
 	records, _ := scanJournal(data)
 	kept := rewrite(records)
 
-	dir := filepath.Dir(j.path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(j.path)+".compact-*")
-	if err != nil {
-		return 0, fmt.Errorf("resultstore: journal %s: compact: %w", j.path, err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	var written int64
+	size := 0
 	for _, rec := range kept {
-		n, err := tmp.Write(EncodeEntry(rec))
-		if err != nil {
-			tmp.Close()
-			return 0, fmt.Errorf("resultstore: journal %s: compact write: %w", j.path, err)
-		}
-		written += int64(n)
+		size += headerSize + len(rec)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, fmt.Errorf("resultstore: journal %s: compact fsync: %w", j.path, err)
+	buf := make([]byte, 0, size)
+	for _, rec := range kept {
+		buf = appendEntry(buf, rec)
 	}
-	if err := tmp.Close(); err != nil {
-		return 0, fmt.Errorf("resultstore: journal %s: compact close: %w", j.path, err)
+	if err := WriteAtomic(j.path, buf); err != nil {
+		return 0, fmt.Errorf("compact: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), j.path); err != nil {
-		return 0, fmt.Errorf("resultstore: journal %s: compact rename: %w", j.path, err)
-	}
-	syncDir(dir)
 
 	// The old file handle still points at the pre-compaction inode;
 	// reopen the renamed journal and position for appending.
@@ -102,7 +84,7 @@ func (j *Journal) Compact(rewrite func(records [][]byte) [][]byte) (dropped int,
 		j.f = nil
 		return 0, fmt.Errorf("resultstore: journal %s: reopen after compact: %w", j.path, err)
 	}
-	if _, err := f.Seek(written, io.SeekStart); err != nil {
+	if _, err := f.Seek(int64(len(buf)), io.SeekStart); err != nil {
 		f.Close()
 		j.f.Close()
 		j.f = nil

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"vzlens/internal/obs"
 )
@@ -17,10 +16,7 @@ import (
 // ErrNotFound reports a key with no stored entry.
 var ErrNotFound = errors.New("resultstore: not found")
 
-const (
-	entryExt       = ".vzr"
-	quarantineName = "quarantine"
-)
+const entryExt = ".vzr"
 
 // Store is a directory of checksummed result entries, safe against
 // crashes mid-write (atomic rename) and against silent corruption
@@ -99,82 +95,44 @@ func (s *Store) Path(key string) string {
 	return filepath.Join(s.dir, fileName(key))
 }
 
-// Put durably stores payload under key: encode, write to a temp file
-// in the same directory, fsync, then atomically rename over any
-// previous entry. A crash at any point leaves either the old entry or
-// the new one, never a torn mix.
+// Put durably stores payload under key with WriteAtomic: a crash at
+// any point leaves either the old entry or the new one, never a torn
+// mix.
 func (s *Store) Put(key string, payload []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	dst := s.Path(key)
-	tmp, err := os.CreateTemp(s.dir, fileName(key)+".tmp-*")
-	if err != nil {
-		s.met.putErrors.Inc()
-		return fmt.Errorf("resultstore: put %s: %w", key, err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
 	encoded := EncodeEntry(payload)
-	if _, err := tmp.Write(encoded); err != nil {
-		tmp.Close()
+	if err := writeAtomic(s.Path(key), encoded, s.met.fsync); err != nil {
 		s.met.putErrors.Inc()
-		return fmt.Errorf("resultstore: put %s: %w", key, err)
+		return fmt.Errorf("put %s: %w", key, err)
 	}
-	fsyncStart := time.Now()
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		s.met.putErrors.Inc()
-		return fmt.Errorf("resultstore: put %s: %w", key, err)
-	}
-	s.met.fsync.ObserveDuration(time.Since(fsyncStart))
-	if err := tmp.Close(); err != nil {
-		s.met.putErrors.Inc()
-		return fmt.Errorf("resultstore: put %s: %w", key, err)
-	}
-	if err := os.Rename(tmp.Name(), dst); err != nil {
-		s.met.putErrors.Inc()
-		return fmt.Errorf("resultstore: put %s: %w", key, err)
-	}
-	syncDir(s.dir) // best-effort: persist the rename itself
 	s.met.puts.Inc()
 	s.met.bytesPut.Add(uint64(len(encoded)))
 	return nil
 }
 
 // Get returns the payload stored under key. A missing entry returns
-// ErrNotFound. An entry that fails validation is moved into the
-// quarantine subdirectory and reported as ErrCorrupt, so the caller
-// recomputes and the damaged bytes remain available for forensics.
+// ErrNotFound. An entry that fails validation is quarantined (see
+// Quarantine) and reported as ErrCorrupt, so the caller recomputes.
 func (s *Store) Get(key string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	path := s.Path(key)
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
+	payload, err := ReadEntry(path)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
 		s.met.misses.Inc()
 		return nil, ErrNotFound
-	}
-	if err != nil {
-		return nil, fmt.Errorf("resultstore: get %s: %w", key, err)
-	}
-	payload, err := DecodeEntry(data)
-	if err != nil {
+	case errors.Is(err, ErrCorrupt):
 		s.met.corrupt.Inc()
-		s.quarantineLocked(path)
+		Quarantine(path)
 		return nil, fmt.Errorf("get %s: %w", key, err)
+	case err != nil:
+		return nil, fmt.Errorf("resultstore: get %s: %w", key, err)
 	}
 	s.met.hits.Inc()
 	s.met.bytesRead.Add(uint64(len(payload)))
 	return payload, nil
-}
-
-// quarantineLocked moves a failed entry aside rather than deleting it.
-func (s *Store) quarantineLocked(path string) {
-	dst := filepath.Join(s.dir, quarantineName, filepath.Base(path))
-	if err := os.Rename(path, dst); err != nil {
-		// Removal is the fallback: a corrupt entry must not be served
-		// again even if the quarantine move fails.
-		os.Remove(path)
-	}
 }
 
 // Keys lists the keys' file names currently stored (quarantine
@@ -197,7 +155,8 @@ func (s *Store) Keys() ([]string, error) {
 	return out, nil
 }
 
-// Quarantined lists the file names in quarantine, sorted.
+// Quarantined lists the file names in quarantine, sorted; each is an
+// entry's file name plus the suffix Quarantine gives it.
 func (s *Store) Quarantined() ([]string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -213,15 +172,4 @@ func (s *Store) Quarantined() ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives power
-// loss. Best-effort: some filesystems reject directory fsync.
-func syncDir(dir string) {
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	d.Sync()
-	d.Close()
 }

@@ -1,10 +1,8 @@
 package world
 
 import (
-	"context"
 	"fmt"
 
-	"vzlens/internal/atlas"
 	"vzlens/internal/bgp"
 	"vzlens/internal/dnsroot"
 	"vzlens/internal/geo"
@@ -15,7 +13,8 @@ import (
 // This file is the world half of the counterfactual scenario engine:
 // a compiled ScenarioPlan describes windowed, declarative changes to
 // the monthly topology and the anycast deployments, and the campaign
-// runs below replay the paper's measurements under them. Per month the
+// runs (campaign.go, windowed.go) replay the paper's measurements under
+// them. Per month the
 // plan compiles to a netsim overlay — a copy-on-write view over the
 // cached baseline topology — so a scenario run shares every baseline
 // resolver and pays only O(edits) per month on top. Scenario runs use
@@ -311,23 +310,4 @@ func (w *World) rootSitesFor(letter dnsroot.Letter, m months.Month, plan *Scenar
 		})
 	}
 	return sites, insts
-}
-
-// TraceCampaignScenario simulates the traceroute campaign under plan
-// (nil = baseline). Scenario runs always simulate — an ingested
-// external campaign cannot answer a counterfactual — and inherit the
-// engine's determinism: bit-identical output for any worker count.
-func (w *World) TraceCampaignScenario(ctx context.Context, plan *ScenarioPlan) *atlas.TraceCampaign {
-	if plan == nil {
-		return w.TraceCampaignCtx(ctx)
-	}
-	return w.traceCampaign(ctx, plan)
-}
-
-// ChaosCampaignScenario is TraceCampaignScenario for the CHAOS sweep.
-func (w *World) ChaosCampaignScenario(ctx context.Context, plan *ScenarioPlan) *atlas.ChaosCampaign {
-	if plan == nil {
-		return w.ChaosCampaignCtx(ctx)
-	}
-	return w.chaosCampaign(ctx, plan)
 }

@@ -100,8 +100,8 @@ func equalASNs(a, b []bgp.ASN) bool {
 // TraceCampaignScenarioWindowed simulates the traceroute campaign under
 // plan, re-simulating only the months plan can affect and reusing
 // base's samples for the rest. It returns the campaign and the number
-// of months actually re-simulated. The output is bit-identical to
-// TraceCampaignScenario: outside the affected months the overlay is
+// of months actually re-simulated. The output is bit-identical to a
+// full replay under plan: outside the affected months the overlay is
 // empty and the RNG streams are scenario-blind, so the baseline samples
 // ARE the scenario samples. A nil base falls back to the full replay.
 func (w *World) TraceCampaignScenarioWindowed(ctx context.Context, plan *ScenarioPlan, base *atlas.TraceCampaign) (*atlas.TraceCampaign, int) {

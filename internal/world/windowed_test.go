@@ -76,8 +76,8 @@ func TestWindowedScenarioEquivalence(t *testing.T) {
 	baseCC := w.ChaosCampaign()
 	for name, plan := range windowedPlans(t) {
 		t.Run(name, func(t *testing.T) {
-			fullTC := w.TraceCampaignScenario(ctx, plan)
-			fullCC := w.ChaosCampaignScenario(ctx, plan)
+			fullTC := w.traceCampaign(ctx, plan)
+			fullCC := w.chaosCampaign(ctx, plan)
 			winTC, recompTC := w.TraceCampaignScenarioWindowed(ctx, plan, baseTC)
 			winCC, recompCC := w.ChaosCampaignScenarioWindowed(ctx, plan, baseCC)
 
@@ -123,7 +123,7 @@ func TestWindowedNilBaseFallsBack(t *testing.T) {
 	}
 	w := windowedTestWorld(t)
 	plan := windowedPlans(t)["depeer_window"]
-	full := w.TraceCampaignScenario(context.Background(), plan)
+	full := w.traceCampaign(context.Background(), plan)
 	win, recomp := w.TraceCampaignScenarioWindowed(context.Background(), plan, nil)
 	if !equalTraceSamples(full.Samples(), win.Samples()) {
 		t.Error("nil-base windowed replay diverges from full replay")
