@@ -695,6 +695,25 @@ func BenchmarkFactBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkColdStart times what a vzserve start pays before it is
+// ready: a fresh world at the served quarterly resolution, then one
+// fact-lake generation built from it. Unlike BenchmarkFactBuild, no
+// topology, path tree, site list or distance table carries over
+// between iterations.
+func BenchmarkColdStart(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w := mustBuild(world.Config{Step: 3})
+		lake, err := facts.Open(b.TempDir(), w.Config.Scope())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := lake.Build(context.Background(), w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchLake lazily builds one lake generation shared by the query
 // benchmarks.
 var (

@@ -7,7 +7,9 @@
 //	vzreport [-quick] [-seed N] [-only fig12,table1,...]
 //
 // -quick runs the measurement campaigns at quarterly instead of monthly
-// resolution (about 10x faster, slightly coarser statistics).
+// resolution, with slightly coarser statistics. It is about 4x faster:
+// a full run took 0.67 s against 2.6 s monthly (median of 3 runs each,
+// 2-vCPU Xeon container).
 package main
 
 import (

@@ -9,6 +9,7 @@ package atlas
 
 import (
 	"sort"
+	"sync/atomic"
 
 	"vzlens/internal/bgp"
 	"vzlens/internal/geo"
@@ -35,19 +36,25 @@ func (p Probe) ActiveAt(m months.Month) bool {
 
 // Fleet is the set of probes over time.
 type Fleet struct {
-	probes []Probe
+	probes []Probe // in Add order
 	byID   map[int]int
+	// ordered caches probes sorted by ID — the order every read
+	// returns — so reads filter instead of sorting. It is built on the
+	// first read after an Add and shared by concurrent readers (a lost
+	// build race stores an equal slice).
+	ordered atomic.Pointer[[]Probe]
 }
 
 // NewFleet returns an empty Fleet.
 func NewFleet() *Fleet { return &Fleet{byID: map[int]int{}} }
 
 // Add registers a probe. Adding a probe with a duplicate ID replaces the
-// earlier one.
+// earlier one. Add must not run concurrently with reads.
 func (f *Fleet) Add(p Probe) {
 	if f.byID == nil {
 		f.byID = map[int]int{}
 	}
+	f.ordered.Store(nil)
 	if i, ok := f.byID[p.ID]; ok {
 		f.probes[i] = p
 		return
@@ -68,25 +75,32 @@ func (f *Fleet) Probe(id int) (Probe, bool) {
 	return f.probes[i], true
 }
 
+// inOrder returns the cached ID-ordered probes, sorting once after Add.
+func (f *Fleet) inOrder() []Probe {
+	if p := f.ordered.Load(); p != nil {
+		return *p
+	}
+	out := append([]Probe(nil), f.probes...)
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	f.ordered.Store(&out)
+	return out
+}
+
 // All returns every probe ever registered, ordered by ID — the source
 // the fact lake's probe dimension (one SCD2 row per membership window)
 // is built from.
 func (f *Fleet) All() []Probe {
-	out := make([]Probe, len(f.probes))
-	copy(out, f.probes)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return append([]Probe(nil), f.inOrder()...)
 }
 
 // ActiveAt returns the probes connected during month m, ordered by ID.
 func (f *Fleet) ActiveAt(m months.Month) []Probe {
 	var out []Probe
-	for _, p := range f.probes {
+	for _, p := range f.inOrder() {
 		if p.ActiveAt(m) {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 

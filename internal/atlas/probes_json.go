@@ -41,7 +41,7 @@ type wireStatus struct {
 // with connectivity status evaluated at month m.
 func WriteProbesJSON(w io.Writer, f *Fleet, m months.Month) error {
 	enc := json.NewEncoder(w)
-	for _, p := range allProbes(f) {
+	for _, p := range f.All() {
 		status := "Abandoned"
 		if p.ActiveAt(m) {
 			status = "Connected"
@@ -65,24 +65,6 @@ func WriteProbesJSON(w io.Writer, f *Fleet, m months.Month) error {
 		}
 	}
 	return nil
-}
-
-// allProbes lists every registered probe ordered by ID.
-func allProbes(f *Fleet) []Probe {
-	// ActiveAt with the far future returns only still-connected probes;
-	// walk IDs instead so abandoned probes serialize too.
-	var out []Probe
-	for id := 0; id < 1_000_000; id++ {
-		p, ok := f.Probe(id)
-		if !ok {
-			continue
-		}
-		out = append(out, p)
-		if len(out) == f.Len() {
-			break
-		}
-	}
-	return out
 }
 
 // ParseProbesJSON reads probe documents back into a Fleet. Probes keep

@@ -2,6 +2,7 @@ package dnsroot
 
 import (
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"vzlens/internal/geo"
@@ -47,28 +48,38 @@ func (i Instance) ChaosName(m months.Month) string {
 
 // Deployment is the global set of root instances over time.
 type Deployment struct {
-	instances []Instance
+	instances []Instance // in Add order
+	// ordered caches instances stably sorted by letter, then city name,
+	// then index — ActiveAt's output order — so reads filter instead of
+	// sorting. It is built on the first read after an Add and shared by
+	// concurrent readers (a lost build race stores an equal slice).
+	ordered atomic.Pointer[[]Instance]
 }
 
 // NewDeployment returns an empty Deployment.
 func NewDeployment() *Deployment { return &Deployment{} }
 
-// Add registers an instance.
-func (d *Deployment) Add(i Instance) { d.instances = append(d.instances, i) }
+// Add registers an instance. Add must not run concurrently with reads.
+func (d *Deployment) Add(i Instance) {
+	d.instances = append(d.instances, i)
+	d.ordered.Store(nil)
+}
 
 // Len returns the total number of instances ever deployed.
 func (d *Deployment) Len() int { return len(d.instances) }
 
-// ActiveAt returns the instances serving at month m, ordered by letter
-// then city then index.
-func (d *Deployment) ActiveAt(m months.Month) []Instance {
-	var out []Instance
-	for _, i := range d.instances {
-		if i.ActiveAt(m) {
-			out = append(out, i)
-		}
+// All returns every instance ever deployed, in ActiveAt's order.
+func (d *Deployment) All() []Instance {
+	return append([]Instance(nil), d.inOrder()...)
+}
+
+// inOrder returns the cached sorted instances, sorting once after Add.
+func (d *Deployment) inOrder() []Instance {
+	if p := d.ordered.Load(); p != nil {
+		return *p
 	}
-	sort.Slice(out, func(a, b int) bool {
+	out := append([]Instance(nil), d.instances...)
+	sort.SliceStable(out, func(a, b int) bool {
 		if out[a].Letter != out[b].Letter {
 			return out[a].Letter < out[b].Letter
 		}
@@ -77,6 +88,19 @@ func (d *Deployment) ActiveAt(m months.Month) []Instance {
 		}
 		return out[a].Index < out[b].Index
 	})
+	d.ordered.Store(&out)
+	return out
+}
+
+// ActiveAt returns the instances serving at month m, ordered by letter
+// then city then index (instances tying on all three keep Add order).
+func (d *Deployment) ActiveAt(m months.Month) []Instance {
+	var out []Instance
+	for _, i := range d.inOrder() {
+		if i.ActiveAt(m) {
+			out = append(out, i)
+		}
+	}
 	return out
 }
 

@@ -2,6 +2,7 @@ package facts
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -41,8 +42,8 @@ func (p ProbeRow) ActiveAt(m months.Month) bool {
 // topology wiring signature, the GPDNS site list, or a root letter's
 // instance count. Consecutive campaign months sharing a signature
 // collapse into one row, valid [ValidFrom, ValidTo] inclusive (eras are
-// derived from the sampled campaign months, so the window's ends are
-// observed months, not calendar guesses).
+// derived from the sampled months of both campaigns, so the window's
+// ends are observed months, not calendar guesses).
 type EraRow struct {
 	Key       string       `json:"key"` // "topology", "gpdns", or "root-A".."root-M"
 	Sig       string       `json:"sig"`
@@ -61,8 +62,10 @@ type Dimensions struct {
 }
 
 // BuildDimensions derives the dimension tables from a built world: the
-// probe rows from fleet membership, the era rows by scanning the
-// campaign month range and collapsing runs of equal signatures.
+// probe rows from fleet membership, the era rows by scanning every
+// month either campaign samples and collapsing runs of equal
+// signatures. The root eras take one deployment pass per month for all
+// thirteen letters.
 func BuildDimensions(w *world.World) *Dimensions {
 	d := &Dimensions{}
 	for _, p := range w.Fleet.All() {
@@ -75,26 +78,30 @@ func BuildDimensions(w *world.World) *Dimensions {
 			ValidTo:   p.Disconnected,
 		})
 	}
-	lo, hi := campaignRange(w)
-	d.Eras = append(d.Eras, collapseEras("topology", lo, hi, w.Config.Step, world.TopologySignatureAt)...)
-	d.Eras = append(d.Eras, collapseEras("gpdns", lo, hi, w.Config.Step, func(m months.Month) string {
-		sites := w.GPDNSSitesAt(m)
+	ms := eraMonths(w.Config)
+	d.Eras = append(d.Eras, collapseEras("topology", ms, func(i int) string {
+		return world.TopologySignatureAt(ms[i])
+	})...)
+	d.Eras = append(d.Eras, collapseEras("gpdns", ms, func(i int) string {
+		sites := w.GPDNSSitesAt(ms[i])
 		parts := make([]string, len(sites))
-		for i, s := range sites {
-			parts[i] = fmt.Sprintf("%s@AS%d", s.City.IATA, s.Host)
+		for k, s := range sites {
+			parts[k] = fmt.Sprintf("%s@AS%d", s.City.IATA, s.Host)
 		}
 		return strings.Join(parts, ",")
 	})...)
-	for _, letter := range rootLetters() {
-		key := "root-" + string(letter)
-		d.Eras = append(d.Eras, collapseEras(key, lo, hi, w.Config.Step, func(m months.Month) string {
-			n := 0
-			for _, inst := range w.Roots.ActiveAt(m) {
-				if byte(inst.Letter) == letter {
-					n++
-				}
+	letters := rootLetters()
+	counts := make([][13]int, len(ms))
+	for i, m := range ms {
+		for _, inst := range w.Roots.ActiveAt(m) {
+			if k := int(inst.Letter) - 'A'; k >= 0 && k < len(letters) {
+				counts[i][k]++
 			}
-			return fmt.Sprintf("sites%d", n)
+		}
+	}
+	for k, letter := range letters {
+		d.Eras = append(d.Eras, collapseEras("root-"+string(letter), ms, func(i int) string {
+			return fmt.Sprintf("sites%d", counts[i][k])
 		})...)
 	}
 	d.index()
@@ -110,28 +117,28 @@ func rootLetters() []byte {
 	return out
 }
 
-// campaignRange is the union of both campaign windows — the month span
-// the era dimensions must describe.
-func campaignRange(w *world.World) (months.Month, months.Month) {
-	lo, hi := w.Config.TraceStart, w.Config.TraceEnd
-	if w.Config.ChaosStart.Before(lo) {
-		lo = w.Config.ChaosStart
+// eraMonths lists, ascending, every month either campaign samples —
+// the months the era dimensions must describe. The two windows step
+// from different starts, so their months need not coincide.
+func eraMonths(c world.Config) []months.Month {
+	step := max(c.Step, 1)
+	var ms []months.Month
+	for m := c.TraceStart; !m.After(c.TraceEnd); m = m.Add(step) {
+		ms = append(ms, m)
 	}
-	if hi.Before(w.Config.ChaosEnd) {
-		hi = w.Config.ChaosEnd
+	for m := c.ChaosStart; !m.After(c.ChaosEnd); m = m.Add(step) {
+		ms = append(ms, m)
 	}
-	return lo, hi
+	slices.Sort(ms)
+	return slices.Compact(ms)
 }
 
-// collapseEras scans [lo, hi] at the campaign step and emits one row
-// per run of equal signatures.
-func collapseEras(key string, lo, hi months.Month, step int, sigAt func(months.Month) string) []EraRow {
-	if step <= 0 {
-		step = 1
-	}
+// collapseEras walks ms and emits one row per run of equal signatures;
+// sigAt(i) is the signature at ms[i].
+func collapseEras(key string, ms []months.Month, sigAt func(i int) string) []EraRow {
 	var out []EraRow
-	for m := lo; !m.After(hi); m = m.Add(step) {
-		sig := sigAt(m)
+	for i, m := range ms {
+		sig := sigAt(i)
 		if n := len(out); n > 0 && out[n-1].Sig == sig {
 			out[n-1].ValidTo = m
 			continue

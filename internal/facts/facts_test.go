@@ -3,9 +3,11 @@ package facts
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime/debug"
 	"testing"
 
 	"vzlens/internal/atlas"
@@ -315,7 +317,24 @@ func TestScopeMismatch(t *testing.T) {
 }
 
 func TestDimensions(t *testing.T) {
-	w := testWorld(t)
+	// offset samples the two campaigns on different calendar months
+	// (trace Jan/Apr/Jul/Oct, CHAOS Feb/May/Aug/Nov) and ends CHAOS
+	// after the last trace month, as the served config does.
+	offset := testConfig()
+	offset.ChaosStart = months.MustParse("2018-02")
+	offset.ChaosEnd = months.MustParse("2019-11")
+	for _, cfg := range []world.Config{testConfig(), offset} {
+		w, err := world.Build(cfg)
+		if err != nil {
+			t.Fatalf("build world: %v", err)
+		}
+		checkDimensions(t, w)
+	}
+}
+
+// checkDimensions checks w's dimension tables against the live world.
+func checkDimensions(t *testing.T, w *world.World) {
+	t.Helper()
 	dims := BuildDimensions(w)
 	if len(dims.Probes) != w.Fleet.Len() {
 		t.Fatalf("probe dimension has %d rows, fleet has %d", len(dims.Probes), w.Fleet.Len())
@@ -327,19 +346,35 @@ func TestDimensions(t *testing.T) {
 	if got, want := dims.ActiveProbes(m, "VE", 0), len(w.Fleet.ActiveIn("VE", m)); got != want {
 		t.Fatalf("active VE probes at %s: dim %d, fleet %d", m, got, want)
 	}
-	// Era windows must cover every campaign month, contiguously per key,
-	// and agree with the live signature function.
-	for _, key := range []string{"topology", "gpdns", "root-A", "root-M"} {
-		for mm := w.Config.TraceStart; !mm.After(w.Config.TraceEnd); mm = mm.Add(w.Config.Step) {
+	// Era windows must cover every month either campaign samples and
+	// agree there with the live signature functions.
+	c := w.Config
+	var sampled []months.Month
+	for mm := c.TraceStart; !mm.After(c.TraceEnd); mm = mm.Add(c.Step) {
+		sampled = append(sampled, mm)
+	}
+	for mm := c.ChaosStart; !mm.After(c.ChaosEnd); mm = mm.Add(c.Step) {
+		sampled = append(sampled, mm)
+	}
+	for _, mm := range sampled {
+		for _, key := range []string{"topology", "gpdns", "root-A", "root-M"} {
 			if _, ok := dims.EraAt(key, mm); !ok {
 				t.Fatalf("era %s has no window covering %s", key, mm)
 			}
 		}
-	}
-	for mm := w.Config.TraceStart; !mm.After(w.Config.TraceEnd); mm = mm.Add(w.Config.Step) {
 		sig, _ := dims.EraAt("topology", mm)
 		if want := world.TopologySignatureAt(mm); sig != want {
 			t.Fatalf("topology era at %s: %q, want %q", mm, sig, want)
+		}
+		var count [13]int
+		for _, inst := range w.Roots.ActiveAt(mm) {
+			count[inst.Letter-'A']++
+		}
+		for k, n := range count {
+			key := "root-" + string(rune('A'+k))
+			if sig, _ := dims.EraAt(key, mm); sig != fmt.Sprintf("sites%d", n) {
+				t.Fatalf("era %s at %s: %q, want sites%d", key, mm, sig, n)
+			}
 		}
 	}
 	// SCD2 invariant: windows of one key never overlap.
@@ -408,6 +443,10 @@ func TestCampaignReconstructionAllocs(t *testing.T) {
 
 	// allocs measures one reconstruction on a warm lake: the first call
 	// decodes every partition, so the measured runs see only the rebuild.
+	// The collector is held off while measuring: runtime work that runs
+	// after a GC cycle allocates too, and landing inside the window it
+	// would read as a fourth allocation.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := func(l *Lake) (trace, chaos float64) {
 		if _, err := l.TraceCampaign(); err != nil {
 			t.Fatal(err)

@@ -134,10 +134,10 @@ func (r *Resolver) CatchmentFrom(srcAS bgp.ASN, srcCity geo.City, sites []Site, 
 	return sites[i], lat, nil
 }
 
-// catchCand is one reachable site under consideration by CatchmentIndex.
+// catchCand is one reachable site under consideration by CatchmentInfo.
 type catchCand struct {
 	index   int
-	site    Site
+	host    bgp.ASN // the site's host as seen from the source
 	hops    int
 	latency float64
 	distKm  float64
@@ -146,7 +146,7 @@ type catchCand struct {
 // better reports whether a beats b under the policy's preference order —
 // the comparison the pre-rewrite sort used, applied as a single-pass
 // minimum so site selection allocates nothing.
-func (a catchCand) better(b catchCand, policy CatchmentPolicy) bool {
+func (a catchCand) better(b catchCand, sites []Site, policy CatchmentPolicy) bool {
 	switch policy {
 	case PolicyGeo:
 		if a.distKm != b.distKm {
@@ -161,35 +161,32 @@ func (a catchCand) better(b catchCand, policy CatchmentPolicy) bool {
 		}
 	}
 	// Stable final tiebreak.
-	if a.site.Host != b.site.Host {
-		return a.site.Host < b.site.Host
+	if a.host != b.host {
+		return a.host < b.host
 	}
-	return a.site.City.Name < b.site.City.Name
+	return sites[a.index].City.Name < sites[b.index].City.Name
 }
 
 // CatchmentIndex is CatchmentFrom returning the index of the selected
 // site within sites, for callers that keep metadata parallel to the site
 // list.
 func (r *Resolver) CatchmentIndex(srcAS bgp.ASN, srcCity geo.City, sites []Site, policy CatchmentPolicy) (int, float64, error) {
-	return r.CatchmentIndexCached(srcAS, srcCity, sites, policy, nil)
-}
-
-// CatchmentIndexCached is CatchmentIndex with an optional PairCache
-// memoizing the great-circle distances the selection recomputes per
-// probe (a nil cache means direct computation). The campaign kernels
-// pass a per-arena cache: the same few hundred city pairs recur across
-// every probe-month, and the cached distance feeds the exact arithmetic
-// the direct path uses, so results are bit-identical.
-func (r *Resolver) CatchmentIndexCached(srcAS bgp.ASN, srcCity geo.City, sites []Site, policy CatchmentPolicy, pc *PairCache) (int, float64, error) {
-	idx, lat, _, err := r.CatchmentInfoCached(srcAS, srcCity, sites, policy, pc)
+	idx, lat, _, err := r.CatchmentInfo(srcAS, srcCity, "", &SiteList{Sites: sites}, policy)
 	return idx, lat, err
 }
 
-// CatchmentInfoCached is CatchmentIndexCached additionally reporting
-// the AS-path hop count of the selected site (1 when the source AS
-// hosts it). The selection arithmetic is shared, so the index and
-// latency are bit-identical to CatchmentIndexCached — the hop count is
-// a free by-product the fact-emission path records per probe class.
+// CatchmentInfo is CatchmentIndex over a prepared site list,
+// additionally reporting the AS-path hop count of the selected site (1
+// when the source AS hosts it). It is the one catchment path: the
+// campaign kernels, the DNS plane and CatchmentIndex all run it, and
+// the hop count is a free by-product the fact-emission path records per
+// probe class.
+//
+// domestic, when not empty, is the source's country: replicas located
+// there are reachable over the domestic peering fabric, modeled as
+// hosted inside srcAS (one hop, the direct city-to-replica distance,
+// srcAS in the tiebreak). Selecting over sites with those hosts
+// rewritten to srcAS gives the same answer.
 //
 // Per-source work runs once per call, not once per candidate site: the
 // source's tree and dense view are fetched on the first site the source
@@ -198,38 +195,71 @@ func (r *Resolver) CatchmentIndexCached(srcAS bgp.ASN, srcCity geo.City, sites [
 // view, which already honors overlay relocations. Each site's distance
 // from the source is computed once and serves both the hosted-site
 // latency and the geo policy's ranking.
-func (r *Resolver) CatchmentInfoCached(srcAS bgp.ASN, srcCity geo.City, sites []Site, policy CatchmentPolicy, pc *PairCache) (int, float64, int, error) {
+//
+// Distances come from the list's distance table when both endpoints
+// are interned and the view shares the table, and from geo.HaversineKm
+// otherwise; the table holds exactly what HaversineKm computes, so the
+// result is bit-identical either way. Host indices come from the list
+// when the view shares the AS interning they were computed against,
+// and from the view's index otherwise.
+func (r *Resolver) CatchmentInfo(srcAS bgp.ASN, srcCity geo.City, domestic string, sl *SiteList, policy CatchmentPolicy) (int, float64, int, error) {
 	var best catchCand
 	found := false
 	var (
 		tree     []PathInfo
 		d        *denseTopo // nil until the first site srcAS does not host
+		hosts    []int32    // sl.host when valid for d, else nil
+		locIDs   []int32    // d.locID when d shares sl's table, else nil
 		hasFirst bool
 		firstMs  float64
 	)
-	for i, site := range sites {
+	sites, cities, cityIDs := sl.Sites, sl.cities, sl.city
+	srcID := cities.id(srcCity)
+	for i := range sites {
+		site := &sites[i]
+		host := site.Host
+		if domestic != "" && site.City.Country == domestic {
+			host = srcAS
+		}
+		siteID := int32(-1)
+		if cityIDs != nil {
+			siteID = cityIDs[i]
+		}
 		var hops int
-		var lat, distKm float64
-		if site.Host == srcAS {
-			distKm = pc.DistKm(srcCity.Lat, srcCity.Lon, site.City.Lat, site.City.Lon)
+		var lat float64
+		distKm := cities.distKm(srcID, siteID, srcCity.Lat, srcCity.Lon, site.City.Lat, site.City.Lon)
+		if host == srcAS {
 			hops = 1
 			lat = geo.PropagationDelayMs(distKm)
 		} else {
 			if d == nil {
 				tree, d = r.treeFor(srcAS)
+				if sl.host != nil && sl.view.internID == d.internID {
+					hosts = sl.host
+				}
+				if cities != nil && d.cities == cities {
+					locIDs = d.locID
+				}
 				if tree != nil {
 					if si := d.index[srcAS]; d.hasLoc[si] {
 						hasFirst = true
-						firstMs = geo.PropagationDelayMs(pc.DistKm(srcCity.Lat, srcCity.Lon, d.locLat[si], d.locLon[si]))
+						firstMs = geo.PropagationDelayMs(cities.distKm(srcID, locID(locIDs, si), srcCity.Lat, srcCity.Lon, d.locLat[si], d.locLon[si]))
 					}
 				}
 			}
 			if tree == nil {
 				continue
 			}
-			hi, ok := d.index[site.Host]
-			if !ok {
-				continue
+			var hi int32
+			if hosts != nil {
+				if hi = hosts[i]; hi < 0 {
+					continue
+				}
+			} else {
+				var ok bool
+				if hi, ok = d.index[host]; !ok {
+					continue
+				}
 			}
 			info := tree[hi]
 			if !info.OK {
@@ -243,12 +273,11 @@ func (r *Resolver) CatchmentInfoCached(srcAS bgp.ASN, srcCity geo.City, sites []
 			}
 			// Final segment: the host AS's location to the replica city.
 			if d.hasLoc[hi] {
-				lat += geo.PropagationDelayMs(pc.DistKm(d.locLat[hi], d.locLon[hi], site.City.Lat, site.City.Lon))
+				lat += geo.PropagationDelayMs(cities.distKm(locID(locIDs, hi), siteID, d.locLat[hi], d.locLon[hi], site.City.Lat, site.City.Lon))
 			}
-			distKm = pc.DistKm(srcCity.Lat, srcCity.Lon, site.City.Lat, site.City.Lon)
 		}
-		cand := catchCand{index: i, site: site, hops: hops, latency: lat, distKm: distKm}
-		if !found || cand.better(best, policy) {
+		cand := catchCand{index: i, host: host, hops: hops, latency: lat, distKm: distKm}
+		if !found || cand.better(best, sites, policy) {
 			best = cand
 			found = true
 		}
@@ -257,4 +286,12 @@ func (r *Resolver) CatchmentInfoCached(srcAS bgp.ASN, srcCity geo.City, sites []
 		return 0, 0, 0, ErrUnreachable
 	}
 	return best.index, best.latency, best.hops, nil
+}
+
+// locID returns AS i's location id from ids, or -1 when ids is nil.
+func locID(ids []int32, i int32) int32 {
+	if ids == nil {
+		return -1
+	}
+	return ids[i]
 }

@@ -151,7 +151,7 @@ func absDiff(a, b float64) float64 {
 	return b - a
 }
 
-// naiveCatchment is an independent reference for CatchmentInfoCached:
+// naiveCatchment is an independent reference for CatchmentInfo:
 // the plain per-site loop written only against PathInfoFrom,
 // Topology.Location and geo.HaversineKm, recomputing every per-source
 // quantity for every site. ok is false when no site is reachable.
@@ -207,34 +207,76 @@ func naiveCatchment(r *Resolver, srcAS bgp.ASN, srcCity geo.City, sites []Site, 
 	return best.idx, best.lat, best.hops, ok
 }
 
-// checkCatchmentMatchesNaive compares CatchmentInfoCached against the
-// naive reference for one query, with no PairCache and with pc, under
-// both policies: same site index, same hop count, same latency bits.
-func checkCatchmentMatchesNaive(t *testing.T, label string, r *Resolver, pc *PairCache, src bgp.ASN, city geo.City, sites []Site) {
+// siteListVariants returns sites in every form CatchmentInfo accepts:
+// unprepared, prepared against the view itself, prepared against its
+// base (the same AS interning, so host indices carry over), and
+// prepared against foreign, an unrelated topology whose host indices
+// the loop must reject and whose distance table the view does not
+// share.
+func siteListVariants(view, foreign *Topology, sites []Site) []*SiteList {
+	base := view
+	for base.Base() != nil {
+		base = base.Base()
+	}
+	return []*SiteList{
+		{Sites: sites},
+		view.PrepareSites(sites),
+		base.PrepareSites(sites),
+		foreign.PrepareSites(sites),
+	}
+}
+
+// checkCatchmentMatchesNaive compares CatchmentInfo against the naive
+// reference for one query, for every site-list variant, under both
+// policies: same site index, same hop count, same latency bits. With a
+// domestic country, the reference runs over the sites located there
+// rehosted into src.
+func checkCatchmentMatchesNaive(t *testing.T, label string, r *Resolver, foreign *Topology, src bgp.ASN, city geo.City, domestic string, sites []Site) {
 	t.Helper()
+	local := sites
+	if domestic != "" {
+		local = append([]Site(nil), sites...)
+		for i := range local {
+			if local[i].City.Country == domestic {
+				local[i].Host = src
+			}
+		}
+	}
+	lists := siteListVariants(r.Topology(), foreign, sites)
 	for _, policy := range []CatchmentPolicy{PolicyBGP, PolicyGeo} {
-		wantIdx, wantLat, wantHops, wantOK := naiveCatchment(r, src, city, sites, policy)
-		for _, cache := range []*PairCache{nil, pc} {
-			idx, lat, hops, err := r.CatchmentInfoCached(src, city, sites, policy, cache)
+		wantIdx, wantLat, wantHops, wantOK := naiveCatchment(r, src, city, local, policy)
+		for v, sl := range lists {
+			idx, lat, hops, err := r.CatchmentInfo(src, city, domestic, sl, policy)
 			if (err == nil) != wantOK {
-				t.Fatalf("%s: AS%d policy %d cache %v: err %v, reference reachable %v", label, src, policy, cache != nil, err, wantOK)
+				t.Fatalf("%s: AS%d policy %d list variant %d: err %v, reference reachable %v", label, src, policy, v, err, wantOK)
 			}
 			if !wantOK {
 				continue
 			}
 			if idx != wantIdx || hops != wantHops || math.Float64bits(lat) != math.Float64bits(wantLat) {
-				t.Fatalf("%s: AS%d policy %d cache %v: got (site %d, %d hops, %v ms), reference (site %d, %d hops, %v ms)",
-					label, src, policy, cache != nil, idx, hops, lat, wantIdx, wantHops, wantLat)
+				t.Fatalf("%s: AS%d policy %d list variant %d: got (site %d, %d hops, %v ms), reference (site %d, %d hops, %v ms)",
+					label, src, policy, v, idx, hops, lat, wantIdx, wantHops, wantLat)
 			}
 		}
 	}
 }
 
+// foreignTopology is a topology unrelated to the one under test, with
+// its own AS interning and distance table, for siteListVariants.
+func foreignTopology(cities []geo.City) *Topology {
+	top := testTopology()
+	top.InternCities(cities)
+	return top
+}
+
 // TestCatchmentMatchesNaiveReference drives the catchment loop over
 // random topologies and overlays of them (relocations included, some
-// to the zero City) against the naive reference. Site lists mix hosts
-// in the graph, the source AS itself and an AS the topology has never
-// seen; sources include every AS plus an unknown one.
+// to the zero City) against the naive reference. Half the trials give
+// the base a distance table over part of the city set, so lookups mix
+// table reads and direct computation. Site lists mix hosts in the
+// graph, the source AS itself and an AS the topology has never seen;
+// sources include every AS plus an unknown one, and every other source
+// reaches the replicas in its own country over the domestic fabric.
 func TestCatchmentMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	cities := []string{"MIA", "BOG", "GRU", "CCS", "SCL", "EZE", "MEX", "LIM"}
@@ -242,10 +284,18 @@ func TestCatchmentMatchesNaiveReference(t *testing.T) {
 		c, _ := geo.LookupIATA(cities[rng.Intn(len(cities))])
 		return c
 	}
+	var interned []geo.City
+	for _, code := range cities[:4] {
+		c, _ := geo.LookupIATA(code)
+		interned = append(interned, c)
+	}
+	foreign := foreignTopology(interned)
 	const unknownAS = bgp.ASN(65000)
-	var pc PairCache // shared across queries, as a kernel arena shares it
 	for trial := 0; trial < 40; trial++ {
 		base := randomTopology(rng)
+		if trial%2 == 0 {
+			base.InternCities(interned)
+		}
 		view := base
 		if trial%4 != 0 {
 			ov, err := base.Overlay(randomEdits(t, rng, base, 1+rng.Intn(8)))
@@ -257,7 +307,7 @@ func TestCatchmentMatchesNaiveReference(t *testing.T) {
 		r := NewResolver(view)
 		ases := view.Graph().ASes()
 		label := fmt.Sprintf("trial %d", trial)
-		for _, src := range append(ases, unknownAS) {
+		for k, src := range append(ases, unknownAS) {
 			sites := make([]Site, 2+rng.Intn(5))
 			for i := range sites {
 				host := ases[rng.Intn(len(ases))]
@@ -269,7 +319,13 @@ func TestCatchmentMatchesNaiveReference(t *testing.T) {
 				}
 				sites[i] = Site{Host: host, City: randCity()}
 			}
-			checkCatchmentMatchesNaive(t, label, r, &pc, src, randCity(), sites)
+			// Every other source sits in a country whose replicas it
+			// reaches over the domestic fabric.
+			city, domestic := randCity(), ""
+			if k%2 == 1 {
+				domestic = city.Country
+			}
+			checkCatchmentMatchesNaive(t, label, r, foreign, src, city, domestic, sites)
 		}
 	}
 }
@@ -278,34 +334,41 @@ func TestCatchmentMatchesNaiveReference(t *testing.T) {
 // may hit rarely: a source and a host relocated to the zero City (no
 // location in the view, though the base has one), an unknown source
 // reaching only a site it hosts, an unknown host, and a hosted site
-// competing with transit-reached ones.
+// competing with transit-reached ones — each on a base without a
+// distance table and on one with a table.
 func TestCatchmentMatchesNaiveEdgeCases(t *testing.T) {
-	top := testTopology()
 	bog, _ := geo.LookupIATA("BOG")
 	mia, _ := geo.LookupIATA("MIA")
 	mde, _ := geo.LookupIATA("MDE")
-	if _, ok := top.Location(201); !ok {
-		t.Fatal("test topology leaves AS201 unlocated")
-	}
-	if _, ok := top.Location(100); !ok {
-		t.Fatal("test topology leaves AS100 unlocated")
-	}
-	cleared, err := top.Overlay([]Edit{
-		{Op: EditRelocate, A: 201, City: geo.City{}},
-		{Op: EditRelocate, A: 100, City: geo.City{}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pc PairCache
-	sites := []Site{{Host: 100, City: mia}, {Host: 200, City: bog}, {Host: 201, City: mde}}
-	for _, view := range []*Topology{top, cleared} {
-		r := NewResolver(view)
-		checkCatchmentMatchesNaive(t, "hosted and transit sites", r, &pc, 201, mde, sites)
-		checkCatchmentMatchesNaive(t, "transit sites only", r, &pc, 201, mde, sites[:2])
-		checkCatchmentMatchesNaive(t, "unknown host", r, &pc, 201, bog, []Site{{Host: 64999, City: bog}, {Host: 100, City: mia}})
-		checkCatchmentMatchesNaive(t, "unknown host alone", r, &pc, 201, bog, []Site{{Host: 64999, City: bog}})
-		checkCatchmentMatchesNaive(t, "unknown source", r, &pc, 64998, bog, sites)
-		checkCatchmentMatchesNaive(t, "unknown source, own site", r, &pc, 64998, bog, append(sites, Site{Host: 64998, City: mia}))
+	foreign := foreignTopology([]geo.City{bog, mia})
+	tabled := testTopology()
+	tabled.InternCities([]geo.City{bog, mde})
+	for _, top := range []*Topology{testTopology(), tabled} {
+		if _, ok := top.Location(201); !ok {
+			t.Fatal("test topology leaves AS201 unlocated")
+		}
+		if _, ok := top.Location(100); !ok {
+			t.Fatal("test topology leaves AS100 unlocated")
+		}
+		cleared, err := top.Overlay([]Edit{
+			{Op: EditRelocate, A: 201, City: geo.City{}},
+			{Op: EditRelocate, A: 100, City: geo.City{}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites := []Site{{Host: 100, City: mia}, {Host: 200, City: bog}, {Host: 201, City: mde}}
+		for _, view := range []*Topology{top, cleared} {
+			r := NewResolver(view)
+			checkCatchmentMatchesNaive(t, "hosted and transit sites", r, foreign, 201, mde, "", sites)
+			checkCatchmentMatchesNaive(t, "transit sites only", r, foreign, 201, mde, "", sites[:2])
+			checkCatchmentMatchesNaive(t, "unknown host", r, foreign, 201, bog, "", []Site{{Host: 64999, City: bog}, {Host: 100, City: mia}})
+			checkCatchmentMatchesNaive(t, "unknown host alone", r, foreign, 201, bog, "", []Site{{Host: 64999, City: bog}})
+			checkCatchmentMatchesNaive(t, "unknown source", r, foreign, 64998, bog, "", sites)
+			checkCatchmentMatchesNaive(t, "unknown source, own site", r, foreign, 64998, bog, "", append(sites, Site{Host: 64998, City: mia}))
+			checkCatchmentMatchesNaive(t, "domestic unknown host", r, foreign, 201, bog, "CO", []Site{{Host: 64999, City: bog}, {Host: 100, City: mia}})
+			checkCatchmentMatchesNaive(t, "domestic transit sites", r, foreign, 100, mia, "CO", sites)
+			checkCatchmentMatchesNaive(t, "unknown source, domestic", r, foreign, 64998, bog, "CO", sites)
+		}
 	}
 }

@@ -29,6 +29,14 @@ type denseTopo struct {
 	hasLoc         []bool
 	locLat, locLon []float64
 
+	// internID identifies the asns/index interning; overlays share it
+	// (and the interning), a rebuilt base gets a fresh one. cities is
+	// the base topology's distance table (nil when none was interned)
+	// and locID each AS location's id in it, -1 when not interned.
+	internID uint64
+	cities   *cityTable
+	locID    []int32
+
 	// Overlay patches: when a row appears in a patch map, it replaces
 	// the CSR slice for that AS. Base builds leave the maps nil, so the
 	// accessors stay a bounds-checked slice on the hot path. Patch rows
@@ -53,6 +61,9 @@ type denseTopo struct {
 	peerSlotBase int32
 	custSlotBase int32
 }
+
+// internSeq numbers dense interning builds for denseTopo.internID.
+var internSeq atomic.Uint64
 
 // delayUnset marks an edgeDelay slot as not yet computed. The bit
 // pattern is a NaN, which no real propagation delay produces.
@@ -80,18 +91,23 @@ func buildDense(t *Topology) *denseTopo {
 
 	n := len(asns)
 	d := &denseTopo{
-		asns:   asns,
-		index:  make(map[bgp.ASN]int32, n),
-		hasLoc: make([]bool, n),
-		locLat: make([]float64, n),
-		locLon: make([]float64, n),
+		asns:     asns,
+		index:    make(map[bgp.ASN]int32, n),
+		hasLoc:   make([]bool, n),
+		locLat:   make([]float64, n),
+		locLon:   make([]float64, n),
+		internID: internSeq.Add(1),
+		cities:   t.cities,
+		locID:    make([]int32, n),
 	}
 	for i, a := range asns {
 		d.index[a] = int32(i)
+		d.locID[i] = -1
 		if c, ok := t.location[a]; ok {
 			d.hasLoc[i] = true
 			d.locLat[i] = c.Lat
 			d.locLon[i] = c.Lon
+			d.locID[i] = t.cities.id(c)
 		}
 	}
 	// Rows are gathered through the graph's append accessors into one
@@ -261,15 +277,18 @@ func buildOverlayDense(d0 *denseTopo, o *Topology) *denseTopo {
 		d.hasLoc = append([]bool(nil), d0.hasLoc...)
 		d.locLat = append([]float64(nil), d0.locLat...)
 		d.locLon = append([]float64(nil), d0.locLon...)
+		d.locID = append([]int32(nil), d0.locID...)
 		for asn, c := range o.locOverride {
 			i := d.index[asn]
 			if c == (geo.City{}) {
 				d.hasLoc[i] = false
 				d.locLat[i], d.locLon[i] = 0, 0
+				d.locID[i] = -1
 				continue
 			}
 			d.hasLoc[i] = true
 			d.locLat[i], d.locLon[i] = c.Lat, c.Lon
+			d.locID[i] = d.cities.id(c)
 		}
 	}
 	return &d

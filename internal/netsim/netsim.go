@@ -26,6 +26,7 @@ import (
 type Topology struct {
 	graph    *bgp.Graph
 	location map[bgp.ASN]geo.City
+	cities   *cityTable // distance table (see InternCities); nil for none
 
 	// Overlay views: the base topology, the edit list that produced the
 	// view, the copy-on-write adjacency deltas, and relocated ASes.

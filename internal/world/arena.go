@@ -3,24 +3,21 @@ package world
 import (
 	"math/rand"
 	"time"
-
-	"vzlens/internal/netsim"
 )
 
 // campaignArena is the reusable scratch a month shard simulates into:
 // flat per-class columns (reachability, selected site, one-way
-// latency, access delay), the shared great-circle distance cache, and
-// the value-type jitter source its *rand.Rand draws from. Arenas live
-// in a World-level pool, so columns allocated for one month — or one
-// sweep spec — are reused by the next instead of re-made per shard;
-// steady-state campaign months allocate only their exactly-sized
-// output slice. An arena is owned by one goroutine between acquire and
-// release and carries no cross-month state: every column is fully
-// overwritten per month and the RNG is re-seeded per probe.
+// latency, access delay) and the value-type jitter source its
+// *rand.Rand draws from. Arenas live in a World-level pool, so columns
+// allocated for one month — or one sweep spec — are reused by the next
+// instead of re-made per shard; steady-state campaign months allocate
+// only their exactly-sized output slice. An arena is owned by one
+// goroutine between acquire and release and carries no cross-month
+// state: every column is fully overwritten per month and the RNG is
+// re-seeded per probe.
 type campaignArena struct {
-	jit  jitterSource
-	rng  *rand.Rand
-	pair netsim.PairCache
+	jit jitterSource
+	rng *rand.Rand
 
 	ok     []bool    // class (or letter x class) reachability
 	idx    []int32   // selected site index per slot

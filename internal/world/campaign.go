@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"vzlens/internal/atlas"
-	"vzlens/internal/bgp"
 	"vzlens/internal/dnsroot"
 	"vzlens/internal/months"
 	"vzlens/internal/netsim"
@@ -199,20 +198,14 @@ func (w *World) traceMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 		ar = own
 	}
 	resolver := w.topologyFor(m, plan)
-	list, sites := w.traceSiteListAt(m, plan)
+	list := w.traceSiteListAt(m, plan)
 	mc := w.classesAt(m)
 	nc := len(mc.keys)
 	if ar.ensure(nc) {
 		w.met.arenaGrows.Inc()
 	}
 	for c, k := range mc.keys {
-		var local []netsim.Site
-		if list != nil {
-			local = w.localizedSites(list, k.asn, k.country)
-		} else {
-			local = localizeSitesFor(sites, k.country, k.asn)
-		}
-		_, oneWay, hops, err := resolver.CatchmentInfoCached(k.asn, k.city, local, w.Config.Policy, &ar.pair)
+		_, oneWay, hops, err := resolver.CatchmentInfo(k.asn, k.city, k.country, list, w.Config.Policy)
 		if err != nil {
 			ar.ok[c] = false
 			continue
@@ -368,35 +361,19 @@ func (w *World) chaosMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 	if ar.ensure(len(letters) * nc) {
 		w.met.arenaGrows.Inc()
 	}
-	// Per-letter views: the instance slice and the interned TXT table
-	// (nil for scenario-fresh site lists, which fall back to rendering).
-	type letterView struct {
-		insts []dnsroot.Instance
-		txt   []string
-		any   bool
-	}
-	var viewBuf [16]letterView
-	views := viewBuf[:len(letters)]
+	// Per-letter TXT tables, indexed like the letter's site list; nil
+	// for a letter with no active instances.
+	var txtBuf [16][]string
+	txts := txtBuf[:len(letters)]
 	for li, letter := range letters {
-		rl, sites, insts := w.rootSiteListAt(letter, m, plan)
-		if len(sites) == 0 {
+		rl := w.rootSiteListAt(letter, m, plan)
+		if len(rl.insts) == 0 {
 			continue
 		}
-		v := &views[li]
-		v.insts = insts
-		v.any = true
-		if rl != nil {
-			v.txt = w.txtFor(rl, m)
-		}
+		txts[li] = w.txtFor(rl, m)
 		base := li * nc
 		for c, k := range mc.keys {
-			var local []netsim.Site
-			if rl != nil {
-				local = w.localizedSites(&rl.siteList, k.asn, k.country)
-			} else {
-				local = localizeSitesFor(sites, k.country, k.asn)
-			}
-			idx, _, err := resolver.CatchmentIndexCached(k.asn, k.city, local, w.Config.Policy, &ar.pair)
+			idx, _, _, err := resolver.CatchmentInfo(k.asn, k.city, k.country, rl.sites, w.Config.Policy)
 			if err != nil {
 				ar.ok[base+c] = false
 				continue
@@ -406,8 +383,8 @@ func (w *World) chaosMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 		}
 	}
 	total := 0
-	for li := range views {
-		if !views[li].any {
+	for li := range txts {
+		if txts[li] == nil {
 			continue
 		}
 		base := li * nc
@@ -419,8 +396,8 @@ func (w *World) chaosMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 	}
 	out := make([]atlas.ChaosResult, 0, total)
 	for li, letter := range letters {
-		v := &views[li]
-		if !v.any {
+		txt := txts[li]
+		if txt == nil {
 			continue
 		}
 		base := li * nc
@@ -430,19 +407,12 @@ func (w *World) chaosMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 				continue
 			}
 			p := &mc.probes[i]
-			idx := ar.idx[base+c]
-			var txt string
-			if v.txt != nil {
-				txt = v.txt[idx]
-			} else {
-				txt = v.insts[idx].ChaosName(m)
-			}
 			out = append(out, atlas.ChaosResult{
 				Month:   m,
 				ProbeID: p.ID,
 				ProbeCC: p.Country,
 				Letter:  letter,
-				TXT:     txt,
+				TXT:     txt[ar.idx[base+c]],
 			})
 		}
 	}
@@ -457,33 +427,4 @@ func (w *World) chaosMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 		span.End()
 	}
 	return out
-}
-
-// localizeSitesFor returns the (country, asn) view of an anycast site
-// list: replicas deployed in the probe's own country are reachable
-// over the domestic peering fabric, modeled as hosting inside the
-// probe's AS (one hop, direct city-to-city distance). Cross-border
-// replicas keep their interdomain path. Detection and rewrite happen
-// in one pass, and the list is returned as-is when nothing needs
-// rewriting.
-func localizeSitesFor(sites []netsim.Site, country string, asn bgp.ASN) []netsim.Site {
-	out := sites
-	copied := false
-	for i, s := range sites {
-		if s.City.Country != country || s.Host == asn {
-			continue
-		}
-		if !copied {
-			out = make([]netsim.Site, len(sites))
-			copy(out, sites)
-			copied = true
-		}
-		out[i].Host = asn
-	}
-	return out
-}
-
-// localizeSites is localizeSitesFor keyed by a probe.
-func localizeSites(sites []netsim.Site, p atlas.Probe) []netsim.Site {
-	return localizeSitesFor(sites, p.Country, p.ASN)
 }

@@ -8,20 +8,15 @@ import (
 	"vzlens/internal/dnsroot"
 	"vzlens/internal/geo"
 	"vzlens/internal/months"
-	"vzlens/internal/netsim"
 )
 
 // This file is the world's surface for the live DNS data plane
 // (internal/dnsplane): per-query catchment answers that are guaranteed
 // to agree with the CHAOS campaign. DNSAnswerAt runs exactly the
 // per-class steps chaosMonth runs — same interned root lists, same
-// localization memo, same catchment arithmetic — so a DNS response and
-// a campaign row for the same (letter, month, client location) can
-// never disagree. The only divergence is the PairCache: the campaign
-// threads an arena-local one, the DNS path passes nil. The cache keys
-// by the coordinates' bit patterns, so a hit returns exactly the
-// distance the direct path computes and results are bit-identical
-// (netsim's TestCatchmentMatchesNaiveReference runs both ways).
+// netsim.Resolver.CatchmentInfo call with the client's country, same
+// distance table — so a DNS response and a campaign row for the same
+// (letter, month, client location) can never disagree.
 
 // ErrNoInstances reports a root letter with no active instances at the
 // requested month (the paper's post-withdrawal Venezuela, letter-wide):
@@ -41,33 +36,21 @@ type DNSAnswer struct {
 // (cc, asn, city) at month m under plan (nil = baseline). It is the
 // campaign kernel's chaosMonth for a single (letter, class) cell:
 // catchment through the month's (possibly overlaid) topology over the
-// interned, localized site list, with the TXT identity from the
-// per-era intern table. Unreachable clients return
+// interned site list seen from the client's country, with the TXT
+// identity from the per-era intern table. Unreachable clients return
 // netsim.ErrUnreachable; letters with no active instances return
 // ErrNoInstances.
 func (w *World) DNSAnswerAt(letter dnsroot.Letter, m months.Month, cc string, asn bgp.ASN, city geo.City, plan *ScenarioPlan) (DNSAnswer, error) {
 	resolver := w.topologyFor(m, plan)
-	rl, sites, insts := w.rootSiteListAt(letter, m, plan)
-	if len(sites) == 0 {
+	rl := w.rootSiteListAt(letter, m, plan)
+	if len(rl.insts) == 0 {
 		return DNSAnswer{}, ErrNoInstances
 	}
-	var local []netsim.Site
-	if rl != nil {
-		local = w.localizedSites(&rl.siteList, asn, cc)
-	} else {
-		local = localizeSitesFor(sites, cc, asn)
-	}
-	idx, _, err := resolver.CatchmentIndexCached(asn, city, local, w.Config.Policy, nil)
+	idx, _, _, err := resolver.CatchmentInfo(asn, city, cc, rl.sites, w.Config.Policy)
 	if err != nil {
 		return DNSAnswer{}, err
 	}
-	ans := DNSAnswer{Instance: insts[idx], SiteIndex: idx}
-	if rl != nil {
-		ans.TXT = w.txtFor(rl, m)[idx]
-	} else {
-		ans.TXT = insts[idx].ChaosName(m)
-	}
-	return ans, nil
+	return DNSAnswer{TXT: w.txtFor(rl, m)[idx], Instance: rl.insts[idx], SiteIndex: idx}, nil
 }
 
 // ProbeAt returns the probe with the given ID when it is connected at

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"vzlens/internal/bgp"
+	"vzlens/internal/geo"
 	"vzlens/internal/months"
 	"vzlens/internal/netsim"
 )
@@ -69,7 +70,8 @@ func kernelSigAt(m months.Month) kernelSig {
 	return sig
 }
 
-// kernelBaseTopology returns the static base, built once per World.
+// kernelBaseTopology returns the static base, built once per World
+// with its distance table interned (see kernelCities).
 func (w *World) kernelBaseTopology() *netsim.Topology {
 	w.kernelMu.Lock()
 	cell := w.kernelBase
@@ -78,8 +80,30 @@ func (w *World) kernelBaseTopology() *netsim.Topology {
 		w.kernelBase = cell
 	}
 	w.kernelMu.Unlock()
-	cell.once.Do(func() { cell.t = w.assembleTopology(w.wireVenezuelaKernel) })
+	cell.once.Do(func() {
+		t := w.assembleTopology(w.wireVenezuelaKernel)
+		t.InternCities(w.kernelCities())
+		cell.t = t
+	})
 	return cell.t
+}
+
+// kernelCities lists the cities the catchment loop measures from or
+// to besides AS locations: every probe city, GPDNS site city and root
+// instance city. Scenario-added sites and relocations outside this set
+// fall back to direct computation.
+func (w *World) kernelCities() []geo.City {
+	var out []geo.City
+	for _, p := range w.Fleet.All() {
+		out = append(out, p.City)
+	}
+	for _, s := range gpdnsRollout {
+		out = append(out, cityAt(s.iata))
+	}
+	for _, inst := range w.Roots.All() {
+		out = append(out, inst.City)
+	}
+	return out
 }
 
 // kernelEditsAt compiles month m's Venezuelan wiring into overlay

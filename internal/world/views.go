@@ -1,6 +1,8 @@
 package world
 
 import (
+	"slices"
+
 	"vzlens/internal/atlas"
 	"vzlens/internal/bgp"
 	"vzlens/internal/dnsroot"
@@ -12,18 +14,18 @@ import (
 // This file holds the campaign kernel's interned per-month views. The
 // old inner loops recomputed the same values once per probe per month:
 // the catchment of every probe sharing a (country, AS, city) triple is
-// identical, a localized site list depends only on (site list, probe
-// country, probe AS), and a CHAOS TXT string depends only on the
-// instance and the naming era. Interning each of these collapses
-// hundreds of thousands of recomputations (and their allocations) into
-// a few hundred memoized entries shared across months, campaigns, and
-// sweep specs. Every memoized value is a pure function of its key, so
-// concurrent month shards racing to fill a cache produce identical
-// entries and the campaign output stays schedule-independent.
+// identical, a site list depends only on which sites are active, and a
+// CHAOS TXT string depends only on the instance and the naming era.
+// Interning each of these collapses hundreds of thousands of
+// recomputations (and their allocations) into a few hundred memoized
+// entries shared across months, campaigns, and sweep specs. Every
+// memoized value is a pure function of its key, so concurrent month
+// shards racing to fill a cache produce identical entries and the
+// campaign output stays schedule-independent.
 
 // probeClassKey identifies a probe equivalence class: probes with the
-// same country, AS, and city get identical catchments, localized site
-// lists, and access delays — everything except their RNG stream.
+// same country, AS, and city get identical catchments and access
+// delays — everything except their RNG stream.
 type probeClassKey struct {
 	country string
 	asn     bgp.ASN
@@ -67,24 +69,11 @@ func (w *World) classesAt(m months.Month) *monthClasses {
 	return mc
 }
 
-// siteList is an interned anycast site list. The id keys localization
-// memos; domestic marks the countries hosting at least one replica, so
-// probes elsewhere skip localization entirely (the shared slice IS
-// their view).
-type siteList struct {
-	id       int32
-	sites    []netsim.Site
-	domestic map[string]bool
-}
-
-// newSiteListLocked interns sites under w.siteMu (held by the caller).
-func (w *World) newSiteListLocked(sites []netsim.Site) *siteList {
-	w.siteSeq++
-	dom := make(map[string]bool, 8)
-	for _, s := range sites {
-		dom[s.City.Country] = true
-	}
-	return &siteList{id: w.siteSeq, sites: sites, domestic: dom}
+// prepareSites prepares a site list for the catchment loop against the
+// kernel base, whose distance table and AS interning every campaign
+// view shares (scenario overlays included).
+func (w *World) prepareSites(sites []netsim.Site) *netsim.SiteList {
+	return w.kernelBaseTopology().PrepareSites(sites)
 }
 
 func init() {
@@ -97,12 +86,12 @@ func init() {
 // months intern by activation mask — GPDNSSitesAt walks gpdnsRollout
 // in slice order, so two months with the same mask produce identical
 // lists and share one backing array. A plan with a GPDNS change active
-// at m bypasses interning (nil list, freshly computed sites).
-func (w *World) traceSiteListAt(m months.Month, plan *ScenarioPlan) (*siteList, []netsim.Site) {
+// at m bypasses interning (a fresh list).
+func (w *World) traceSiteListAt(m months.Month, plan *ScenarioPlan) *netsim.SiteList {
 	if plan != nil {
 		for _, ch := range plan.GPDNS {
 			if windowActive(ch.From, ch.Until, m) {
-				return nil, w.gpdnsSitesFor(m, plan)
+				return w.prepareSites(w.gpdnsSitesFor(m, plan))
 			}
 		}
 	}
@@ -117,41 +106,43 @@ func (w *World) traceSiteListAt(m months.Month, plan *ScenarioPlan) (*siteList, 
 	sl, ok := w.gpdnsLists[mask]
 	if !ok {
 		if w.gpdnsLists == nil {
-			w.gpdnsLists = map[uint32]*siteList{}
+			w.gpdnsLists = map[uint32]*netsim.SiteList{}
 		}
-		sl = w.newSiteListLocked(w.GPDNSSitesAt(m))
+		sl = w.prepareSites(w.GPDNSSitesAt(m))
 		w.gpdnsLists[mask] = sl
 	}
-	return sl, sl.sites
+	return sl
 }
 
-// rootList is a siteList for one root letter plus the parallel
+// rootList is one root letter's prepared site list plus the parallel
 // instance slice and the letter's lazily built per-era TXT tables.
 type rootList struct {
-	siteList
+	sites  *netsim.SiteList
 	letter dnsroot.Letter
 	insts  []dnsroot.Instance
 	txt    [2][]string // by dnsroot.Era; built under w.txtMu
 }
 
-// rootListKey keys the per-(letter, month) root list memo. Root lists
-// are memoized per month — not by an activation mask — because
-// Deployment.ActiveAt re-sorts with an unstable sort, so only the
-// exact per-month call reproduces the baseline order byte-for-byte.
+// rootListKey keys the per-(letter, month) root list memo.
 type rootListKey struct {
 	letter dnsroot.Letter
 	m      months.Month
 }
 
 // rootSiteListAt returns letter's site list for month m, interned per
-// (letter, month). A plan with a replica change for this letter active
-// at m bypasses interning (nil list, freshly computed sites).
-func (w *World) rootSiteListAt(letter dnsroot.Letter, m months.Month, plan *ScenarioPlan) (*rootList, []netsim.Site, []dnsroot.Instance) {
+// (letter, active instance set): months whose active instances of the
+// letter are equal share one list, and with it its TXT tables.
+// Deployment.ActiveAt's order depends only on the active set, so a
+// shared list is exactly what each month computes. A (letter, month)
+// memo in front keeps repeat calls to one map lookup.
+// A plan with a replica change for this letter active at m bypasses
+// interning (a fresh list).
+func (w *World) rootSiteListAt(letter dnsroot.Letter, m months.Month, plan *ScenarioPlan) *rootList {
 	if plan != nil {
 		for _, ch := range plan.Roots {
 			if ch.Letter == letter && windowActive(ch.From, ch.Until, m) {
 				sites, insts := w.rootSitesFor(letter, m, plan)
-				return nil, sites, insts
+				return &rootList{sites: w.prepareSites(sites), letter: letter, insts: insts}
 			}
 		}
 	}
@@ -162,12 +153,22 @@ func (w *World) rootSiteListAt(letter dnsroot.Letter, m months.Month, plan *Scen
 	if !ok {
 		if w.rootLists == nil {
 			w.rootLists = map[rootListKey]*rootList{}
+			w.rootSets = map[dnsroot.Letter][]*rootList{}
 		}
 		sites, insts := w.RootSitesAt(letter, m)
-		rl = &rootList{siteList: *w.newSiteListLocked(sites), letter: letter, insts: insts}
+		for _, cand := range w.rootSets[letter] {
+			if slices.Equal(cand.insts, insts) {
+				rl = cand
+				break
+			}
+		}
+		if rl == nil {
+			rl = &rootList{sites: w.prepareSites(sites), letter: letter, insts: insts}
+			w.rootSets[letter] = append(w.rootSets[letter], rl)
+		}
 		w.rootLists[key] = rl
 	}
-	return rl, rl.sites, rl.insts
+	return rl
 }
 
 // activeRootsAt memoizes Roots.ActiveAt per month: every letter of the
@@ -185,39 +186,6 @@ func (w *World) activeRootsAt(m months.Month) []dnsroot.Instance {
 		w.activeRootsCache[m] = insts
 	}
 	return insts
-}
-
-// localKey keys the localization memo: the probe's view of a site list
-// depends only on the list identity and the probe's (AS, country).
-type localKey struct {
-	list    int32
-	asn     bgp.ASN
-	country string
-}
-
-// localizedSites returns the (asn, country) view of an interned site
-// list, memoized so every probe of a class — and every month sharing
-// the list — reuses one localized copy. Probes in countries hosting no
-// replica short-circuit to the shared slice without touching the memo.
-func (w *World) localizedSites(list *siteList, asn bgp.ASN, country string) []netsim.Site {
-	if !list.domestic[country] {
-		return list.sites
-	}
-	key := localKey{list: list.id, asn: asn, country: country}
-	w.localMu.Lock()
-	if s, ok := w.localized[key]; ok {
-		w.localMu.Unlock()
-		return s
-	}
-	w.localMu.Unlock()
-	s := localizeSitesFor(list.sites, country, asn)
-	w.localMu.Lock()
-	if w.localized == nil {
-		w.localized = map[localKey][]netsim.Site{}
-	}
-	w.localized[key] = s
-	w.localMu.Unlock()
-	return s
 }
 
 // txtKey keys the global TXT intern table: an instance's CHAOS answer

@@ -120,26 +120,26 @@ type World struct {
 	scenOrder []string
 
 	// Campaign-kernel state (see kernel.go and views.go): the static
-	// base topology plus per-signature overlay resolvers, the per-month
-	// probe-class factorings, the interned GPDNS/root site lists and
-	// their localized views, and the interned CHAOS TXT strings. All of
-	// it memoizes pure functions of the month (or list identity), so
-	// concurrent fills are idempotent. Lock ordering: siteMu may take
-	// rootsMu (root-list builds read the active-instance memo); nothing
-	// else nests.
+	// base topology (with the distance table) plus per-signature overlay
+	// resolvers, the per-month probe-class factorings, the interned
+	// GPDNS/root site lists (root lists by (letter, month) in front of
+	// the per-letter distinct active sets), and the interned CHAOS TXT
+	// strings. All of it memoizes pure functions of the month (or list
+	// identity), so concurrent fills are idempotent. Lock ordering:
+	// siteMu may take rootsMu (root-list builds read the active-instance
+	// memo) and kernelMu (lists are prepared against the kernel base);
+	// nothing else nests.
 	kernelMu         sync.Mutex
 	kernelBase       *baseCell
 	kernelCells      map[kernelSig]*topoCell
 	classMu          sync.Mutex
 	classCache       map[months.Month]*monthClasses
 	siteMu           sync.Mutex
-	siteSeq          int32
-	gpdnsLists       map[uint32]*siteList
+	gpdnsLists       map[uint32]*netsim.SiteList
 	rootLists        map[rootListKey]*rootList
+	rootSets         map[dnsroot.Letter][]*rootList
 	rootsMu          sync.Mutex
 	activeRootsCache map[months.Month][]dnsroot.Instance
-	localMu          sync.Mutex
-	localized        map[localKey][]netsim.Site
 	txtMu            sync.Mutex
 	txtIntern        map[txtKey]string
 

@@ -133,7 +133,7 @@ if [[ "$mode" == compare ]]; then
     exit $?
 fi
 
-pattern="${BENCH_PATTERN:-TraceCampaignFull|ChaosCampaignFull|TraceCampaignWarm|ChaosCampaignWarm|TraceCampaignMonth|ChaosCampaignMonth|ValleyFreeTree|WorldBuild|ScenarioOverlayDense|ScenarioDenseRebuild|SweepResume|SweepWindowedReplay|DNSQuery|FactBuild|QueryWindow}"
+pattern="${BENCH_PATTERN:-TraceCampaignFull|ChaosCampaignFull|TraceCampaignWarm|ChaosCampaignWarm|TraceCampaignMonth|ChaosCampaignMonth|ValleyFreeTree|WorldBuild|ScenarioOverlayDense|ScenarioDenseRebuild|SweepResume|SweepWindowedReplay|DNSQuery|FactBuild|ColdStart|QueryWindow}"
 benchtime="${BENCH_TIME:-1x}"
 
 if [[ "$mode" == check ]]; then
