@@ -1,0 +1,52 @@
+package vzlens
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"vzlens/internal/facts"
+	"vzlens/internal/world"
+)
+
+// TestColdStartRetainedHeap pins the live heap a cold start leaves
+// behind: a fresh world at vzserve's default quarterly resolution, its
+// fact lake built, and both campaigns simulated, measured as the
+// HeapAlloc growth after two collections. The campaign kernel's memos
+// (path trees, probe-class snapshots, root site lists) are most of it
+// besides the campaigns themselves. It is not parallel, so no other
+// test allocates while it measures.
+func TestColdStartRetainedHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a world, a fact lake and both campaigns")
+	}
+	const budgetMB = 20 // measured 18.3 MB (linux/amd64, Go 1.24)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	w := mustBuild(world.Config{Step: 3})
+	lake, err := facts.Open(t.TempDir(), w.Config.Scope())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lake.Build(context.Background(), w); err != nil {
+		t.Fatal(err)
+	}
+	tc, cc := w.TraceCampaign(), w.ChaosCampaign()
+
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(w)
+	runtime.KeepAlive(lake)
+	runtime.KeepAlive(tc)
+	runtime.KeepAlive(cc)
+
+	retainedMB := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (1 << 20)
+	t.Logf("retained heap after a cold start: %.2f MB (budget %d MB)", retainedMB, budgetMB)
+	if retainedMB > budgetMB {
+		t.Errorf("cold start retains %.2f MB of heap, budget %d MB", retainedMB, budgetMB)
+	}
+}

@@ -1,6 +1,7 @@
 package facts
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime/debug"
+	"sync"
 	"testing"
 
 	"vzlens/internal/atlas"
@@ -159,6 +161,78 @@ func TestRecorderIdempotentPerMonth(t *testing.T) {
 	}
 	if tp.Rows() != 1 || tp.ProbeID[0] != 1 {
 		t.Fatalf("duplicate delivery replaced first write: %+v", tp)
+	}
+}
+
+// TestRecorderConcurrentDeliveries pins the Recorder's lock scope:
+// months delivered concurrently (encoded outside the lock, as two
+// kernel workers do) produce the same payload bytes as serial
+// delivery, and a later duplicate delivery keeps the first payload.
+func TestRecorderConcurrentDeliveries(t *testing.T) {
+	w := testWorld(t)
+	traceGroups := splitByMonth(w.TraceCampaign().Samples(), func(s atlas.TraceSample) months.Month { return s.Month })
+	chaosGroups := splitByMonth(w.ChaosCampaign().Results(), func(r atlas.ChaosResult) months.Month { return r.Month })
+	hopsFor := func(n int) []uint8 {
+		h := make([]uint8, n)
+		for i := range h {
+			h[i] = uint8(i % 7)
+		}
+		return h
+	}
+
+	serial := NewRecorder()
+	for _, g := range traceGroups {
+		serial.TraceMonthFacts(g.month, g.rows, hopsFor(len(g.rows)))
+	}
+	for _, g := range chaosGroups {
+		serial.ChaosMonthFacts(g.month, g.rows)
+	}
+
+	concurrent := NewRecorder()
+	var wg sync.WaitGroup
+	for _, g := range traceGroups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent.TraceMonthFacts(g.month, g.rows, hopsFor(len(g.rows)))
+		}()
+	}
+	for _, g := range chaosGroups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			concurrent.ChaosMonthFacts(g.month, g.rows)
+		}()
+	}
+	wg.Wait()
+
+	wantTrace, wantChaos := serial.payloads()
+	gotTrace, gotChaos := concurrent.payloads()
+	if len(gotTrace) != len(traceGroups) || len(gotChaos) != len(chaosGroups) {
+		t.Fatalf("recorded %d trace / %d chaos months, want %d / %d",
+			len(gotTrace), len(gotChaos), len(traceGroups), len(chaosGroups))
+	}
+	for m, want := range wantTrace {
+		if !bytes.Equal(gotTrace[m], want) {
+			t.Errorf("trace %s: concurrent payload differs from serial", m)
+		}
+	}
+	for m, want := range wantChaos {
+		if !bytes.Equal(gotChaos[m], want) {
+			t.Errorf("chaos %s: concurrent payload differs from serial", m)
+		}
+	}
+
+	// A duplicate delivery with different rows keeps the first payload.
+	first := chaosGroups[0]
+	concurrent.ChaosMonthFacts(first.month, chaosGroups[1].rows)
+	concurrent.TraceMonthFacts(traceGroups[0].month, traceGroups[1].rows, nil)
+	gotTrace, gotChaos = concurrent.payloads()
+	if !bytes.Equal(gotChaos[first.month], wantChaos[first.month]) {
+		t.Error("duplicate chaos delivery replaced the first payload")
+	}
+	if !bytes.Equal(gotTrace[traceGroups[0].month], wantTrace[traceGroups[0].month]) {
+		t.Error("duplicate trace delivery replaced the first payload")
 	}
 }
 

@@ -1,6 +1,7 @@
 package facts
 
 import (
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -16,7 +17,7 @@ import (
 // structs, one dictionary-coded payload per month. Deliveries are
 // idempotent per month (the kernels re-simulate deterministically, so
 // a duplicate carries identical rows and is dropped) and safe for
-// concurrent calls on distinct months.
+// concurrent calls; months encode outside the lock, in parallel.
 type Recorder struct {
 	mu    sync.Mutex
 	trace map[months.Month][]byte
@@ -70,12 +71,25 @@ func (d *dictBuilder) code(s string) uint16 {
 // a short hops slice (possible only through misuse, never from the
 // kernel) pads with zero rather than dropping rows.
 func (r *Recorder) TraceMonthFacts(m months.Month, samples []atlas.TraceSample, hops []uint8) {
+	r.deliver(r.trace, m, func() []byte { return encodeTraceMonth(m, samples, hops) })
+}
+
+// deliver stores encode's payload as month m's unless m is recorded.
+// encode runs without r.mu; a duplicate that races past the first check
+// is dropped on store, so the first payload is kept.
+func (r *Recorder) deliver(payloads map[months.Month][]byte, m months.Month, encode func() []byte) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.trace[m]; ok {
+	_, dup := payloads[m]
+	r.mu.Unlock()
+	if dup {
 		return
 	}
-	r.trace[m] = encodeTraceMonth(m, samples, hops)
+	b := encode()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, dup := payloads[m]; !dup {
+		payloads[m] = b
+	}
 }
 
 func encodeTraceMonth(m months.Month, samples []atlas.TraceSample, hops []uint8) []byte {
@@ -103,16 +117,12 @@ func encodeTraceMonth(m months.Month, samples []atlas.TraceSample, hops []uint8)
 // ChaosMonthFacts encodes one CHAOS month, resolving each answer's site
 // country at write time so queries never re-run the extraction regexps.
 func (r *Recorder) ChaosMonthFacts(m months.Month, results []atlas.ChaosResult) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.chaos[m]; ok {
-		return
-	}
-	r.chaos[m] = r.encodeChaosMonth(m, results)
+	r.deliver(r.chaos, m, func() []byte { return r.encodeChaosMonth(m, results) })
 }
 
-// encodeChaosMonth runs under r.mu (it reads and fills the siteCC
-// memo).
+// encodeChaosMonth codes each distinct (letter, TXT) answer's TXT and
+// SiteCC once, on its first row, in the order TXT, ProbeCC, SiteCC, so
+// the dictionary (and the bytes) match coding all three on every row.
 func (r *Recorder) encodeChaosMonth(m months.Month, results []atlas.ChaosResult) []byte {
 	p := &ChaosPartition{
 		Month:   m,
@@ -123,16 +133,21 @@ func (r *Recorder) encodeChaosMonth(m months.Month, results []atlas.ChaosResult)
 		Letter:  make([]uint8, len(results)),
 	}
 	db := newDictBuilder()
+	first := make(map[siteKey]int, 256) // (letter, TXT) → its first row; a month has ~80–160
 	for i := range results {
 		res := &results[i]
 		p.ProbeID[i] = int32(res.ProbeID)
+		p.Letter[i] = uint8(res.Letter)
+		key := siteKey{res.Letter, res.TXT}
+		if j, ok := first[key]; ok {
+			p.TXT[i], p.CC[i], p.SiteCC[i] = p.TXT[j], db.code(res.ProbeCC), p.SiteCC[j]
+			continue
+		}
+		first[key] = i
 		p.TXT[i] = uint32(db.code(res.TXT))
 		p.CC[i] = db.code(res.ProbeCC)
-		p.Letter[i] = uint8(res.Letter)
-		cc := r.parsedSiteCC(res.Letter, res.TXT)
-		if cc == "" {
-			p.SiteCC[i] = DictNone
-		} else {
+		p.SiteCC[i] = DictNone
+		if cc := r.parsedSiteCC(res.Letter, res.TXT); cc != "" {
 			p.SiteCC[i] = db.code(cc)
 		}
 	}
@@ -142,9 +157,12 @@ func (r *Recorder) encodeChaosMonth(m months.Month, results []atlas.ChaosResult)
 
 // parsedSiteCC resolves a CHAOS answer to its site country through the
 // memo, matching atlas.ChaosCampaign's normalization (answers differing
-// only by case or padding identify the same instance).
+// only by case or padding identify the same instance). It holds r.mu,
+// parse included; a month calls it once per distinct answer.
 func (r *Recorder) parsedSiteCC(l dnsroot.Letter, txt string) string {
 	key := siteKey{l, strings.ToLower(strings.TrimSpace(txt))}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if cc, ok := r.siteCC[key]; ok {
 		return cc
 	}
@@ -217,15 +235,7 @@ func (r *Recorder) ChaosMonths() []months.Month {
 func (r *Recorder) payloads() (trace, chaos map[months.Month][]byte) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	trace = make(map[months.Month][]byte, len(r.trace))
-	for m, b := range r.trace {
-		trace[m] = b
-	}
-	chaos = make(map[months.Month][]byte, len(r.chaos))
-	for m, b := range r.chaos {
-		chaos[m] = b
-	}
-	return trace, chaos
+	return maps.Clone(r.trace), maps.Clone(r.chaos)
 }
 
 func sortedKeys(m map[months.Month][]byte) []months.Month {

@@ -14,10 +14,21 @@ type PathInfo struct {
 	OK        bool
 }
 
+// treeEntry is PathInfo in a path tree's 16 bytes (PathInfo takes 24):
+// hops == 0 means unreachable.
+type treeEntry struct {
+	lat  float64
+	hops int32
+}
+
+func (e treeEntry) info() PathInfo {
+	return PathInfo{Hops: int(e.hops), LatencyMs: e.lat, OK: e.hops != 0}
+}
+
 // Resolver wraps a Topology with per-source shortest-path trees so that
 // repeated catchment computations (one per probe per anycast service per
 // month) run off a single breadth-first traversal per source AS. Trees
-// are computed over the topology's dense index-based view ([]PathInfo
+// are computed over the topology's dense index-based view ([]treeEntry
 // indexed by interned AS, not maps) with pooled scratch buffers, so a
 // traversal allocates only its result slice. It is safe for concurrent
 // use: campaign simulations triggered by concurrent API requests share
@@ -27,7 +38,7 @@ type Resolver struct {
 
 	mu    sync.Mutex
 	d     *denseTopo
-	trees [][]PathInfo // by source dense index; nil until built
+	trees [][]treeEntry // by source dense index; nil until built
 }
 
 // NewResolver returns a Resolver over topo.
@@ -45,12 +56,12 @@ func (r *Resolver) Topology() *Topology { return r.topo }
 // mutation (anywhere in an overlay's base chain) produces a new dense
 // view, which drops every memoized tree here — the resolver never
 // serves adjacency from before the mutation.
-func (r *Resolver) treeFor(src bgp.ASN) ([]PathInfo, *denseTopo) {
+func (r *Resolver) treeFor(src bgp.ASN) ([]treeEntry, *denseTopo) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if d := r.topo.dense(); d != r.d {
 		r.d = d
-		r.trees = make([][]PathInfo, len(r.d.asns))
+		r.trees = make([][]treeEntry, len(r.d.asns))
 	}
 	si, ok := r.d.index[src]
 	if !ok {
@@ -78,7 +89,7 @@ func (r *Resolver) PathInfoFrom(src, dst bgp.ASN) PathInfo {
 	if !ok {
 		return PathInfo{}
 	}
-	return tree[di]
+	return tree[di].info()
 }
 
 // Tree returns the full single-source tree for src as an ASN-keyed map —
@@ -91,9 +102,9 @@ func (r *Resolver) Tree(src bgp.ASN) map[bgp.ASN]PathInfo {
 	if tree == nil {
 		return out
 	}
-	for i, info := range tree {
-		if info.OK {
-			out[d.asns[i]] = info
+	for i, e := range tree {
+		if e.hops != 0 {
+			out[d.asns[i]] = e.info()
 		}
 	}
 	return out
@@ -206,7 +217,7 @@ func (r *Resolver) CatchmentInfo(srcAS bgp.ASN, srcCity geo.City, domestic strin
 	var best catchCand
 	found := false
 	var (
-		tree     []PathInfo
+		tree     []treeEntry
 		d        *denseTopo // nil until the first site srcAS does not host
 		hosts    []int32    // sl.host when valid for d, else nil
 		locIDs   []int32    // d.locID when d shares sl's table, else nil
@@ -261,12 +272,12 @@ func (r *Resolver) CatchmentInfo(srcAS bgp.ASN, srcCity geo.City, domestic strin
 					continue
 				}
 			}
-			info := tree[hi]
-			if !info.OK {
+			e := tree[hi]
+			if e.hops == 0 {
 				continue
 			}
-			hops = info.Hops
-			lat = info.LatencyMs
+			hops = int(e.hops)
+			lat = e.lat
 			// First segment: the source's city to its AS's location.
 			if hasFirst {
 				lat += firstMs

@@ -494,19 +494,19 @@ func (d *denseTopo) startState(sc *scratch, srcIdx int32) int32 {
 // arrivals — the minimum accumulated latency, matching BGP's
 // shortest-path-first with latency-aware tie-breaking. The result is
 // indexed by dense AS index.
-func (d *denseTopo) buildTree(srcIdx int32) []PathInfo {
+func (d *denseTopo) buildTree(srcIdx int32) []treeEntry {
 	if m := met.Load(); m != nil {
 		m.treeBFS.Inc()
 	}
 	n := len(d.asns)
-	tree := make([]PathInfo, n)
-	tree[srcIdx] = PathInfo{Hops: 1, LatencyMs: 0, OK: true}
+	tree := make([]treeEntry, n)
+	tree[srcIdx] = treeEntry{hops: 1}
 
 	sc := getScratch(n * numPhases)
 	defer putScratch(sc)
 	frontier := append(sc.frontier[:0], d.startState(sc, srcIdx))
 	next := sc.next[:0]
-	hops := 1
+	hops := int32(1)
 	for len(frontier) > 0 {
 		hops++
 		next = next[:0]
@@ -515,11 +515,11 @@ func (d *denseTopo) buildTree(srcIdx int32) []PathInfo {
 		}
 		for _, ns := range next {
 			sc.settled[ns] = sc.epoch
-			ai := ns / numPhases
-			if !tree[ai].OK {
-				tree[ai] = PathInfo{Hops: hops, LatencyMs: sc.lat[ns], OK: true}
-			} else if tree[ai].Hops == hops && sc.lat[ns] < tree[ai].LatencyMs {
-				tree[ai].LatencyMs = sc.lat[ns]
+			e := &tree[ns/numPhases]
+			if e.hops == 0 {
+				*e = treeEntry{lat: sc.lat[ns], hops: hops}
+			} else if e.hops == hops && sc.lat[ns] < e.lat {
+				e.lat = sc.lat[ns]
 			}
 		}
 		frontier, next = next, frontier

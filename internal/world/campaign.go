@@ -76,20 +76,6 @@ func sampleSeed(seed int64, m months.Month, probeID int) int64 {
 	return int64(h)
 }
 
-// activeProbesAt memoizes Fleet.ActiveAt per month. Both campaigns and
-// every letter of the CHAOS sweep share one sorted snapshot per month.
-// Callers must not mutate the returned slice.
-func (w *World) activeProbesAt(m months.Month) []atlas.Probe {
-	w.activeMu.Lock()
-	probes, ok := w.activeCache[m]
-	if !ok {
-		probes = w.Fleet.ActiveAt(m)
-		w.activeCache[m] = probes
-	}
-	w.activeMu.Unlock()
-	return probes
-}
-
 // TraceCampaign simulates the platform-wide traceroute campaign toward
 // Google Public DNS (measurement 1591): every active probe measures
 // SamplesPerProbe times per monthly snapshot, and the RTT combines the
@@ -216,24 +202,23 @@ func (w *World) traceMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 		ar.hops[c] = clampHops(hops)
 	}
 	reach := 0
-	for i := range mc.probes {
-		if ar.ok[mc.classOf[i]] {
+	for _, c := range mc.classOf {
+		if ar.ok[c] {
 			reach++
 		}
 	}
 	out := make([]atlas.TraceSample, 0, reach*w.Config.SamplesPerProbe)
-	for i := range mc.probes {
-		c := mc.classOf[i]
+	for i, c := range mc.classOf {
 		if !ar.ok[c] {
 			continue
 		}
-		p := &mc.probes[i]
-		ar.jit.Seed(sampleSeed(w.Config.Seed, m, p.ID))
+		id, cc := int(mc.ids[i]), mc.keys[c].country
+		ar.jit.Seed(sampleSeed(w.Config.Seed, m, id))
 		for s := 0; s < w.Config.SamplesPerProbe; s++ {
 			out = append(out, atlas.TraceSample{
 				Month:   m,
-				ProbeID: p.ID,
-				ProbeCC: p.Country,
+				ProbeID: id,
+				ProbeCC: cc,
 				RTTms:   netsim.RTT(ar.oneWay[c], ar.access[c], ar.rng),
 			})
 		}
@@ -243,8 +228,7 @@ func (w *World) traceMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 		// Emission happens after the RNG loop and reads only what the
 		// kernel already computed, so output stays bit-identical.
 		hops := make([]uint8, 0, len(out))
-		for i := range mc.probes {
-			c := mc.classOf[i]
+		for _, c := range mc.classOf {
 			if !ar.ok[c] {
 				continue
 			}
@@ -257,7 +241,7 @@ func (w *World) traceMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 	if span != nil {
 		span.SetAttr("campaign", "trace")
 		span.SetAttr("month", m.String())
-		span.SetAttr("probes", len(mc.probes))
+		span.SetAttr("probes", len(mc.ids))
 		span.SetAttr("samples", len(out))
 		span.End()
 	}
@@ -388,8 +372,8 @@ func (w *World) chaosMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 			continue
 		}
 		base := li * nc
-		for i := range mc.probes {
-			if ar.ok[base+int(mc.classOf[i])] {
+		for _, c := range mc.classOf {
+			if ar.ok[base+int(c)] {
 				total++
 			}
 		}
@@ -401,18 +385,16 @@ func (w *World) chaosMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 			continue
 		}
 		base := li * nc
-		for i := range mc.probes {
-			c := int(mc.classOf[i])
-			if !ar.ok[base+c] {
+		for i, c := range mc.classOf {
+			if !ar.ok[base+int(c)] {
 				continue
 			}
-			p := &mc.probes[i]
 			out = append(out, atlas.ChaosResult{
 				Month:   m,
-				ProbeID: p.ID,
-				ProbeCC: p.Country,
+				ProbeID: int(mc.ids[i]),
+				ProbeCC: mc.keys[c].country,
 				Letter:  letter,
-				TXT:     txt[ar.idx[base+c]],
+				TXT:     txt[ar.idx[base+int(c)]],
 			})
 		}
 	}
@@ -422,7 +404,7 @@ func (w *World) chaosMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 	if span != nil {
 		span.SetAttr("campaign", "chaos")
 		span.SetAttr("month", m.String())
-		span.SetAttr("probes", len(mc.probes))
+		span.SetAttr("probes", len(mc.ids))
 		span.SetAttr("results", len(out))
 		span.End()
 	}

@@ -38,7 +38,7 @@ func refTraceMonth(t *testing.T, w *World, m months.Month, plan *ScenarioPlan) [
 	resolver := refTopologyFor(t, w, m, plan)
 	sites := w.gpdnsSitesFor(m, plan)
 	var out []atlas.TraceSample
-	for _, p := range w.activeProbesAt(m) {
+	for _, p := range w.Fleet.ActiveAt(m) {
 		local := localizeSites(sites, p)
 		_, oneWay, err := resolver.CatchmentFrom(p.ASN, p.City, local, w.Config.Policy)
 		if err != nil {
@@ -61,7 +61,7 @@ func refTraceMonth(t *testing.T, w *World, m months.Month, plan *ScenarioPlan) [
 func refChaosMonth(t *testing.T, w *World, m months.Month, plan *ScenarioPlan) []atlas.ChaosResult {
 	t.Helper()
 	resolver := refTopologyFor(t, w, m, plan)
-	probes := w.activeProbesAt(m)
+	probes := w.Fleet.ActiveAt(m)
 	var out []atlas.ChaosResult
 	for _, letter := range dnsroot.Letters() {
 		sites, insts := w.rootSitesFor(letter, m, plan)

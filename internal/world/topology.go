@@ -306,9 +306,14 @@ func (w *World) GPDNSSitesAt(m months.Month) []netsim.Site {
 // Venezuela's Caracas instances were hosted inside CANTV, the Maracaibo
 // replacement inside Airtek's Maracaibo network.
 func (w *World) RootSitesAt(letter dnsroot.Letter, m months.Month) ([]netsim.Site, []dnsroot.Instance) {
+	return w.rootSitesIn(w.Roots.ActiveAt(m), letter)
+}
+
+// rootSitesIn is RootSitesAt over a given active-instance snapshot.
+func (w *World) rootSitesIn(active []dnsroot.Instance, letter dnsroot.Letter) ([]netsim.Site, []dnsroot.Instance) {
 	var sites []netsim.Site
 	var insts []dnsroot.Instance
-	for _, inst := range w.activeRootsAt(m) {
+	for _, inst := range active {
 		if inst.Letter != letter {
 			continue
 		}

@@ -3,7 +3,6 @@ package world
 import (
 	"slices"
 
-	"vzlens/internal/atlas"
 	"vzlens/internal/bgp"
 	"vzlens/internal/dnsroot"
 	"vzlens/internal/geo"
@@ -32,13 +31,14 @@ type probeClassKey struct {
 	city    geo.City
 }
 
-// monthClasses is one month's probe fleet factored into classes:
-// probes is the sorted active snapshot, classOf maps each probe to its
-// class, keys lists the distinct classes in first-seen order.
+// monthClasses is one month's probe fleet factored into classes: ids
+// are the active probes' IDs in Fleet.ActiveAt order, classOf maps
+// each to its class, keys lists the classes (interned per world) in
+// first-seen order. A probe's country is its class key's country.
 type monthClasses struct {
-	probes  []atlas.Probe
+	ids     []int32
 	classOf []int32
-	keys    []probeClassKey
+	keys    []*probeClassKey
 }
 
 // classesAt memoizes the class factoring per month. The trace campaign
@@ -51,18 +51,32 @@ func (w *World) classesAt(m months.Month) *monthClasses {
 	}
 	if w.classCache == nil {
 		w.classCache = map[months.Month]*monthClasses{}
+		w.classKeys = map[probeClassKey]*probeClassKey{}
 	}
-	probes := w.activeProbesAt(m)
-	mc := &monthClasses{probes: probes, classOf: make([]int32, len(probes))}
-	idx := make(map[probeClassKey]int32, 64)
-	for i, p := range probes {
+	probes := w.Fleet.ActiveAt(m)
+	n := len(probes)
+	cols := make([]int32, 2*n) // ids and classOf in one allocation
+	mc := &monthClasses{ids: cols[:n:n], classOf: cols[n:]}
+	idx := make(map[*probeClassKey]int32, 64)
+	for i := range probes {
+		p := &probes[i]
 		k := probeClassKey{country: p.Country, asn: p.ASN, city: p.City}
-		c, ok := idx[k]
+		kp, ok := w.classKeys[k]
+		if !ok {
+			if len(w.keySlab) == cap(w.keySlab) { // keys never move: a full slab is left, not grown
+				w.keySlab = make([]probeClassKey, 0, 64)
+			}
+			w.keySlab = append(w.keySlab, k)
+			kp = &w.keySlab[len(w.keySlab)-1]
+			w.classKeys[k] = kp
+		}
+		c, ok := idx[kp]
 		if !ok {
 			c = int32(len(mc.keys))
-			idx[k] = c
-			mc.keys = append(mc.keys, k)
+			idx[kp] = c
+			mc.keys = append(mc.keys, kp)
 		}
+		mc.ids[i] = int32(p.ID)
 		mc.classOf[i] = c
 	}
 	w.classCache[m] = mc
@@ -134,7 +148,8 @@ type rootListKey struct {
 // letter are equal share one list, and with it its TXT tables.
 // Deployment.ActiveAt's order depends only on the active set, so a
 // shared list is exactly what each month computes. A (letter, month)
-// memo in front keeps repeat calls to one map lookup.
+// memo in front, filled for all letters per Roots.ActiveAt pass,
+// keeps repeat calls to one map lookup.
 // A plan with a replica change for this letter active at m bypasses
 // interning (a fresh list).
 func (w *World) rootSiteListAt(letter dnsroot.Letter, m months.Month, plan *ScenarioPlan) *rootList {
@@ -149,43 +164,25 @@ func (w *World) rootSiteListAt(letter dnsroot.Letter, m months.Month, plan *Scen
 	key := rootListKey{letter: letter, m: m}
 	w.siteMu.Lock()
 	defer w.siteMu.Unlock()
-	rl, ok := w.rootLists[key]
-	if !ok {
-		if w.rootLists == nil {
-			w.rootLists = map[rootListKey]*rootList{}
-			w.rootSets = map[dnsroot.Letter][]*rootList{}
-		}
-		sites, insts := w.RootSitesAt(letter, m)
-		for _, cand := range w.rootSets[letter] {
-			if slices.Equal(cand.insts, insts) {
-				rl = cand
-				break
-			}
-		}
-		if rl == nil {
-			rl = &rootList{sites: w.prepareSites(sites), letter: letter, insts: insts}
-			w.rootSets[letter] = append(w.rootSets[letter], rl)
-		}
-		w.rootLists[key] = rl
+	if rl, ok := w.rootLists[key]; ok {
+		return rl
 	}
-	return rl
-}
-
-// activeRootsAt memoizes Roots.ActiveAt per month: every letter of the
-// CHAOS sweep filters one shared snapshot instead of re-sorting the
-// full deployment thirteen times. Callers must not mutate the result.
-func (w *World) activeRootsAt(m months.Month) []dnsroot.Instance {
-	w.rootsMu.Lock()
-	defer w.rootsMu.Unlock()
-	insts, ok := w.activeRootsCache[m]
-	if !ok {
-		if w.activeRootsCache == nil {
-			w.activeRootsCache = map[months.Month][]dnsroot.Instance{}
-		}
-		insts = w.Roots.ActiveAt(m)
-		w.activeRootsCache[m] = insts
+	if w.rootLists == nil {
+		w.rootLists = map[rootListKey]*rootList{}
+		w.rootSets = map[dnsroot.Letter][]*rootList{}
 	}
-	return insts
+	active := w.Roots.ActiveAt(m)
+	for _, l := range dnsroot.Letters() {
+		sites, insts := w.rootSitesIn(active, l)
+		sets := w.rootSets[l]
+		i := slices.IndexFunc(sets, func(rl *rootList) bool { return slices.Equal(rl.insts, insts) })
+		if i < 0 {
+			i = len(sets)
+			w.rootSets[l] = append(sets, &rootList{sites: w.prepareSites(sites), letter: l, insts: insts})
+		}
+		w.rootLists[rootListKey{letter: l, m: m}] = w.rootSets[l][i]
+	}
+	return w.rootLists[key]
 }
 
 // txtKey keys the global TXT intern table: an instance's CHAOS answer

@@ -106,12 +106,6 @@ type World struct {
 	topoMu    sync.Mutex
 	topoCache map[months.Month]*topoCell
 
-	// activeCache memoizes Fleet.ActiveAt per month, shared by both
-	// campaigns (their windows overlap) and computed once per month
-	// shard instead of once per letter.
-	activeMu    sync.Mutex
-	activeCache map[months.Month][]atlas.Probe
-
 	// scenCache holds per-scenario resolver cells, keyed by plan key
 	// then month, capped at maxScenarioCacheKeys keys (FIFO eviction).
 	// Scenario overlays share the baseline topoCache cells underneath.
@@ -121,27 +115,27 @@ type World struct {
 
 	// Campaign-kernel state (see kernel.go and views.go): the static
 	// base topology (with the distance table) plus per-signature overlay
-	// resolvers, the per-month probe-class factorings, the interned
-	// GPDNS/root site lists (root lists by (letter, month) in front of
-	// the per-letter distinct active sets), and the interned CHAOS TXT
-	// strings. All of it memoizes pure functions of the month (or list
-	// identity), so concurrent fills are idempotent. Lock ordering:
-	// siteMu may take rootsMu (root-list builds read the active-instance
-	// memo) and kernelMu (lists are prepared against the kernel base);
-	// nothing else nests.
-	kernelMu         sync.Mutex
-	kernelBase       *baseCell
-	kernelCells      map[kernelSig]*topoCell
-	classMu          sync.Mutex
-	classCache       map[months.Month]*monthClasses
-	siteMu           sync.Mutex
-	gpdnsLists       map[uint32]*netsim.SiteList
-	rootLists        map[rootListKey]*rootList
-	rootSets         map[dnsroot.Letter][]*rootList
-	rootsMu          sync.Mutex
-	activeRootsCache map[months.Month][]dnsroot.Instance
-	txtMu            sync.Mutex
-	txtIntern        map[txtKey]string
+	// resolvers, the per-month probe-class factorings (probe ids and
+	// pointers into the world's interned class keys; no fleet copy),
+	// the interned GPDNS/root site lists (root lists by (letter, month)
+	// in front of the per-letter distinct active sets; no deployment
+	// copy), and the interned CHAOS TXT strings. All of it memoizes
+	// pure functions of the month (or list identity), so concurrent
+	// fills are idempotent. Lock ordering: siteMu may take kernelMu
+	// (lists are prepared against the kernel base); nothing else nests.
+	kernelMu    sync.Mutex
+	kernelBase  *baseCell
+	kernelCells map[kernelSig]*topoCell
+	classMu     sync.Mutex
+	classCache  map[months.Month]*monthClasses
+	classKeys   map[probeClassKey]*probeClassKey
+	keySlab     []probeClassKey // backs classKeys, 64 keys per allocation
+	siteMu      sync.Mutex
+	gpdnsLists  map[uint32]*netsim.SiteList
+	rootLists   map[rootListKey]*rootList
+	rootSets    map[dnsroot.Letter][]*rootList
+	txtMu       sync.Mutex
+	txtIntern   map[txtKey]string
 
 	// arenas pools campaignArena scratch across month shards, campaign
 	// runs, and sweep specs. No New hook: misses are counted as builds
@@ -266,14 +260,13 @@ func Build(cfg Config) (*World, error) {
 	}
 	pop := buildPopulations(nets)
 	w := &World{
-		Config:      cfg,
-		Nets:        nets,
-		Pop:         pop,
-		Orgs:        buildOrgs(nets, pop),
-		Roots:       dnsroot.DefaultDeployment(),
-		Cables:      telegeo.LatinAmerica(),
-		topoCache:   map[months.Month]*topoCell{},
-		activeCache: map[months.Month][]atlas.Probe{},
+		Config:    cfg,
+		Nets:      nets,
+		Pop:       pop,
+		Orgs:      buildOrgs(nets, pop),
+		Roots:     dnsroot.DefaultDeployment(),
+		Cables:    telegeo.LatinAmerica(),
+		topoCache: map[months.Month]*topoCell{},
 	}
 	w.Fleet = buildFleet(nets, cfg.FleetScale)
 	return w, nil
