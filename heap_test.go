@@ -20,7 +20,7 @@ func TestColdStartRetainedHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a world, a fact lake and both campaigns")
 	}
-	const budgetMB = 20 // measured 18.3 MB (linux/amd64, Go 1.24)
+	const budgetMB = 13 // measured 11.1 MB (linux/amd64, Go 1.24)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()
@@ -48,5 +48,51 @@ func TestColdStartRetainedHeap(t *testing.T) {
 	t.Logf("retained heap after a cold start: %.2f MB (budget %d MB)", retainedMB, budgetMB)
 	if retainedMB > budgetMB {
 		t.Errorf("cold start retains %.2f MB of heap, budget %d MB", retainedMB, budgetMB)
+	}
+}
+
+// TestServedRetainedHeap is TestColdStartRetainedHeap on the path
+// vzserve serves: after the lake build, the campaigns come from the
+// lake (its decoded partitions) rather than from the kernel, and the
+// kernel's own campaigns are dropped.
+func TestServedRetainedHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a world and a fact lake")
+	}
+	const budgetMB = 13 // measured 11.1 MB (linux/amd64, Go 1.24)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	w := mustBuild(world.Config{Step: 3})
+	lake, err := facts.Open(t.TempDir(), w.Config.Scope())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lake.Build(context.Background(), w); err != nil {
+		t.Fatal(err)
+	}
+	tc, err := lake.TraceCampaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := lake.ChaosCampaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(w)
+	runtime.KeepAlive(lake)
+	runtime.KeepAlive(tc)
+	runtime.KeepAlive(cc)
+
+	retainedMB := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (1 << 20)
+	t.Logf("retained heap serving lake-built campaigns: %.2f MB (budget %d MB)", retainedMB, budgetMB)
+	if retainedMB > budgetMB {
+		t.Errorf("serving lake-built campaigns retains %.2f MB of heap, budget %d MB", retainedMB, budgetMB)
 	}
 }

@@ -1,8 +1,8 @@
 package atlas
 
 import (
-	"sort"
-	"strings"
+	"cmp"
+	"slices"
 
 	"vzlens/internal/dnsroot"
 	"vzlens/internal/months"
@@ -18,55 +18,91 @@ type ChaosResult struct {
 	TXT     string
 }
 
-// ChaosCampaign collects the built-in root CHAOS measurements.
+// ChaosCampaign collects the built-in root CHAOS measurements, as one
+// partition per month with results. It is safe for concurrent reads;
+// Add must not race anything.
 type ChaosCampaign struct {
-	results []ChaosResult
+	parts []*ChaosPartition // ascending by month, none empty
+	open  map[months.Month]*chaosBuilder
 }
 
 // NewChaosCampaign returns an empty campaign.
 func NewChaosCampaign() *ChaosCampaign { return &ChaosCampaign{} }
 
-// Add records a result.
-func (c *ChaosCampaign) Add(r ChaosResult) { c.results = append(c.results, r) }
-
-// AddAll records a batch of results in order — the merge step of the
-// parallel campaign engine's per-month fragments.
-func (c *ChaosCampaign) AddAll(rs []ChaosResult) { c.results = append(c.results, rs...) }
-
-// Grow reserves capacity for n additional results, so a merge of
-// known-size fragments costs a single allocation.
-func (c *ChaosCampaign) Grow(n int) {
-	if need := len(c.results) + n; need > cap(c.results) {
-		grown := make([]ChaosResult, len(c.results), need)
-		copy(grown, c.results)
-		c.results = grown
+// NewChaosCampaignOf is NewTraceCampaignOf for CHAOS partitions.
+func NewChaosCampaignOf(parts []*ChaosPartition) *ChaosCampaign {
+	kept := parts[:0]
+	for _, p := range parts {
+		if p == nil || p.Rows() == 0 {
+			continue
+		}
+		if n := len(kept); n > 0 && p.Month <= kept[n-1].Month {
+			panic("atlas: chaos partitions out of month order")
+		}
+		kept = append(kept, p)
 	}
+	return &ChaosCampaign{parts: kept}
 }
 
+// Add records a result.
+func (c *ChaosCampaign) Add(r ChaosResult) { c.builder(r.Month).add(r) }
+
+// builder is TraceCampaign.builder for CHAOS partitions.
+func (c *ChaosCampaign) builder(m months.Month) *chaosBuilder {
+	if b := c.open[m]; b != nil {
+		return b
+	}
+	i, found := c.search(m)
+	b := newChaosBuilder(m, 0, 0)
+	if found {
+		old := c.parts[i]
+		for r := range old.Rows() {
+			b.add(old.result(r))
+		}
+		c.parts[i] = b.p
+	} else {
+		c.parts = slices.Insert(c.parts, i, b.p)
+	}
+	if c.open == nil {
+		c.open = map[months.Month]*chaosBuilder{}
+	}
+	c.open[m] = &b
+	return &b
+}
+
+// search finds month m's position in the partition list.
+func (c *ChaosCampaign) search(m months.Month) (int, bool) {
+	return slices.BinarySearchFunc(c.parts, m, func(p *ChaosPartition, m months.Month) int { return cmp.Compare(p.Month, m) })
+}
+
+// part returns month m's partition, or nil.
+func (c *ChaosCampaign) part(m months.Month) *ChaosPartition {
+	if i, ok := c.search(m); ok {
+		return c.parts[i]
+	}
+	return nil
+}
+
+// Partitions returns the campaign's month partitions, ascending by
+// month. The slice and the partitions are shared: read only.
+func (c *ChaosCampaign) Partitions() []*ChaosPartition { return c.parts }
+
 // Len returns the number of recorded results.
-func (c *ChaosCampaign) Len() int { return len(c.results) }
+func (c *ChaosCampaign) Len() int {
+	n := 0
+	for _, p := range c.parts {
+		n += p.Rows()
+	}
+	return n
+}
 
 // Months returns the months with results, sorted.
 func (c *ChaosCampaign) Months() []months.Month {
-	seen := map[months.Month]bool{}
-	for _, r := range c.results {
-		seen[r.Month] = true
+	out := make([]months.Month, len(c.parts))
+	for i, p := range c.parts {
+		out[i] = p.Month
 	}
-	out := make([]months.Month, 0, len(seen))
-	for m := range seen {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// siteKey identifies a distinct observed instance: one letter answering
-// with one normalized CHAOS string. The paper counts unique CHAOS TXT
-// strings carrying geolocation tags, so two instances of the same letter
-// in the same city still count separately when their strings differ.
-type siteKey struct {
-	letter dnsroot.Letter
-	txt    string
 }
 
 // SitesByCountry maps the distinct CHAOS strings observed in month m to
@@ -77,21 +113,42 @@ type siteKey struct {
 // results from probes in that country are considered (the Figure 16 /
 // Appendix E view from Venezuela).
 func (c *ChaosCampaign) SitesByCountry(m months.Month, onlyProbeCC string) map[string]int {
-	seen := map[siteKey]string{}
-	for _, r := range c.results {
-		if r.Month != m {
-			continue
-		}
-		if onlyProbeCC != "" && r.ProbeCC != onlyProbeCC {
-			continue
-		}
-		site, err := dnsroot.ParseInstance(r.Letter, r.TXT)
-		if err != nil {
-			continue
-		}
-		seen[siteKey{r.Letter, strings.ToLower(strings.TrimSpace(r.TXT))}] = site.Country
+	if p := c.part(m); p != nil {
+		return p.sitesByCountry(onlyProbeCC)
 	}
+	return map[string]int{}
+}
+
+// sitesByCountry counts one month's distinct answers per site country,
+// reading the SiteCC column the coder resolved once per answer. Answers
+// that differ only by case or padding are one instance.
+func (p *ChaosPartition) sitesByCountry(onlyProbeCC string) map[string]int {
 	out := map[string]int{}
+	filter := -1
+	if onlyProbeCC != "" {
+		code, ok := dictCode(p.Dict, onlyProbeCC)
+		if !ok {
+			return out
+		}
+		filter = int(code)
+	}
+	type answer struct {
+		letter uint8
+		txt    uint32
+	}
+	coded := map[answer]bool{}
+	seen := map[siteKey]string{}
+	for i, site := range p.SiteCC {
+		if site == DictNone || filter >= 0 && int(p.CC[i]) != filter {
+			continue
+		}
+		a := answer{p.Letter[i], p.TXT[i]}
+		if coded[a] {
+			continue
+		}
+		coded[a] = true
+		seen[siteKey{dnsroot.Letter(a.letter), normalizeTXT(p.Dict[a.txt])}] = p.Dict[site]
+	}
 	for _, cc := range seen {
 		out[cc]++
 	}
@@ -101,9 +158,9 @@ func (c *ChaosCampaign) SitesByCountry(m months.Month, onlyProbeCC string) map[s
 // CountrySeries returns, per month, the number of distinct root replicas
 // mapped to country cc across all probes — Figure 6's estimator.
 func (c *ChaosCampaign) CountrySeries(cc string) map[months.Month]int {
-	out := map[months.Month]int{}
-	for _, m := range c.Months() {
-		out[m] = c.SitesByCountry(m, "")[cc]
+	out := make(map[months.Month]int, len(c.parts))
+	for _, p := range c.parts {
+		out[p.Month] = p.sitesByCountry("")[cc]
 	}
 	return out
 }
@@ -113,9 +170,9 @@ func (c *ChaosCampaign) CountrySeries(cc string) map[months.Month]int {
 // regression is not a coverage artifact (Appendix F).
 func (c *ChaosCampaign) ProbesSeen(m months.Month) map[string]int {
 	probes := map[int]string{}
-	for _, r := range c.results {
-		if r.Month == m {
-			probes[r.ProbeID] = r.ProbeCC
+	if p := c.part(m); p != nil {
+		for r, id := range p.ProbeID {
+			probes[int(id)] = p.Dict[p.CC[r]]
 		}
 	}
 	out := map[string]int{}
@@ -125,9 +182,15 @@ func (c *ChaosCampaign) ProbesSeen(m months.Month) map[string]int {
 	return out
 }
 
-// Results returns a copy of all recorded results in insertion order.
+// Results returns a copy of all recorded results as rows, month
+// ascending and in insertion order within a month (see
+// TraceCampaign.Samples).
 func (c *ChaosCampaign) Results() []ChaosResult {
-	out := make([]ChaosResult, len(c.results))
-	copy(out, c.results)
+	out := make([]ChaosResult, 0, c.Len())
+	for _, p := range c.parts {
+		for i := range p.Rows() {
+			out = append(out, p.result(i))
+		}
+	}
 	return out
 }

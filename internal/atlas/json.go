@@ -230,6 +230,9 @@ func ParseResultsJSON(r io.Reader) (*ChaosCampaign, *TraceCampaign, error) {
 	if err := sc.Err(); err != nil {
 		return nil, nil, fmt.Errorf("atlas: read: %w", err)
 	}
+	// The month builders' code maps are dead weight once parsing ends;
+	// a later Add copies the partition into a fresh builder.
+	chaos.open, trace.open = nil, nil
 	return chaos, trace, nil
 }
 

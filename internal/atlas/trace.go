@@ -1,7 +1,8 @@
 package atlas
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"vzlens/internal/months"
 	"vzlens/internal/series"
@@ -18,45 +19,98 @@ type TraceSample struct {
 }
 
 // TraceCampaign collects the platform-wide traceroute measurements over a
-// five-day window at the start of each month.
+// five-day window at the start of each month, as one partition per month
+// with samples. It is safe for concurrent reads; Add must not race
+// anything.
 type TraceCampaign struct {
-	samples []TraceSample
+	parts []*TracePartition // ascending by month, none empty
+	// open holds the builders of the months Add has appended to. A
+	// partition Add did not build may be shared (with the fact lake, or
+	// with the baseline of a windowed scenario run), so Add copies it
+	// into a builder before its first append.
+	open map[months.Month]*traceBuilder
 }
 
 // NewTraceCampaign returns an empty campaign.
 func NewTraceCampaign() *TraceCampaign { return &TraceCampaign{} }
 
-// Add records a sample.
-func (t *TraceCampaign) Add(s TraceSample) { t.samples = append(t.samples, s) }
-
-// AddAll records a batch of samples in order — the merge step of the
-// parallel campaign engine's per-month fragments.
-func (t *TraceCampaign) AddAll(ss []TraceSample) { t.samples = append(t.samples, ss...) }
-
-// Grow reserves capacity for n additional samples, so a merge of
-// known-size fragments costs a single allocation.
-func (t *TraceCampaign) Grow(n int) {
-	if need := len(t.samples) + n; need > cap(t.samples) {
-		grown := make([]TraceSample, len(t.samples), need)
-		copy(grown, t.samples)
-		t.samples = grown
+// NewTraceCampaignOf returns the campaign whose months are parts, which
+// must ascend by month without repeats; nil and empty partitions are
+// dropped. The campaign takes ownership of the slice and shares the
+// partitions, which nothing may modify afterwards.
+func NewTraceCampaignOf(parts []*TracePartition) *TraceCampaign {
+	kept := parts[:0]
+	for _, p := range parts {
+		if p == nil || p.Rows() == 0 {
+			continue
+		}
+		if n := len(kept); n > 0 && p.Month <= kept[n-1].Month {
+			panic("atlas: trace partitions out of month order")
+		}
+		kept = append(kept, p)
 	}
+	return &TraceCampaign{parts: kept}
 }
 
+// Add records a sample.
+func (t *TraceCampaign) Add(s TraceSample) { t.builder(s.Month).add(s, 0) }
+
+// builder returns the builder appending to month m, creating the
+// month's partition or copying a shared one on first use.
+func (t *TraceCampaign) builder(m months.Month) *traceBuilder {
+	if b := t.open[m]; b != nil {
+		return b
+	}
+	i, found := t.search(m)
+	b := newTraceBuilder(m, 0, 0)
+	if found {
+		old := t.parts[i]
+		for r := range old.Rows() {
+			b.add(old.sample(r), old.Hops[r])
+		}
+		t.parts[i] = b.p
+	} else {
+		t.parts = slices.Insert(t.parts, i, b.p)
+	}
+	if t.open == nil {
+		t.open = map[months.Month]*traceBuilder{}
+	}
+	t.open[m] = &b
+	return &b
+}
+
+// search finds month m's position in the partition list.
+func (t *TraceCampaign) search(m months.Month) (int, bool) {
+	return slices.BinarySearchFunc(t.parts, m, func(p *TracePartition, m months.Month) int { return cmp.Compare(p.Month, m) })
+}
+
+// part returns month m's partition, or nil.
+func (t *TraceCampaign) part(m months.Month) *TracePartition {
+	if i, ok := t.search(m); ok {
+		return t.parts[i]
+	}
+	return nil
+}
+
+// Partitions returns the campaign's month partitions, ascending by
+// month. The slice and the partitions are shared: read only.
+func (t *TraceCampaign) Partitions() []*TracePartition { return t.parts }
+
 // Len returns the number of recorded samples.
-func (t *TraceCampaign) Len() int { return len(t.samples) }
+func (t *TraceCampaign) Len() int {
+	n := 0
+	for _, p := range t.parts {
+		n += p.Rows()
+	}
+	return n
+}
 
 // Months returns the months with samples, sorted.
 func (t *TraceCampaign) Months() []months.Month {
-	seen := map[months.Month]bool{}
-	for _, s := range t.samples {
-		seen[s.Month] = true
+	out := make([]months.Month, len(t.parts))
+	for i, p := range t.parts {
+		out[i] = p.Month
 	}
-	out := make([]months.Month, 0, len(seen))
-	for m := range seen {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -65,12 +119,21 @@ func (t *TraceCampaign) Months() []months.Month {
 // removes transient congestion noise — the paper's estimator.
 func (t *TraceCampaign) ProbeMin(cc string, m months.Month) map[int]float64 {
 	mins := map[int]float64{}
-	for _, s := range t.samples {
-		if s.Month != m || s.ProbeCC != cc {
+	p := t.part(m)
+	if p == nil {
+		return mins
+	}
+	code, ok := dictCode(p.Dict, cc)
+	if !ok {
+		return mins
+	}
+	for i, c := range p.CC {
+		if c != code {
 			continue
 		}
-		if cur, ok := mins[s.ProbeID]; !ok || s.RTTms < cur {
-			mins[s.ProbeID] = s.RTTms
+		id, rtt := int(p.ProbeID[i]), p.RTT[i]
+		if cur, ok := mins[id]; !ok || rtt < cur {
+			mins[id] = rtt
 		}
 	}
 	return mins
@@ -96,9 +159,13 @@ func (t *TraceCampaign) CountryMedian(cc string, m months.Month) (float64, bool)
 // benchmarks compare against.
 func (t *TraceCampaign) CountryMeanNaive(cc string, m months.Month) (float64, bool) {
 	var vals []float64
-	for _, s := range t.samples {
-		if s.Month == m && s.ProbeCC == cc {
-			vals = append(vals, s.RTTms)
+	if p := t.part(m); p != nil {
+		if code, ok := dictCode(p.Dict, cc); ok {
+			for i, c := range p.CC {
+				if c == code {
+					vals = append(vals, p.RTT[i])
+				}
+			}
 		}
 	}
 	mean, err := stats.Mean(vals)
@@ -108,20 +175,15 @@ func (t *TraceCampaign) CountryMeanNaive(cc string, m months.Month) (float64, bo
 // MedianPanel returns the per-country monthly median-RTT panel — the data
 // behind Figure 12.
 func (t *TraceCampaign) MedianPanel() *series.Panel {
-	countries := map[string]bool{}
-	for _, s := range t.samples {
-		countries[s.ProbeCC] = true
-	}
-	p := series.NewPanel()
-	for cc := range countries {
-		dst := p.Country(cc)
-		for _, m := range t.Months() {
-			if med, ok := t.CountryMedian(cc, m); ok {
-				dst.Set(m, med)
+	panel := series.NewPanel()
+	for _, p := range t.parts {
+		for _, cc := range p.Dict {
+			if med, ok := t.CountryMedian(cc, p.Month); ok {
+				panel.Country(cc).Set(p.Month, med)
 			}
 		}
 	}
-	return p
+	return panel
 }
 
 // ProbeMinsWithLocation returns each probe's minimum RTT in month m for
@@ -145,9 +207,16 @@ type ProbeRTT struct {
 	MinRTTms float64
 }
 
-// Samples returns a copy of all recorded samples in insertion order.
+// Samples returns a copy of all recorded samples as rows, month
+// ascending and in insertion order within a month. That is the order
+// the kernel emits and the fact lake stores; a campaign built by Add
+// with out-of-order months comes back grouped by month.
 func (t *TraceCampaign) Samples() []TraceSample {
-	out := make([]TraceSample, len(t.samples))
-	copy(out, t.samples)
+	out := make([]TraceSample, 0, t.Len())
+	for _, p := range t.parts {
+		for i := range p.Rows() {
+			out = append(out, p.sample(i))
+		}
+	}
 	return out
 }

@@ -52,7 +52,7 @@ func builtLake(t testing.TB, w *world.World) *Lake {
 }
 
 func TestTracePartitionRoundTrip(t *testing.T) {
-	p := &TracePartition{
+	p := &atlas.TracePartition{
 		Month:   months.MustParse("2020-05"),
 		RTT:     []float64{1.5, 2.25, 99.875},
 		ProbeID: []int32{7, 7, 9},
@@ -70,12 +70,12 @@ func TestTracePartitionRoundTrip(t *testing.T) {
 }
 
 func TestChaosPartitionRoundTrip(t *testing.T) {
-	p := &ChaosPartition{
+	p := &atlas.ChaosPartition{
 		Month:   months.MustParse("2021-11"),
 		ProbeID: []int32{1, 2, 3},
 		TXT:     []uint32{0, 2, 2},
 		CC:      []uint16{1, 1, 3},
-		SiteCC:  []uint16{3, DictNone, 1},
+		SiteCC:  []uint16{3, atlas.DictNone, 1},
 		Letter:  []uint8{'A', 'K', 'M'},
 		Dict:    []string{"ccs1-ccs2", "VE", "mia1-ccs3", "US"},
 	}
@@ -89,11 +89,11 @@ func TestChaosPartitionRoundTrip(t *testing.T) {
 }
 
 func TestEmptyPartitionsRoundTrip(t *testing.T) {
-	tp0 := &TracePartition{Month: 1, RTT: []float64{}, ProbeID: []int32{}, CC: []uint16{}, Hops: []uint8{}, Dict: []string{}}
+	tp0 := &atlas.TracePartition{Month: 1, RTT: []float64{}, ProbeID: []int32{}, CC: []uint16{}, Hops: []uint8{}, Dict: []string{}}
 	if _, _, err := DecodePartition(EncodeTracePartition(tp0)); err != nil {
 		t.Fatalf("empty trace partition: %v", err)
 	}
-	cp0 := &ChaosPartition{Month: 1, ProbeID: []int32{}, TXT: []uint32{}, CC: []uint16{}, SiteCC: []uint16{}, Letter: []uint8{}, Dict: []string{}}
+	cp0 := &atlas.ChaosPartition{Month: 1, ProbeID: []int32{}, TXT: []uint32{}, CC: []uint16{}, SiteCC: []uint16{}, Letter: []uint8{}, Dict: []string{}}
 	if _, _, err := DecodePartition(EncodeChaosPartition(cp0)); err != nil {
 		t.Fatalf("empty chaos partition: %v", err)
 	}
@@ -103,7 +103,7 @@ func TestEmptyPartitionsRoundTrip(t *testing.T) {
 // and expects every one to surface ErrCorrupt, never a panic or a
 // silent success.
 func TestDecodeCorrupt(t *testing.T) {
-	valid := EncodeTracePartition(&TracePartition{
+	valid := EncodeTracePartition(&atlas.TracePartition{
 		Month:   months.MustParse("2020-01"),
 		RTT:     []float64{1, 2},
 		ProbeID: []int32{4, 5},
@@ -122,7 +122,7 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 	// A cc code pointing past the dictionary: encode never validates
 	// codes (the recorder cannot produce bad ones), decode must.
-	badCC := EncodeTracePartition(&TracePartition{
+	badCC := EncodeTracePartition(&atlas.TracePartition{
 		Month: months.MustParse("2020-01"), RTT: []float64{1},
 		ProbeID: []int32{4}, CC: []uint16{9}, Hops: []uint8{1}, Dict: []string{"VE"},
 	})
@@ -152,8 +152,8 @@ func TestRecorderIdempotentPerMonth(t *testing.T) {
 	m := months.MustParse("2020-01")
 	s1 := []atlas.TraceSample{{Month: m, ProbeID: 1, ProbeCC: "VE", RTTms: 10}}
 	s2 := []atlas.TraceSample{{Month: m, ProbeID: 2, ProbeCC: "BR", RTTms: 20}}
-	rec.TraceMonthFacts(m, s1, []uint8{3})
-	rec.TraceMonthFacts(m, s2, []uint8{4}) // duplicate delivery: dropped
+	rec.TraceMonthFacts(atlas.NewTracePartition(m, s1, []uint8{3}))
+	rec.TraceMonthFacts(atlas.NewTracePartition(m, s2, []uint8{4})) // duplicate delivery: dropped
 	trace, _ := rec.payloads()
 	tp, _, err := DecodePartition(trace[m])
 	if err != nil {
@@ -170,47 +170,40 @@ func TestRecorderIdempotentPerMonth(t *testing.T) {
 // delivery, and a later duplicate delivery keeps the first payload.
 func TestRecorderConcurrentDeliveries(t *testing.T) {
 	w := testWorld(t)
-	traceGroups := splitByMonth(w.TraceCampaign().Samples(), func(s atlas.TraceSample) months.Month { return s.Month })
-	chaosGroups := splitByMonth(w.ChaosCampaign().Results(), func(r atlas.ChaosResult) months.Month { return r.Month })
-	hopsFor := func(n int) []uint8 {
-		h := make([]uint8, n)
-		for i := range h {
-			h[i] = uint8(i % 7)
-		}
-		return h
-	}
+	traceParts := w.TraceCampaign().Partitions()
+	chaosParts := w.ChaosCampaign().Partitions()
 
 	serial := NewRecorder()
-	for _, g := range traceGroups {
-		serial.TraceMonthFacts(g.month, g.rows, hopsFor(len(g.rows)))
+	for _, p := range traceParts {
+		serial.TraceMonthFacts(p)
 	}
-	for _, g := range chaosGroups {
-		serial.ChaosMonthFacts(g.month, g.rows)
+	for _, p := range chaosParts {
+		serial.ChaosMonthFacts(p)
 	}
 
 	concurrent := NewRecorder()
 	var wg sync.WaitGroup
-	for _, g := range traceGroups {
+	for _, p := range traceParts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			concurrent.TraceMonthFacts(g.month, g.rows, hopsFor(len(g.rows)))
+			concurrent.TraceMonthFacts(p)
 		}()
 	}
-	for _, g := range chaosGroups {
+	for _, p := range chaosParts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			concurrent.ChaosMonthFacts(g.month, g.rows)
+			concurrent.ChaosMonthFacts(p)
 		}()
 	}
 	wg.Wait()
 
 	wantTrace, wantChaos := serial.payloads()
 	gotTrace, gotChaos := concurrent.payloads()
-	if len(gotTrace) != len(traceGroups) || len(gotChaos) != len(chaosGroups) {
+	if len(gotTrace) != len(traceParts) || len(gotChaos) != len(chaosParts) {
 		t.Fatalf("recorded %d trace / %d chaos months, want %d / %d",
-			len(gotTrace), len(gotChaos), len(traceGroups), len(chaosGroups))
+			len(gotTrace), len(gotChaos), len(traceParts), len(chaosParts))
 	}
 	for m, want := range wantTrace {
 		if !bytes.Equal(gotTrace[m], want) {
@@ -224,14 +217,15 @@ func TestRecorderConcurrentDeliveries(t *testing.T) {
 	}
 
 	// A duplicate delivery with different rows keeps the first payload.
-	first := chaosGroups[0]
-	concurrent.ChaosMonthFacts(first.month, chaosGroups[1].rows)
-	concurrent.TraceMonthFacts(traceGroups[0].month, traceGroups[1].rows, nil)
+	dupChaos, dupTrace := *chaosParts[1], *traceParts[1]
+	dupChaos.Month, dupTrace.Month = chaosParts[0].Month, traceParts[0].Month
+	concurrent.ChaosMonthFacts(&dupChaos)
+	concurrent.TraceMonthFacts(&dupTrace)
 	gotTrace, gotChaos = concurrent.payloads()
-	if !bytes.Equal(gotChaos[first.month], wantChaos[first.month]) {
+	if !bytes.Equal(gotChaos[dupChaos.Month], wantChaos[dupChaos.Month]) {
 		t.Error("duplicate chaos delivery replaced the first payload")
 	}
-	if !bytes.Equal(gotTrace[traceGroups[0].month], wantTrace[traceGroups[0].month]) {
+	if !bytes.Equal(gotTrace[dupTrace.Month], wantTrace[dupTrace.Month]) {
 		t.Error("duplicate trace delivery replaced the first payload")
 	}
 }
@@ -473,11 +467,17 @@ func checkDimensions(t *testing.T, w *world.World) {
 func TestIngestFallback(t *testing.T) {
 	rec := NewRecorder()
 	m1, m2 := months.MustParse("2020-01"), months.MustParse("2020-02")
-	rec.IngestTrace([]atlas.TraceSample{
+	ingested := atlas.NewTraceCampaign()
+	for _, s := range []atlas.TraceSample{
 		{Month: m1, ProbeID: 1, ProbeCC: "VE", RTTms: 10},
 		{Month: m2, ProbeID: 1, ProbeCC: "VE", RTTms: 11},
 		{Month: m1, ProbeID: 2, ProbeCC: "BR", RTTms: 12},
-	})
+	} {
+		ingested.Add(s)
+	}
+	for _, p := range ingested.Partitions() {
+		rec.TraceMonthFacts(p)
+	}
 	if got := rec.TraceMonths(); len(got) != 2 || got[0] != m1 || got[1] != m2 {
 		t.Fatalf("ingested months: %v", got)
 	}
@@ -491,11 +491,10 @@ func TestIngestFallback(t *testing.T) {
 	}
 }
 
-// TestCampaignReconstructionAllocs pins the lake's campaign rebuild to
-// a fixed allocation count however many months the lake holds: every
-// partition is fetched first and the result slice is sized once.
-// Growing the slice once per month would allocate (and recopy every
-// row so far) per partition, which is quadratic in the window.
+// TestCampaignReconstructionAllocs pins the lake's campaign assembly to
+// a fixed allocation count however many months the lake holds: the
+// campaign is the decoded partitions, so assembling it allocates the
+// partition list and the campaign, never a row.
 func TestCampaignReconstructionAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates AllocsPerRun")
@@ -550,9 +549,49 @@ func TestCampaignReconstructionAllocs(t *testing.T) {
 		t.Errorf("ChaosCampaign allocs grow with months: %d months %.0f, %d months %.0f",
 			len(short.ChaosMonths()), shortChaos, len(full.ChaosMonths()), longChaos)
 	}
-	// The campaign, the partition list and the one result slice.
+	// The partition list and the campaign, with one to spare.
 	const budget = 3
 	if longTrace > budget || longChaos > budget {
 		t.Errorf("reconstruction allocs trace %.0f, chaos %.0f; want <= %d each", longTrace, longChaos, budget)
+	}
+}
+
+// TestLakeCampaignsSharePartitions pins the lake-built campaigns to the
+// lake's own decoded partitions: month for month, the campaign holds the
+// pointer ChaosPart / TracePart return, so serving a campaign keeps no
+// second copy of its facts.
+func TestLakeCampaignsSharePartitions(t *testing.T) {
+	l := builtLake(t, testWorld(t))
+	tc, err := l.TraceCampaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc, err := l.ChaosCampaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(tc.Partitions()), len(l.TraceMonths()); got != want {
+		t.Fatalf("trace campaign holds %d partitions, lake %d", got, want)
+	}
+	for i, m := range l.TraceMonths() {
+		p, err := l.TracePart(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.Partitions()[i] != p {
+			t.Errorf("trace %s: campaign partition is not the lake's", m)
+		}
+	}
+	if got, want := len(cc.Partitions()), len(l.ChaosMonths()); got != want {
+		t.Fatalf("chaos campaign holds %d partitions, lake %d", got, want)
+	}
+	for i, m := range l.ChaosMonths() {
+		p, err := l.ChaosPart(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cc.Partitions()[i] != p {
+			t.Errorf("chaos %s: campaign partition is not the lake's", m)
+		}
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 
+	"vzlens/internal/atlas"
 	"vzlens/internal/months"
 	"vzlens/internal/resultstore"
 )
@@ -59,14 +60,9 @@ const (
 
 	frameHeaderSize = 32
 
-	// DictNone is the siteCC column's sentinel for a CHAOS answer whose
-	// TXT did not parse under its letter's naming convention — the rows
-	// the paper's regular-expression extraction skips.
-	DictNone = 0xFFFF
-
 	// maxDictEntries keeps dictionary codes inside uint16 with room for
-	// the DictNone sentinel.
-	maxDictEntries = DictNone
+	// the atlas.DictNone sentinel.
+	maxDictEntries = atlas.DictNone
 
 	// minTraceRowBytes / minChaosRowBytes bound the row count a payload
 	// of a given size can possibly hold, so a corrupt header can never
@@ -74,38 +70,6 @@ const (
 	minTraceRowBytes = 8 + 4 + 2 + 1
 	minChaosRowBytes = 4 + 4 + 2 + 2 + 1
 )
-
-// TracePartition is one decoded month of traceroute facts. Rows are in
-// kernel emission order: active probes ascending by ID, SamplesPerProbe
-// consecutive rows per probe — so per-probe aggregation is a linear
-// scan over runs of equal ProbeID, and month-ordered concatenation of
-// partitions reconstructs the campaign byte-identically.
-type TracePartition struct {
-	Month   months.Month
-	RTT     []float64 // RTT sample in milliseconds
-	ProbeID []int32
-	CC      []uint16 // probe country, dictionary code
-	Hops    []uint8  // AS-path length of the selected anycast site
-	Dict    []string
-}
-
-// Rows returns the number of fact rows.
-func (p *TracePartition) Rows() int { return len(p.ProbeID) }
-
-// ChaosPartition is one decoded month of CHAOS facts. Rows are in
-// kernel emission order: letter-major, probe-minor.
-type ChaosPartition struct {
-	Month   months.Month
-	ProbeID []int32
-	TXT     []uint32 // CHAOS TXT answer, dictionary code
-	CC      []uint16 // probe country, dictionary code
-	SiteCC  []uint16 // parsed site country code, or DictNone
-	Letter  []uint8  // root letter 'A'..'M'
-	Dict    []string
-}
-
-// Rows returns the number of fact rows.
-func (p *ChaosPartition) Rows() int { return len(p.ProbeID) }
 
 // pad8 rounds n up to the next multiple of 8; every column section
 // starts 8-byte aligned so future zero-copy readers stay possible.
@@ -145,8 +109,8 @@ func encodeHeader(buf []byte, kind byte, m months.Month, rows int, dict []string
 // EncodeTracePartition encodes p into a VZFC payload (the caller wraps
 // it in a VZRS frame for disk). It panics on structurally impossible
 // inputs — mismatched column lengths or an oversized dictionary — which
-// only a bug in the recorder can produce.
-func EncodeTracePartition(p *TracePartition) []byte {
+// only a bug in the partition coder can produce.
+func EncodeTracePartition(p *atlas.TracePartition) []byte {
 	rows := p.Rows()
 	if len(p.RTT) != rows || len(p.CC) != rows || len(p.Hops) != rows {
 		panic("facts: trace partition column lengths disagree")
@@ -175,7 +139,7 @@ func EncodeTracePartition(p *TracePartition) []byte {
 }
 
 // EncodeChaosPartition encodes p into a VZFC payload.
-func EncodeChaosPartition(p *ChaosPartition) []byte {
+func EncodeChaosPartition(p *atlas.ChaosPartition) []byte {
 	rows := p.Rows()
 	if len(p.TXT) != rows || len(p.CC) != rows || len(p.SiteCC) != rows || len(p.Letter) != rows {
 		panic("facts: chaos partition column lengths disagree")
@@ -284,7 +248,7 @@ func decodeHead(payload []byte) (frameHead, error) {
 // DecodePartition validates and decodes a VZFC payload into exactly one
 // of a trace or chaos partition. The returned partitions copy out of
 // payload and never alias it.
-func DecodePartition(payload []byte) (*TracePartition, *ChaosPartition, error) {
+func DecodePartition(payload []byte) (*atlas.TracePartition, *atlas.ChaosPartition, error) {
 	h, err := decodeHead(payload)
 	if err != nil {
 		return nil, nil, err
@@ -306,13 +270,13 @@ func section(payload []byte, off, size int) ([]byte, int, error) {
 	return payload[off : off+size], pad8(off + size), nil
 }
 
-func decodeTrace(payload []byte, h frameHead) (*TracePartition, error) {
+func decodeTrace(payload []byte, h frameHead) (*atlas.TracePartition, error) {
 	rows := h.rows
 	want := pad8(8*rows) + pad8(4*rows) + pad8(2*rows) + pad8(rows)
 	if len(payload)-h.off != want {
 		return nil, fmt.Errorf("%w: facts trace payload %d bytes, want %d after header", ErrCorrupt, len(payload)-h.off, want)
 	}
-	p := &TracePartition{
+	p := &atlas.TracePartition{
 		Month:   h.month,
 		RTT:     make([]float64, rows),
 		ProbeID: make([]int32, rows),
@@ -352,13 +316,13 @@ func decodeTrace(payload []byte, h frameHead) (*TracePartition, error) {
 	return p, nil
 }
 
-func decodeChaos(payload []byte, h frameHead) (*ChaosPartition, error) {
+func decodeChaos(payload []byte, h frameHead) (*atlas.ChaosPartition, error) {
 	rows := h.rows
 	want := pad8(4*rows) + pad8(4*rows) + pad8(2*rows) + pad8(2*rows) + pad8(rows)
 	if len(payload)-h.off != want {
 		return nil, fmt.Errorf("%w: facts chaos payload %d bytes, want %d after header", ErrCorrupt, len(payload)-h.off, want)
 	}
-	p := &ChaosPartition{
+	p := &atlas.ChaosPartition{
 		Month:   h.month,
 		ProbeID: make([]int32, rows),
 		TXT:     make([]uint32, rows),
@@ -400,7 +364,7 @@ func decodeChaos(payload []byte, h frameHead) (*ChaosPartition, error) {
 	}
 	for i := range p.SiteCC {
 		p.SiteCC[i] = binary.LittleEndian.Uint16(b[2*i:])
-		if p.SiteCC[i] != DictNone && int(p.SiteCC[i]) >= len(p.Dict) {
+		if p.SiteCC[i] != atlas.DictNone && int(p.SiteCC[i]) >= len(p.Dict) {
 			return nil, fmt.Errorf("%w: facts siteCC code %d outside dictionary", ErrCorrupt, p.SiteCC[i])
 		}
 	}

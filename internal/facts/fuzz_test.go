@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"vzlens/internal/atlas"
 	"vzlens/internal/months"
 )
 
@@ -19,7 +20,7 @@ import (
 func FuzzFactFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("VZFC"))
-	f.Add(EncodeTracePartition(&TracePartition{
+	f.Add(EncodeTracePartition(&atlas.TracePartition{
 		Month:   months.MustParse("2020-01"),
 		RTT:     []float64{1.25, 2.5},
 		ProbeID: []int32{3, 4},
@@ -27,12 +28,12 @@ func FuzzFactFrame(f *testing.F) {
 		Hops:    []uint8{2, 3},
 		Dict:    []string{"VE", "BR"},
 	}))
-	f.Add(EncodeChaosPartition(&ChaosPartition{
+	f.Add(EncodeChaosPartition(&atlas.ChaosPartition{
 		Month:   months.MustParse("2021-06"),
 		ProbeID: []int32{9},
 		TXT:     []uint32{0},
 		CC:      []uint16{1},
-		SiteCC:  []uint16{DictNone},
+		SiteCC:  []uint16{atlas.DictNone},
 		Letter:  []uint8{'K'},
 		Dict:    []string{"ns1.ve-ccs.k.ripe.net", "VE"},
 	}))
@@ -72,7 +73,7 @@ func FuzzFactFrame(f *testing.F) {
 
 // sameTrace is reflect.DeepEqual with the RTT column compared by bits:
 // DeepEqual treats every NaN as unequal to itself.
-func sameTrace(a, b *TracePartition) bool {
+func sameTrace(a, b *atlas.TracePartition) bool {
 	if len(a.RTT) != len(b.RTT) {
 		return false
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"vzlens/internal/atlas"
-	"vzlens/internal/dnsroot"
 	"vzlens/internal/months"
 	"vzlens/internal/resultstore"
 	"vzlens/internal/world"
@@ -74,8 +73,8 @@ type lakeState struct {
 type partCell struct {
 	path string
 	once sync.Once
-	tp   *TracePartition
-	cp   *ChaosPartition
+	tp   *atlas.TracePartition
+	cp   *atlas.ChaosPartition
 	err  error
 }
 
@@ -144,13 +143,17 @@ func (l *Lake) Build(ctx context.Context, w *world.World) error {
 	cc := w.ChaosCampaignCtx(ctx)
 	w.SetFactSink(nil)
 	// Externally ingested campaigns short-circuit simulation, so the
-	// kernel hooks never fire for them; ingest the returned rows
-	// instead (hop counts unknown, recorded as zero).
+	// kernel hooks never fire for them; record the returned campaigns'
+	// partitions instead (hop counts unknown, recorded as zero).
 	if len(rec.TraceMonths()) == 0 {
-		rec.IngestTrace(tc.Samples())
+		for _, p := range tc.Partitions() {
+			rec.TraceMonthFacts(p)
+		}
 	}
 	if len(rec.ChaosMonths()) == 0 {
-		rec.IngestChaos(cc.Results())
+		for _, p := range cc.Partitions() {
+			rec.ChaosMonthFacts(p)
+		}
 	}
 	dims := BuildDimensions(w)
 	return l.commit(rec, dims)
@@ -284,7 +287,7 @@ func (l *Lake) ChaosMonths() []months.Month {
 // TracePart returns month m's decoded trace partition, decoding (and
 // caching) it on first touch. Months without a committed partition
 // return (nil, nil) — pruning and absence look the same to callers.
-func (l *Lake) TracePart(m months.Month) (*TracePartition, error) {
+func (l *Lake) TracePart(m months.Month) (*atlas.TracePartition, error) {
 	cell := l.state().trace[m]
 	if cell == nil {
 		return nil, nil
@@ -294,7 +297,7 @@ func (l *Lake) TracePart(m months.Month) (*TracePartition, error) {
 }
 
 // ChaosPart is TracePart for the CHAOS fact table.
-func (l *Lake) ChaosPart(m months.Month) (*ChaosPartition, error) {
+func (l *Lake) ChaosPart(m months.Month) (*atlas.ChaosPartition, error) {
 	cell := l.state().chaos[m]
 	if cell == nil {
 		return nil, nil
@@ -349,72 +352,36 @@ func (l *Lake) noteCorrupt(path string, err error) error {
 	return err
 }
 
-// TraceCampaign reconstructs the full traceroute campaign from the
-// partition files. Rows come back in kernel emission order month by
-// month, so the result is byte-identical to the campaign the lake was
-// built from — the contract the differential test net pins against the
-// golden experiment tables. Every partition is fetched first, in month
-// order, so the result slice is sized and allocated once rather than
-// regrown (and recopied) per month.
+// TraceCampaign returns the full traceroute campaign over the lake's
+// decoded partitions: the campaign is the partitions, shared with the
+// lake's cache rather than copied, so serving it costs no memory beyond
+// the decode. Rows are in kernel emission order month by month, so the
+// campaign is byte-identical to the one the lake was built from — the
+// contract the differential test net pins against the golden experiment
+// tables.
 func (l *Lake) TraceCampaign() (*atlas.TraceCampaign, error) {
 	st := l.state()
-	parts := make([]*TracePartition, 0, len(st.traceMonths))
-	rows := 0
+	parts := make([]*atlas.TracePartition, 0, len(st.traceMonths))
 	for _, m := range st.traceMonths {
 		p, err := l.TracePart(m)
 		if err != nil {
 			return nil, err
 		}
-		if p == nil {
-			continue
-		}
 		parts = append(parts, p)
-		rows += p.Rows()
 	}
-	tc := atlas.NewTraceCampaign()
-	tc.Grow(rows)
-	for _, p := range parts {
-		for i := 0; i < p.Rows(); i++ {
-			tc.Add(atlas.TraceSample{
-				Month:   p.Month,
-				ProbeID: int(p.ProbeID[i]),
-				ProbeCC: p.Dict[p.CC[i]],
-				RTTms:   p.RTT[i],
-			})
-		}
-	}
-	return tc, nil
+	return atlas.NewTraceCampaignOf(parts), nil
 }
 
-// ChaosCampaign reconstructs the full CHAOS campaign; see
-// TraceCampaign.
+// ChaosCampaign is TraceCampaign for the CHAOS fact table.
 func (l *Lake) ChaosCampaign() (*atlas.ChaosCampaign, error) {
 	st := l.state()
-	parts := make([]*ChaosPartition, 0, len(st.chaosMonths))
-	rows := 0
+	parts := make([]*atlas.ChaosPartition, 0, len(st.chaosMonths))
 	for _, m := range st.chaosMonths {
 		p, err := l.ChaosPart(m)
 		if err != nil {
 			return nil, err
 		}
-		if p == nil {
-			continue
-		}
 		parts = append(parts, p)
-		rows += p.Rows()
 	}
-	cc := atlas.NewChaosCampaign()
-	cc.Grow(rows)
-	for _, p := range parts {
-		for i := 0; i < p.Rows(); i++ {
-			cc.Add(atlas.ChaosResult{
-				Month:   p.Month,
-				ProbeID: int(p.ProbeID[i]),
-				ProbeCC: p.Dict[p.CC[i]],
-				Letter:  dnsroot.Letter(p.Letter[i]),
-				TXT:     p.Dict[p.TXT[i]],
-			})
-		}
-	}
-	return cc, nil
+	return atlas.NewChaosCampaignOf(parts), nil
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strconv"
 
+	"vzlens/internal/atlas"
 	"vzlens/internal/facts"
 	"vzlens/internal/months"
 	"vzlens/internal/stats"
@@ -303,7 +304,7 @@ func (e *Engine) runChaos(p Params, agg *aggregator, res *Result) error {
 				agg.group(key)
 			}
 			c.total++
-			if part.SiteCC[i] != facts.DictNone && part.SiteCC[i] == cc {
+			if part.SiteCC[i] != atlas.DictNone && part.SiteCC[i] == cc {
 				c.domestic++
 			}
 		}

@@ -240,18 +240,27 @@ func unionMonths(a, b []months.Month) []months.Month {
 	return out
 }
 
-// countriesByMonth indexes the union of both campaigns' samples into
-// sorted per-month country sets, in one pass over each sample list.
+// countriesByMonth indexes the union of both campaigns' probe
+// countries into sorted per-month country sets, reading each month
+// partition's CC column and dictionary rather than copying rows.
 func countriesByMonth(base, scen *atlas.TraceCampaign) map[months.Month][]string {
 	seen := map[months.Month]map[string]bool{}
-	for _, samples := range [][]atlas.TraceSample{base.Samples(), scen.Samples()} {
-		for _, s := range samples {
-			set, ok := seen[s.Month]
+	for _, tc := range []*atlas.TraceCampaign{base, scen} {
+		for _, p := range tc.Partitions() {
+			set, ok := seen[p.Month]
 			if !ok {
 				set = map[string]bool{}
-				seen[s.Month] = set
+				seen[p.Month] = set
 			}
-			set[s.ProbeCC] = true
+			used := make([]bool, len(p.Dict))
+			for _, c := range p.CC {
+				used[c] = true
+			}
+			for c, cc := range p.Dict {
+				if used[c] {
+					set[cc] = true
+				}
+			}
 		}
 	}
 	out := make(map[months.Month][]string, len(seen))

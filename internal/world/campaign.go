@@ -81,8 +81,9 @@ func sampleSeed(seed int64, m months.Month, probeID int) int64 {
 // SamplesPerProbe times per monthly snapshot, and the RTT combines the
 // anycast catchment path, the country's access delay, and exponential
 // queueing jitter. Monthly snapshots fan out over the Workers pool;
-// fragments merge in month order, so the result is identical to the
-// sequential simulation.
+// each worker codes its month's fragment into the month's partition,
+// and the campaign is the partitions in month order, so the result is
+// identical to the sequential simulation.
 func (w *World) TraceCampaign() *atlas.TraceCampaign {
 	return w.TraceCampaignCtx(context.Background())
 }
@@ -108,36 +109,30 @@ func (w *World) TraceCampaignCtx(ctx context.Context) *atlas.TraceCampaign {
 // traceCampaign simulates the traceroute campaign under plan (nil =
 // baseline), fanning monthly snapshots over the worker pool. Each
 // worker iteration checks a scratch arena out of the World's pool, so
-// steady-state shards reuse columns instead of reallocating them.
+// steady-state shards reuse columns instead of reallocating them, and
+// codes its month into a partition; the row fragment is transient.
 func (w *World) traceCampaign(ctx context.Context, plan *ScenarioPlan) *atlas.TraceCampaign {
 	ctx, span := obs.StartSpan(ctx, "campaign.trace")
 	if plan != nil {
 		span.SetAttr("scenario", plan.Key)
 	}
 	ms := w.campaignMonths(w.Config.TraceStart, w.Config.TraceEnd)
-	frags := make([][]atlas.TraceSample, len(ms))
+	parts := make([]*atlas.TracePartition, len(ms))
 	start := time.Now()
 	var busy, arenaWait atomic.Int64
 	forEachIndex(len(ms), w.workers(), func(i int) {
 		t0 := time.Now()
 		ar, acq := w.acquireArena()
-		frags[i] = w.traceMonth(ctx, ms[i], plan, ar)
+		samples, hops := w.traceMonth(ctx, ms[i], plan, ar)
 		w.releaseArena(ar)
+		parts[i] = w.tracePartition(ms[i], plan, samples, hops)
 		d := time.Since(t0)
 		busy.Add(int64(d))
 		arenaWait.Add(int64(acq))
 		w.met.traceMonthDur.ObserveDuration(d)
 	})
 	wall := time.Since(start)
-	total := 0
-	for _, f := range frags {
-		total += len(f)
-	}
-	tc := atlas.NewTraceCampaign()
-	tc.Grow(total)
-	for _, f := range frags {
-		tc.AddAll(f)
-	}
+	tc := atlas.NewTraceCampaignOf(parts)
 	w.met.traceRuns.Inc()
 	w.met.traceResults.Add(uint64(tc.Len()))
 	w.met.traceWall.Set(wall.Seconds())
@@ -174,8 +169,9 @@ func utilization(busyNS int64, wall time.Duration, workers, shards int) float64 
 // only seed, month, probe) and per-probe, so the columnar order of
 // computation cannot change a single draw: a baseline-vs-scenario RTT
 // delta reflects the topology change alone, and output is
-// byte-identical to the per-probe loop this replaced.
-func (w *World) traceMonth(ctx context.Context, m months.Month, plan *ScenarioPlan, ar *campaignArena) []atlas.TraceSample {
+// byte-identical to the per-probe loop this replaced. hops parallels
+// samples: the AS-path length of each sample's selected anycast site.
+func (w *World) traceMonth(ctx context.Context, m months.Month, plan *ScenarioPlan, ar *campaignArena) (samples []atlas.TraceSample, hops []uint8) {
 	_, span := obs.StartSpan(ctx, "campaign.month")
 	if ar == nil {
 		var own *campaignArena
@@ -207,7 +203,8 @@ func (w *World) traceMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 			reach++
 		}
 	}
-	out := make([]atlas.TraceSample, 0, reach*w.Config.SamplesPerProbe)
+	samples = make([]atlas.TraceSample, 0, reach*w.Config.SamplesPerProbe)
+	hops = make([]uint8, 0, cap(samples))
 	for i, c := range mc.classOf {
 		if !ar.ok[c] {
 			continue
@@ -215,37 +212,42 @@ func (w *World) traceMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 		id, cc := int(mc.ids[i]), mc.keys[c].country
 		ar.jit.Seed(sampleSeed(w.Config.Seed, m, id))
 		for s := 0; s < w.Config.SamplesPerProbe; s++ {
-			out = append(out, atlas.TraceSample{
+			samples = append(samples, atlas.TraceSample{
 				Month:   m,
 				ProbeID: id,
 				ProbeCC: cc,
 				RTTms:   netsim.RTT(ar.oneWay[c], ar.access[c], ar.rng),
 			})
+			hops = append(hops, ar.hops[c])
 		}
-	}
-	if sink := w.armedFactSink(); sink != nil && plan == nil {
-		// One hop-count per sample, expanded from the per-class column.
-		// Emission happens after the RNG loop and reads only what the
-		// kernel already computed, so output stays bit-identical.
-		hops := make([]uint8, 0, len(out))
-		for _, c := range mc.classOf {
-			if !ar.ok[c] {
-				continue
-			}
-			for s := 0; s < w.Config.SamplesPerProbe; s++ {
-				hops = append(hops, ar.hops[c])
-			}
-		}
-		sink.TraceMonthFacts(m, out, hops)
 	}
 	if span != nil {
 		span.SetAttr("campaign", "trace")
 		span.SetAttr("month", m.String())
 		span.SetAttr("probes", len(mc.ids))
-		span.SetAttr("samples", len(out))
+		span.SetAttr("samples", len(samples))
 		span.End()
 	}
-	return out
+	return samples, hops
+}
+
+// tracePartition codes one simulated month into the campaign's month
+// partition and hands a baseline month to the armed fact sink.
+func (w *World) tracePartition(m months.Month, plan *ScenarioPlan, samples []atlas.TraceSample, hops []uint8) *atlas.TracePartition {
+	p := atlas.NewTracePartition(m, samples, hops)
+	if sink := w.armedFactSink(); sink != nil && plan == nil {
+		sink.TraceMonthFacts(p)
+	}
+	return p
+}
+
+// chaosPartition is tracePartition for the CHAOS sweep.
+func (w *World) chaosPartition(m months.Month, plan *ScenarioPlan, results []atlas.ChaosResult) *atlas.ChaosPartition {
+	p := atlas.NewChaosPartition(m, results)
+	if sink := w.armedFactSink(); sink != nil && plan == nil {
+		sink.ChaosMonthFacts(p)
+	}
+	return p
 }
 
 // clampHops saturates an AS-path length into the fact lake's uint8 hop
@@ -262,9 +264,9 @@ func clampHops(h int) uint8 {
 
 // ChaosCampaign simulates the built-in CHAOS TXT measurements toward all
 // thirteen root letters from every active probe in each monthly
-// snapshot. Monthly snapshots fan out over the Workers pool; the sweep
-// involves no randomness, so the merged result is identical to the
-// sequential simulation.
+// snapshot. Monthly snapshots fan out over the Workers pool, each coded
+// into its month's partition; the sweep involves no randomness, so the
+// result is identical to the sequential simulation.
 func (w *World) ChaosCampaign() *atlas.ChaosCampaign {
 	return w.ChaosCampaignCtx(context.Background())
 }
@@ -288,29 +290,22 @@ func (w *World) chaosCampaign(ctx context.Context, plan *ScenarioPlan) *atlas.Ch
 		span.SetAttr("scenario", plan.Key)
 	}
 	ms := w.campaignMonths(w.Config.ChaosStart, w.Config.ChaosEnd)
-	frags := make([][]atlas.ChaosResult, len(ms))
+	parts := make([]*atlas.ChaosPartition, len(ms))
 	start := time.Now()
 	var busy, arenaWait atomic.Int64
 	forEachIndex(len(ms), w.workers(), func(i int) {
 		t0 := time.Now()
 		ar, acq := w.acquireArena()
-		frags[i] = w.chaosMonth(ctx, ms[i], plan, ar)
+		results := w.chaosMonth(ctx, ms[i], plan, ar)
 		w.releaseArena(ar)
+		parts[i] = w.chaosPartition(ms[i], plan, results)
 		d := time.Since(t0)
 		busy.Add(int64(d))
 		arenaWait.Add(int64(acq))
 		w.met.chaosMonthDur.ObserveDuration(d)
 	})
 	wall := time.Since(start)
-	total := 0
-	for _, f := range frags {
-		total += len(f)
-	}
-	cc := atlas.NewChaosCampaign()
-	cc.Grow(total)
-	for _, f := range frags {
-		cc.AddAll(f)
-	}
+	cc := atlas.NewChaosCampaignOf(parts)
 	w.met.chaosRuns.Inc()
 	w.met.chaosResults.Add(uint64(cc.Len()))
 	w.met.chaosWall.Set(wall.Seconds())
@@ -397,9 +392,6 @@ func (w *World) chaosMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 				TXT:     txt[ar.idx[base+int(c)]],
 			})
 		}
-	}
-	if sink := w.armedFactSink(); sink != nil && plan == nil {
-		sink.ChaosMonthFacts(m, out)
 	}
 	if span != nil {
 		span.SetAttr("campaign", "chaos")

@@ -8,22 +8,21 @@ import (
 )
 
 // FactSink receives baseline campaign months as the columnar kernels
-// emit them — the hook the fact lake builds its month-partitioned
+// code them — the hook the fact lake builds its month-partitioned
 // columnar files from. Hooks fire only for baseline simulation (never
 // under a scenario overlay) and only while a sink is armed via
 // SetFactSink, from inside month shards: implementations must be safe
 // for concurrent calls on distinct months, and idempotent per month
 // (a month may be re-simulated by a concurrent campaign run; the
 // emission is deterministic, so duplicate deliveries carry identical
-// rows). The slices are the kernel's own month fragments — valid only
-// for the duration of the call; sinks must encode, not retain.
+// rows). The partition is the one the returned campaign holds: sinks
+// may keep it but must not modify it.
 type FactSink interface {
-	// TraceMonthFacts delivers one simulated traceroute month. hops
-	// parallels samples: the AS-path length of each sample's selected
-	// anycast site (the per-class catchment hop count).
-	TraceMonthFacts(m months.Month, samples []atlas.TraceSample, hops []uint8)
+	// TraceMonthFacts delivers one simulated traceroute month, its Hops
+	// column filled from the per-class catchment hop counts.
+	TraceMonthFacts(p *atlas.TracePartition)
 	// ChaosMonthFacts delivers one simulated CHAOS month.
-	ChaosMonthFacts(m months.Month, results []atlas.ChaosResult)
+	ChaosMonthFacts(p *atlas.ChaosPartition)
 }
 
 // SetFactSink arms (or, with nil, disarms) the campaign kernels' fact

@@ -136,7 +136,7 @@ func TestKernelMonthsMatchReference(t *testing.T) {
 		}
 		for _, m := range ms {
 			t.Run(fmt.Sprintf("%s/%s", name, m), func(t *testing.T) {
-				gotT := w.traceMonth(ctx, m, plan, nil)
+				gotT, _ := w.traceMonth(ctx, m, plan, nil)
 				wantT := refTraceMonth(t, w, m, plan)
 				if !equalTraceSamples(gotT, wantT) {
 					t.Errorf("traceMonth diverges from reference (%d vs %d samples)", len(gotT), len(wantT))

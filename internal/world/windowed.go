@@ -15,9 +15,10 @@ import (
 // streams are scenario-blind (sampleSeed hashes only seed, month,
 // probe) and every other input to a monthly snapshot is month-local.
 // The windowed campaign runs below therefore re-simulate only the
-// months a plan can touch and splice the caller's memoized baseline in
-// for the rest — for a sweep of hundreds of single-window specs this
-// turns N full campaign replays into N small fractions of one.
+// months a plan can touch and share the caller's memoized baseline
+// partitions for the rest — for a sweep of hundreds of single-window
+// specs this turns N full campaign replays into N small fractions of
+// one, and copies no baseline rows.
 
 // topoActiveAt reports whether the plan's topology edits (links,
 // depeers, moves, or a provider-timeline shift) can alter month m.
@@ -98,12 +99,13 @@ func equalASNs(a, b []bgp.ASN) bool {
 }
 
 // TraceCampaignScenarioWindowed simulates the traceroute campaign under
-// plan, re-simulating only the months plan can affect and reusing
-// base's samples for the rest. It returns the campaign and the number
-// of months actually re-simulated. The output is bit-identical to a
-// full replay under plan: outside the affected months the overlay is
-// empty and the RNG streams are scenario-blind, so the baseline samples
-// ARE the scenario samples. A nil base falls back to the full replay.
+// plan, re-simulating only the months plan can affect and sharing
+// base's partitions for the rest. It returns the campaign and the
+// number of months actually re-simulated. The output is bit-identical
+// to a full replay under plan: outside the affected months the overlay
+// is empty and the RNG streams are scenario-blind, so the baseline
+// partitions ARE the scenario's. A nil base falls back to the full
+// replay.
 func (w *World) TraceCampaignScenarioWindowed(ctx context.Context, plan *ScenarioPlan, base *atlas.TraceCampaign) (*atlas.TraceCampaign, int) {
 	if plan == nil {
 		return w.TraceCampaignCtx(ctx), 0
@@ -115,32 +117,19 @@ func (w *World) TraceCampaignScenarioWindowed(ctx context.Context, plan *Scenari
 	ctx, span := obs.StartSpan(ctx, "campaign.trace")
 	span.SetAttr("scenario", plan.Key)
 	span.SetAttr("windowed", true)
-	affected := make([]bool, len(ms))
-	var idx []int
-	for i, m := range ms {
-		if plan.AffectsTraceAt(m) {
-			affected[i] = true
-			idx = append(idx, i)
-		}
-	}
-	frags := make([][]atlas.TraceSample, len(ms))
+	parts := make([]*atlas.TracePartition, len(ms))
+	idx := splice(ms, plan.AffectsTraceAt, base.Partitions(), parts,
+		func(p *atlas.TracePartition) months.Month { return p.Month })
 	forEachIndex(len(idx), w.workers(), func(k int) {
 		i := idx[k]
 		// The arena pool is World-level, so a sweep of many specs reuses
 		// the same scratch columns across specs, not just across months.
 		ar, _ := w.acquireArena()
-		frags[i] = w.traceMonth(ctx, ms[i], plan, ar)
+		samples, hops := w.traceMonth(ctx, ms[i], plan, ar)
 		w.releaseArena(ar)
+		parts[i] = w.tracePartition(ms[i], plan, samples, hops)
 	})
-	byMonth := traceSamplesByMonth(base)
-	tc := atlas.NewTraceCampaign()
-	for i, m := range ms {
-		if affected[i] {
-			tc.AddAll(frags[i])
-		} else {
-			tc.AddAll(byMonth[m])
-		}
-	}
+	tc := atlas.NewTraceCampaignOf(parts)
 	span.SetAttr("months", len(ms))
 	span.SetAttr("recomputed", len(idx))
 	span.SetAttr("samples", tc.Len())
@@ -161,30 +150,17 @@ func (w *World) ChaosCampaignScenarioWindowed(ctx context.Context, plan *Scenari
 	ctx, span := obs.StartSpan(ctx, "campaign.chaos")
 	span.SetAttr("scenario", plan.Key)
 	span.SetAttr("windowed", true)
-	affected := make([]bool, len(ms))
-	var idx []int
-	for i, m := range ms {
-		if plan.AffectsChaosAt(m) {
-			affected[i] = true
-			idx = append(idx, i)
-		}
-	}
-	frags := make([][]atlas.ChaosResult, len(ms))
+	parts := make([]*atlas.ChaosPartition, len(ms))
+	idx := splice(ms, plan.AffectsChaosAt, base.Partitions(), parts,
+		func(p *atlas.ChaosPartition) months.Month { return p.Month })
 	forEachIndex(len(idx), w.workers(), func(k int) {
 		i := idx[k]
 		ar, _ := w.acquireArena()
-		frags[i] = w.chaosMonth(ctx, ms[i], plan, ar)
+		results := w.chaosMonth(ctx, ms[i], plan, ar)
 		w.releaseArena(ar)
+		parts[i] = w.chaosPartition(ms[i], plan, results)
 	})
-	byMonth := chaosResultsByMonth(base)
-	cc := atlas.NewChaosCampaign()
-	for i, m := range ms {
-		if affected[i] {
-			cc.AddAll(frags[i])
-		} else {
-			cc.AddAll(byMonth[m])
-		}
-	}
+	cc := atlas.NewChaosCampaignOf(parts)
 	span.SetAttr("months", len(ms))
 	span.SetAttr("recomputed", len(idx))
 	span.SetAttr("results", cc.Len())
@@ -192,23 +168,22 @@ func (w *World) ChaosCampaignScenarioWindowed(ctx context.Context, plan *Scenari
 	return cc, len(idx)
 }
 
-// traceSamplesByMonth partitions a campaign's samples by month in one
-// pass, preserving encounter order within each month — the order the
-// simulator produced them in, which the splice must reproduce for
-// byte-identical output.
-func traceSamplesByMonth(tc *atlas.TraceCampaign) map[months.Month][]atlas.TraceSample {
-	out := map[months.Month][]atlas.TraceSample{}
-	for _, s := range tc.Samples() {
-		out[s.Month] = append(out[s.Month], s)
+// splice fills parts[i] with base's partition for every month ms[i] the
+// plan leaves untouched (nil when base has no rows that month) and
+// returns the indices of the affected months, which the caller
+// re-simulates. Both ms and base ascend by month.
+func splice[P any](ms []months.Month, affected func(months.Month) bool, base, parts []*P, month func(*P) months.Month) []int {
+	var idx []int
+	for i, m := range ms {
+		for len(base) > 0 && month(base[0]) < m {
+			base = base[1:]
+		}
+		switch {
+		case affected(m):
+			idx = append(idx, i)
+		case len(base) > 0 && month(base[0]) == m:
+			parts[i] = base[0]
+		}
 	}
-	return out
-}
-
-// chaosResultsByMonth is traceSamplesByMonth for CHAOS results.
-func chaosResultsByMonth(cc *atlas.ChaosCampaign) map[months.Month][]atlas.ChaosResult {
-	out := map[months.Month][]atlas.ChaosResult{}
-	for _, r := range cc.Results() {
-		out[r.Month] = append(out[r.Month], r)
-	}
-	return out
+	return idx
 }

@@ -196,3 +196,44 @@ func equalChaosResults(a, b []atlas.ChaosResult) bool {
 	}
 	return true
 }
+
+// TestWindowedSharesBaselinePartitions pins the windowed replay's
+// zero-copy splice: every month the plan leaves untouched is the
+// baseline's own partition, and every affected month is a fresh one.
+func TestWindowedSharesBaselinePartitions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("campaign simulation")
+	}
+	w := windowedTestWorld(t)
+	ctx := context.Background()
+	baseTC, baseCC := w.TraceCampaign(), w.ChaosCampaign()
+	plan := windowedPlans(t)["depeer_window"]
+	winTC, _ := w.TraceCampaignScenarioWindowed(ctx, plan, baseTC)
+	winCC, _ := w.ChaosCampaignScenarioWindowed(ctx, plan, baseCC)
+	shared := 0
+	for i, p := range winTC.Partitions() {
+		base := baseTC.Partitions()[i]
+		if p.Month != base.Month {
+			t.Fatalf("trace partition %d is %s, baseline's is %s", i, p.Month, base.Month)
+		}
+		if same := p == base; same == plan.AffectsTraceAt(p.Month) {
+			t.Errorf("trace %s: shares baseline partition = %v, affected = %v", p.Month, same, !same)
+		} else if same {
+			shared++
+		}
+	}
+	for i, p := range winCC.Partitions() {
+		base := baseCC.Partitions()[i]
+		if p.Month != base.Month {
+			t.Fatalf("chaos partition %d is %s, baseline's is %s", i, p.Month, base.Month)
+		}
+		if same := p == base; same == plan.AffectsChaosAt(p.Month) {
+			t.Errorf("chaos %s: shares baseline partition = %v, affected = %v", p.Month, same, !same)
+		} else if same {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Error("no untouched month to share: the plan window covers the whole campaign")
+	}
+}
