@@ -676,10 +676,9 @@ func BenchmarkSweepResume(b *testing.B) {
 }
 
 // BenchmarkFactBuild times producing one full fact-lake generation:
-// both campaigns simulate with the recorder armed, every month encodes
-// into a dictionary-coded columnar partition, the SCD2 dimensions
-// derive from the world, and the generation commits durably
-// (tmp+fsync+rename, manifest last).
+// both campaigns simulate, every month encodes into a dictionary-coded
+// columnar partition, the SCD2 dimensions derive from the world, and
+// the generation commits durably (tmp+fsync+rename, manifest last).
 func BenchmarkFactBuild(b *testing.B) {
 	setup()
 	b.ReportAllocs()
@@ -689,7 +688,7 @@ func BenchmarkFactBuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := lake.Build(context.Background(), benchW); err != nil {
+		if err := lake.BuildFrom(benchW, benchW.TraceCampaign(), benchW.ChaosCampaign()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -708,7 +707,7 @@ func BenchmarkColdStart(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := lake.Build(context.Background(), w); err != nil {
+		if err := lake.BuildFrom(w, w.TraceCampaign(), w.ChaosCampaign()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -732,7 +731,7 @@ func setupLake() (*facts.Lake, error) {
 		}
 		benchLake, benchLakeErr = facts.Open(dir, benchW.Config.Scope())
 		if benchLakeErr == nil {
-			benchLakeErr = benchLake.Build(context.Background(), benchW)
+			benchLakeErr = benchLake.BuildFrom(benchW, benchW.TraceCampaign(), benchW.ChaosCampaign())
 		}
 	})
 	return benchLake, benchLakeErr

@@ -17,7 +17,7 @@
 //	GET  /api/experiments
 //	GET  /api/experiments/{id}        (fig1..fig21, table1; append .csv)
 //	GET  /api/countries/{cc}
-//	GET  /api/query                   (ad-hoc fact-lake aggregation; requires -facts)
+//	GET  /api/query                   (ad-hoc fact-lake aggregation; requires -facts or -store)
 //	GET  /api/scenarios               (registered counterfactual scenarios)
 //	POST /api/scenarios               (register a scenario spec)
 //	GET  /api/scenarios/{id}/diff     (baseline-vs-scenario diff; simulates on first request)
@@ -60,14 +60,16 @@
 // simulates locally. The default -role standalone is exactly the
 // single-process server described above.
 //
-// -facts DIR persists the campaigns' probe-month samples as a
-// month-partitioned columnar fact lake under DIR and serves ad-hoc
-// aggregations over it at GET /api/query (metric × country × month
-// window × percentile × group-by; see DESIGN.md §17). A lake built by
-// a previous run reloads instantly; otherwise the first generation
-// builds during the background warm-up and queries answer 503 with
-// Retry-After until it commits. Only partitions inside the requested
-// month window are ever decoded.
+// -facts DIR persists both campaigns as a month-partitioned columnar
+// fact lake under DIR and serves ad-hoc aggregations over it at GET
+// /api/query (metric × country × month window × percentile × group-by;
+// see DESIGN.md §17). Without -facts, -store DIR puts the lake at
+// DIR/facts/<scope>, one directory per world configuration, so
+// /api/query is served under -store too. A lake built by
+// a previous run reloads instantly; otherwise the first generation is
+// built from the campaigns the background warm-up simulates, and
+// queries answer 503 with Retry-After until it commits. Only
+// partitions inside the requested month window are ever decoded.
 //
 // -scenario-file is validated as a whole at startup: every invalid
 // entry is reported with its spec id, and the process exits nonzero
@@ -85,9 +87,9 @@
 // -queue-timeout in a priority queue (health probes are never queued),
 // and beyond that requests are shed with 503 + Retry-After. Concurrent
 // requests for the same experiment coalesce into one computation. With
-// -store, computed tables and campaign results persist to a crash-safe
-// on-disk store, so a restarted server warms near-instantly; corrupt
-// entries are quarantined and recomputed. SIGINT/SIGTERM drain
+// -store, computed tables persist to a crash-safe on-disk store and
+// the campaigns to its fact lake, so a restarted server warms
+// near-instantly; corrupt entries are quarantined and recomputed. SIGINT/SIGTERM drain
 // in-flight requests for up to -drain before the process exits.
 //
 // Observability: -debug-addr starts a second listener (bind it to
@@ -128,7 +130,7 @@ func main() {
 	maxInflight := flag.Int("max-inflight", 64, "max concurrently executing requests (0 = unlimited)")
 	queueTimeout := flag.Duration("queue-timeout", 10*time.Second, "max wait for an execution slot before shedding")
 	storeDir := flag.String("store", "", "crash-safe result store directory (empty = no persistence)")
-	factsDir := flag.String("facts", "", "columnar fact lake directory enabling GET /api/query (empty = disabled)")
+	factsDir := flag.String("facts", "", "columnar fact lake directory persisting both campaigns and enabling GET /api/query (empty = <-store>/facts/<scope>, or disabled without -store)")
 	scenarioFile := flag.String("scenario-file", "", "preload counterfactual scenario specs from FILE (one spec or a JSON array)")
 	scenarioLenient := flag.Bool("scenario-lenient", false, "serve the valid subset of -scenario-file instead of refusing to start")
 	sweepWorkers := flag.Int("sweep-workers", 2, "concurrent spec simulations per sweep")

@@ -1,7 +1,6 @@
 package vzlens
 
 import (
-	"context"
 	"runtime"
 	"testing"
 
@@ -31,10 +30,10 @@ func TestColdStartRetainedHeap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lake.Build(context.Background(), w); err != nil {
+	tc, cc := w.TraceCampaign(), w.ChaosCampaign()
+	if err := lake.BuildFrom(w, tc, cc); err != nil {
 		t.Fatal(err)
 	}
-	tc, cc := w.TraceCampaign(), w.ChaosCampaign()
 
 	runtime.GC()
 	runtime.GC()
@@ -51,10 +50,10 @@ func TestColdStartRetainedHeap(t *testing.T) {
 	}
 }
 
-// TestServedRetainedHeap is TestColdStartRetainedHeap on the path
-// vzserve serves: after the lake build, the campaigns come from the
-// lake (its decoded partitions) rather than from the kernel, and the
-// kernel's own campaigns are dropped.
+// TestServedRetainedHeap is TestColdStartRetainedHeap on the path a
+// restarted vzserve serves: the lake is reopened over the directory a
+// build wrote, so the campaigns come from its partitions decoded from
+// disk, and the kernel's own campaigns are dropped.
 func TestServedRetainedHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a world and a fact lake")
@@ -66,11 +65,16 @@ func TestServedRetainedHeap(t *testing.T) {
 	runtime.ReadMemStats(&before)
 
 	w := mustBuild(world.Config{Step: 3})
-	lake, err := facts.Open(t.TempDir(), w.Config.Scope())
+	dir := t.TempDir()
+	built, err := facts.Open(dir, w.Config.Scope())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lake.Build(context.Background(), w); err != nil {
+	if err := built.BuildFrom(w, w.TraceCampaign(), w.ChaosCampaign()); err != nil {
+		t.Fatal(err)
+	}
+	lake, err := facts.Open(dir, w.Config.Scope())
+	if err != nil {
 		t.Fatal(err)
 	}
 	tc, err := lake.TraceCampaign()

@@ -1,7 +1,6 @@
 package atlas_test
 
 import (
-	"context"
 	"reflect"
 	"slices"
 	"sort"
@@ -275,7 +274,11 @@ func TestAnalysisMatchesRowScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lake.Build(context.Background(), w); err != nil {
+	if err := lake.BuildFrom(w, w.TraceCampaign(), w.ChaosCampaign()); err != nil {
+		t.Fatal(err)
+	}
+	// Reopen cold, so the lake's campaigns are decoded from disk.
+	if lake, err = facts.Open(lake.Dir(), w.Config.Scope()); err != nil {
 		t.Fatal(err)
 	}
 	lakeTC, err := lake.TraceCampaign()

@@ -1,7 +1,6 @@
 package facts
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -9,7 +8,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime/debug"
-	"sync"
 	"testing"
 
 	"vzlens/internal/atlas"
@@ -45,7 +43,7 @@ func builtLake(t testing.TB, w *world.World) *Lake {
 	if err != nil {
 		t.Fatalf("open lake: %v", err)
 	}
-	if err := l.Build(context.Background(), w); err != nil {
+	if err := l.BuildFrom(w, w.TraceCampaign(), w.ChaosCampaign()); err != nil {
 		t.Fatalf("build lake: %v", err)
 	}
 	return l
@@ -121,7 +119,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		zeroMonth[i] = 0
 	}
 	// A cc code pointing past the dictionary: encode never validates
-	// codes (the recorder cannot produce bad ones), decode must.
+	// codes (the kernel cannot produce bad ones), decode must.
 	badCC := EncodeTracePartition(&atlas.TracePartition{
 		Month: months.MustParse("2020-01"), RTT: []float64{1},
 		ProbeID: []int32{4}, CC: []uint16{9}, Hops: []uint8{1}, Dict: []string{"VE"},
@@ -147,89 +145,6 @@ func TestDecodeCorrupt(t *testing.T) {
 	}
 }
 
-func TestRecorderIdempotentPerMonth(t *testing.T) {
-	rec := NewRecorder()
-	m := months.MustParse("2020-01")
-	s1 := []atlas.TraceSample{{Month: m, ProbeID: 1, ProbeCC: "VE", RTTms: 10}}
-	s2 := []atlas.TraceSample{{Month: m, ProbeID: 2, ProbeCC: "BR", RTTms: 20}}
-	rec.TraceMonthFacts(atlas.NewTracePartition(m, s1, []uint8{3}))
-	rec.TraceMonthFacts(atlas.NewTracePartition(m, s2, []uint8{4})) // duplicate delivery: dropped
-	trace, _ := rec.payloads()
-	tp, _, err := DecodePartition(trace[m])
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if tp.Rows() != 1 || tp.ProbeID[0] != 1 {
-		t.Fatalf("duplicate delivery replaced first write: %+v", tp)
-	}
-}
-
-// TestRecorderConcurrentDeliveries pins the Recorder's lock scope:
-// months delivered concurrently (encoded outside the lock, as two
-// kernel workers do) produce the same payload bytes as serial
-// delivery, and a later duplicate delivery keeps the first payload.
-func TestRecorderConcurrentDeliveries(t *testing.T) {
-	w := testWorld(t)
-	traceParts := w.TraceCampaign().Partitions()
-	chaosParts := w.ChaosCampaign().Partitions()
-
-	serial := NewRecorder()
-	for _, p := range traceParts {
-		serial.TraceMonthFacts(p)
-	}
-	for _, p := range chaosParts {
-		serial.ChaosMonthFacts(p)
-	}
-
-	concurrent := NewRecorder()
-	var wg sync.WaitGroup
-	for _, p := range traceParts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			concurrent.TraceMonthFacts(p)
-		}()
-	}
-	for _, p := range chaosParts {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			concurrent.ChaosMonthFacts(p)
-		}()
-	}
-	wg.Wait()
-
-	wantTrace, wantChaos := serial.payloads()
-	gotTrace, gotChaos := concurrent.payloads()
-	if len(gotTrace) != len(traceParts) || len(gotChaos) != len(chaosParts) {
-		t.Fatalf("recorded %d trace / %d chaos months, want %d / %d",
-			len(gotTrace), len(gotChaos), len(traceParts), len(chaosParts))
-	}
-	for m, want := range wantTrace {
-		if !bytes.Equal(gotTrace[m], want) {
-			t.Errorf("trace %s: concurrent payload differs from serial", m)
-		}
-	}
-	for m, want := range wantChaos {
-		if !bytes.Equal(gotChaos[m], want) {
-			t.Errorf("chaos %s: concurrent payload differs from serial", m)
-		}
-	}
-
-	// A duplicate delivery with different rows keeps the first payload.
-	dupChaos, dupTrace := *chaosParts[1], *traceParts[1]
-	dupChaos.Month, dupTrace.Month = chaosParts[0].Month, traceParts[0].Month
-	concurrent.ChaosMonthFacts(&dupChaos)
-	concurrent.TraceMonthFacts(&dupTrace)
-	gotTrace, gotChaos = concurrent.payloads()
-	if !bytes.Equal(gotChaos[dupChaos.Month], wantChaos[dupChaos.Month]) {
-		t.Error("duplicate chaos delivery replaced the first payload")
-	}
-	if !bytes.Equal(gotTrace[dupTrace.Month], wantTrace[dupTrace.Month]) {
-		t.Error("duplicate trace delivery replaced the first payload")
-	}
-}
-
 // TestBuildReconstructsCampaigns is the lake's core contract: campaigns
 // rebuilt from the partition files are byte-identical to the campaigns
 // the lake was built from.
@@ -240,7 +155,7 @@ func TestBuildReconstructsCampaigns(t *testing.T) {
 	wantTrace := w.TraceCampaign().Samples()
 	wantChaos := w.ChaosCampaign().Results()
 
-	// Reopen cold: everything must come off disk, not recorder memory.
+	// Reopen cold: everything must come off disk, not the build's memory.
 	l2, err := Open(l.Dir(), w.Config.Scope())
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -462,10 +377,15 @@ func checkDimensions(t *testing.T, w *world.World) {
 	}
 }
 
-// TestIngestFallback covers the externally-ingested-campaign path where
-// the kernel hooks never fire.
-func TestIngestFallback(t *testing.T) {
-	rec := NewRecorder()
+// TestBuildIngestedCampaign builds a lake from a campaign ingested
+// outside the kernel: it takes the kernel's path, and its partitions
+// record zero hops.
+func TestBuildIngestedCampaign(t *testing.T) {
+	w := testWorld(t)
+	l, err := Open(t.TempDir(), w.Config.Scope())
+	if err != nil {
+		t.Fatal(err)
+	}
 	m1, m2 := months.MustParse("2020-01"), months.MustParse("2020-02")
 	ingested := atlas.NewTraceCampaign()
 	for _, s := range []atlas.TraceSample{
@@ -475,16 +395,22 @@ func TestIngestFallback(t *testing.T) {
 	} {
 		ingested.Add(s)
 	}
-	for _, p := range ingested.Partitions() {
-		rec.TraceMonthFacts(p)
+	if err := l.BuildFrom(w, ingested, atlas.NewChaosCampaign()); err != nil {
+		t.Fatalf("build lake: %v", err)
 	}
-	if got := rec.TraceMonths(); len(got) != 2 || got[0] != m1 || got[1] != m2 {
+	l2, err := Open(l.Dir(), w.Config.Scope())
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if got := l2.TraceMonths(); len(got) != 2 || got[0] != m1 || got[1] != m2 {
 		t.Fatalf("ingested months: %v", got)
 	}
-	trace, _ := rec.payloads()
-	tp, _, err := DecodePartition(trace[m1])
+	if got := l2.ChaosMonths(); len(got) != 0 {
+		t.Fatalf("empty chaos campaign recorded months %v", got)
+	}
+	tp, err := l2.TracePart(m1)
 	if err != nil || tp.Rows() != 2 {
-		t.Fatalf("month 1 partition: rows=%d err=%v", tp.Rows(), err)
+		t.Fatalf("month 1 partition: %+v, err=%v", tp, err)
 	}
 	if tp.Hops[0] != 0 {
 		t.Fatalf("external ingest should record zero hops, got %d", tp.Hops[0])
@@ -557,11 +483,20 @@ func TestCampaignReconstructionAllocs(t *testing.T) {
 }
 
 // TestLakeCampaignsSharePartitions pins the lake-built campaigns to the
-// lake's own decoded partitions: month for month, the campaign holds the
-// pointer ChaosPart / TracePart return, so serving a campaign keeps no
-// second copy of its facts.
+// lake's own partitions: month for month, the campaign holds the
+// pointer ChaosPart / TracePart return, and those are the partitions of
+// the campaigns BuildFrom was given, so serving a campaign keeps no
+// second copy of its facts and the build decodes nothing it wrote.
 func TestLakeCampaignsSharePartitions(t *testing.T) {
-	l := builtLake(t, testWorld(t))
+	w := testWorld(t)
+	built, builtChaos := w.TraceCampaign(), w.ChaosCampaign()
+	l, err := Open(t.TempDir(), w.Config.Scope())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.BuildFrom(w, built, builtChaos); err != nil {
+		t.Fatal(err)
+	}
 	tc, err := l.TraceCampaign()
 	if err != nil {
 		t.Fatal(err)
@@ -570,8 +505,8 @@ func TestLakeCampaignsSharePartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(tc.Partitions()), len(l.TraceMonths()); got != want {
-		t.Fatalf("trace campaign holds %d partitions, lake %d", got, want)
+	if got, want := len(tc.Partitions()), len(l.TraceMonths()); got != want || got != len(built.Partitions()) {
+		t.Fatalf("trace campaign holds %d partitions, lake %d, built from %d", got, want, len(built.Partitions()))
 	}
 	for i, m := range l.TraceMonths() {
 		p, err := l.TracePart(m)
@@ -581,9 +516,12 @@ func TestLakeCampaignsSharePartitions(t *testing.T) {
 		if tc.Partitions()[i] != p {
 			t.Errorf("trace %s: campaign partition is not the lake's", m)
 		}
+		if built.Partitions()[i] != p {
+			t.Errorf("trace %s: lake partition is not the one it was built from", m)
+		}
 	}
-	if got, want := len(cc.Partitions()), len(l.ChaosMonths()); got != want {
-		t.Fatalf("chaos campaign holds %d partitions, lake %d", got, want)
+	if got, want := len(cc.Partitions()), len(l.ChaosMonths()); got != want || got != len(builtChaos.Partitions()) {
+		t.Fatalf("chaos campaign holds %d partitions, lake %d, built from %d", got, want, len(builtChaos.Partitions()))
 	}
 	for i, m := range l.ChaosMonths() {
 		p, err := l.ChaosPart(m)
@@ -593,5 +531,11 @@ func TestLakeCampaignsSharePartitions(t *testing.T) {
 		if cc.Partitions()[i] != p {
 			t.Errorf("chaos %s: campaign partition is not the lake's", m)
 		}
+		if builtChaos.Partitions()[i] != p {
+			t.Errorf("chaos %s: lake partition is not the one it was built from", m)
+		}
+	}
+	if n := l.Decodes(); n != 0 {
+		t.Errorf("the build's own generation decoded %d partitions, want 0", n)
 	}
 }

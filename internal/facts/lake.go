@@ -25,10 +25,10 @@ import (
 // window is never opened, let alone decoded — and decoded partitions
 // cache in memory, so a warm query touches no disk and allocates
 // almost nothing. A corrupt partition is quarantined on first touch and
-// reported as ErrCorrupt; Build rewrites the lake from a fresh
-// simulation. All methods are safe for concurrent use, including
-// queries racing a rebuild: readers resolve one immutable state
-// snapshot per call and rebuilds swap the snapshot atomically.
+// reported as ErrCorrupt; the next build rewrites the lake. All
+// methods are safe for concurrent use, including queries racing a
+// rebuild: readers resolve one immutable state snapshot per call and
+// rebuilds swap the snapshot atomically.
 type Lake struct {
 	dir   string
 	scope string
@@ -36,7 +36,7 @@ type Lake struct {
 	mu sync.RWMutex
 	st *lakeState
 
-	buildMu sync.Mutex // serializes Build; readers never wait on it
+	buildMu sync.Mutex // serializes builds; readers never wait on it
 
 	decodes     atomic.Uint64
 	quarantines atomic.Uint64
@@ -59,7 +59,6 @@ const manifestVersion = 1
 // month lists, the dimensions, and one lazily-decoded cell per
 // partition.
 type lakeState struct {
-	dir         string
 	traceMonths []months.Month
 	chaosMonths []months.Month
 	dims        *Dimensions
@@ -68,8 +67,9 @@ type lakeState struct {
 }
 
 // partCell decodes its partition exactly once, even under concurrent
-// queries; err is sticky (a quarantined partition stays failed until a
-// rebuild swaps the state).
+// queries, unless BuildFrom seeded it with the partition; err is sticky
+// (a quarantined partition stays failed until a rebuild swaps the
+// state).
 type partCell struct {
 	path string
 	once sync.Once
@@ -89,7 +89,7 @@ func Open(dir, scope string) (*Lake, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("facts: create lake dir: %w", err)
 	}
-	l := &Lake{dir: dir, scope: scope, st: &lakeState{dir: dir}}
+	l := &Lake{dir: dir, scope: scope, st: &lakeState{}}
 	if st, err := loadState(dir, scope); err == nil && st != nil {
 		l.st = st
 	}
@@ -125,62 +125,51 @@ func (l *Lake) state() *lakeState {
 	return st
 }
 
-// Build simulates both campaigns with the fact hook armed, derives the
-// dimensions, and writes a fresh lake generation, replacing whatever
-// was on disk. The world's campaign output is bit-identical with the
-// hook armed, so building the lake and serving experiment requests from
-// the same World cannot disagree. Concurrent Builds serialize; queries
-// keep reading the previous generation until the new one is committed.
+// Build simulates w's baseline campaigns and commits them with
+// BuildFrom, for callers that hold a world but no campaigns.
 func (l *Lake) Build(ctx context.Context, w *world.World) error {
+	return l.BuildFrom(w, w.TraceCampaignCtx(ctx), w.ChaosCampaignCtx(ctx))
+}
+
+// BuildFrom writes a fresh lake generation from the two campaigns, one
+// partition file per campaign month, then the dimensions derived from
+// w, then the manifest, replacing whatever was on disk. The new
+// generation holds the campaigns' own partitions, so the lake and the
+// caller share them and nothing just written is decoded again. A
+// campaign ingested from outside the kernel has no hop counts; its
+// partitions record zero hops. Concurrent builds serialize; queries
+// keep reading the previous generation until the new one is committed.
+func (l *Lake) BuildFrom(w *world.World, tc *atlas.TraceCampaign, cc *atlas.ChaosCampaign) error {
 	l.buildMu.Lock()
 	defer l.buildMu.Unlock()
 	if w.Config.Scope() != l.scope {
 		return fmt.Errorf("facts: world scope %q does not match lake scope %q", w.Config.Scope(), l.scope)
 	}
-	rec := NewRecorder()
-	w.SetFactSink(rec)
-	tc := w.TraceCampaignCtx(ctx)
-	cc := w.ChaosCampaignCtx(ctx)
-	w.SetFactSink(nil)
-	// Externally ingested campaigns short-circuit simulation, so the
-	// kernel hooks never fire for them; record the returned campaigns'
-	// partitions instead (hop counts unknown, recorded as zero).
-	if len(rec.TraceMonths()) == 0 {
-		for _, p := range tc.Partitions() {
-			rec.TraceMonthFacts(p)
-		}
-	}
-	if len(rec.ChaosMonths()) == 0 {
-		for _, p := range cc.Partitions() {
-			rec.ChaosMonthFacts(p)
-		}
-	}
-	dims := BuildDimensions(w)
-	return l.commit(rec, dims)
-}
-
-// commit writes a recorder's partitions, the dimensions, and finally
-// the manifest, then swaps the in-memory state to the new generation.
-func (l *Lake) commit(rec *Recorder, dims *Dimensions) error {
-	trace, chaos := rec.payloads()
 	man := Manifest{
 		Version:   manifestVersion,
 		Scope:     l.scope,
 		BuiltUnix: time.Now().Unix(),
 	}
-	for _, m := range rec.TraceMonths() {
-		man.TraceMonths = append(man.TraceMonths, m.String())
-		if err := resultstore.WriteAtomic(l.partPath(KindTrace, m), resultstore.EncodeEntry(trace[m])); err != nil {
+	st := newState(BuildDimensions(w))
+	for _, p := range tc.Partitions() {
+		cell := &partCell{path: partPath(l.dir, KindTrace, p.Month), tp: p}
+		if err := cell.write(EncodeTracePartition(p)); err != nil {
 			return err
 		}
+		st.traceMonths = append(st.traceMonths, p.Month)
+		st.trace[p.Month] = cell
+		man.TraceMonths = append(man.TraceMonths, p.Month.String())
 	}
-	for _, m := range rec.ChaosMonths() {
-		man.ChaosMonths = append(man.ChaosMonths, m.String())
-		if err := resultstore.WriteAtomic(l.partPath(KindChaos, m), resultstore.EncodeEntry(chaos[m])); err != nil {
+	for _, p := range cc.Partitions() {
+		cell := &partCell{path: partPath(l.dir, KindChaos, p.Month), cp: p}
+		if err := cell.write(EncodeChaosPartition(p)); err != nil {
 			return err
 		}
+		st.chaosMonths = append(st.chaosMonths, p.Month)
+		st.chaos[p.Month] = cell
+		man.ChaosMonths = append(man.ChaosMonths, p.Month.String())
 	}
-	dimsDoc, err := json.Marshal(dims)
+	dimsDoc, err := json.Marshal(st.dims)
 	if err != nil {
 		return fmt.Errorf("facts: encode dimensions: %w", err)
 	}
@@ -194,26 +183,33 @@ func (l *Lake) commit(rec *Recorder, dims *Dimensions) error {
 	if err := resultstore.WriteAtomic(filepath.Join(l.dir, "manifest.vzr"), resultstore.EncodeEntry(manDoc)); err != nil {
 		return err
 	}
-	st, err := loadState(l.dir, l.scope)
-	if err != nil {
-		return err
-	}
-	if st == nil {
-		return errors.New("facts: freshly committed lake failed to load")
-	}
 	l.mu.Lock()
 	l.st = st
 	l.mu.Unlock()
 	return nil
 }
 
+// write writes the cell's partition file from payload and marks the
+// cell decoded: it already holds the partition the payload encodes.
+func (c *partCell) write(payload []byte) error {
+	c.once.Do(func() {})
+	return resultstore.WriteAtomic(c.path, resultstore.EncodeEntry(payload))
+}
+
+// newState returns an empty generation over dims.
+func newState(dims *Dimensions) *lakeState {
+	return &lakeState{dims: dims,
+		trace: map[months.Month]*partCell{},
+		chaos: map[months.Month]*partCell{}}
+}
+
 // partPath names a partition file: trace-2019-03.vzfp.
-func (l *Lake) partPath(kind byte, m months.Month) string {
+func partPath(dir string, kind byte, m months.Month) string {
 	prefix := "trace"
 	if kind == KindChaos {
 		prefix = "chaos"
 	}
-	return filepath.Join(l.dir, fmt.Sprintf("%s-%s.vzfp", prefix, m))
+	return filepath.Join(dir, fmt.Sprintf("%s-%s.vzfp", prefix, m))
 }
 
 // loadState reads the manifest and dimensions of a committed lake.
@@ -246,16 +242,14 @@ func loadState(dir, scope string) (*lakeState, error) {
 		return nil, fmt.Errorf("%w: facts dimensions undecodable: %v", ErrCorrupt, err)
 	}
 	dims.index()
-	st := &lakeState{dir: dir, dims: dims,
-		trace: map[months.Month]*partCell{},
-		chaos: map[months.Month]*partCell{}}
+	st := newState(dims)
 	for _, s := range man.TraceMonths {
 		m, err := months.Parse(s)
 		if err != nil {
 			return nil, fmt.Errorf("%w: facts manifest month %q: %v", ErrCorrupt, s, err)
 		}
 		st.traceMonths = append(st.traceMonths, m)
-		st.trace[m] = &partCell{path: filepath.Join(dir, fmt.Sprintf("trace-%s.vzfp", m))}
+		st.trace[m] = &partCell{path: partPath(dir, KindTrace, m)}
 	}
 	for _, s := range man.ChaosMonths {
 		m, err := months.Parse(s)
@@ -263,7 +257,7 @@ func loadState(dir, scope string) (*lakeState, error) {
 			return nil, fmt.Errorf("%w: facts manifest month %q: %v", ErrCorrupt, s, err)
 		}
 		st.chaosMonths = append(st.chaosMonths, m)
-		st.chaos[m] = &partCell{path: filepath.Join(dir, fmt.Sprintf("chaos-%s.vzfp", m))}
+		st.chaos[m] = &partCell{path: partPath(dir, KindChaos, m)}
 	}
 	sort.Slice(st.traceMonths, func(i, j int) bool { return st.traceMonths[i] < st.traceMonths[j] })
 	sort.Slice(st.chaosMonths, func(i, j int) bool { return st.chaosMonths[i] < st.chaosMonths[j] })
@@ -353,12 +347,12 @@ func (l *Lake) noteCorrupt(path string, err error) error {
 }
 
 // TraceCampaign returns the full traceroute campaign over the lake's
-// decoded partitions: the campaign is the partitions, shared with the
-// lake's cache rather than copied, so serving it costs no memory beyond
-// the decode. Rows are in kernel emission order month by month, so the
-// campaign is byte-identical to the one the lake was built from — the
-// contract the differential test net pins against the golden experiment
-// tables.
+// partitions (the ones BuildFrom was given, or decoded from disk): the
+// campaign is the partitions, shared with the lake's cache rather than
+// copied, so serving it costs no memory beyond the partitions. Rows are
+// in kernel emission order month by month, so the campaign is
+// byte-identical to the one the lake was built from — the contract the
+// differential test net pins against the golden experiment tables.
 func (l *Lake) TraceCampaign() (*atlas.TraceCampaign, error) {
 	st := l.state()
 	parts := make([]*atlas.TracePartition, 0, len(st.traceMonths))

@@ -1,7 +1,6 @@
 package golden
 
 import (
-	"context"
 	"net/url"
 	"reflect"
 	"testing"
@@ -25,7 +24,12 @@ func TestExperimentTablesFromFacts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lake.Build(context.Background(), testWorld); err != nil {
+	if err := lake.BuildFrom(testWorld, testWorld.TraceCampaign(), testWorld.ChaosCampaign()); err != nil {
+		t.Fatal(err)
+	}
+	// Reopen cold: the build's generation holds the simulated
+	// partitions, and this pin is about the ones decoded from disk.
+	if lake, err = facts.Open(lake.Dir(), testWorld.Config.Scope()); err != nil {
 		t.Fatal(err)
 	}
 	tc, err := lake.TraceCampaign()

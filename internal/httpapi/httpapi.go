@@ -15,8 +15,9 @@
 // (probes bypass it), adaptive shedding and token-bucket backstops
 // answer 503/429 with Retry-After, concurrent requests for one
 // experiment coalesce into a single computation, and an optional
-// crash-safe result store persists computed tables and campaigns so a
-// restart warms from disk. See DESIGN.md §10.
+// crash-safe result store persists computed tables (and, through the
+// fact lake, the campaigns) so a restart warms from disk. See DESIGN.md
+// §10.
 package httpapi
 
 import (
@@ -54,7 +55,9 @@ import (
 type Options struct {
 	// TraceCampaign and ChaosCampaign override the campaign
 	// simulators; tests inject failures here, tools can inject
-	// precomputed campaigns. Nil uses the world's simulation.
+	// precomputed campaigns. Nil uses the world's simulation. With a
+	// fact lake, the lake persists what these return: a committed
+	// generation fills the campaign caches without calling them.
 	TraceCampaign func() (*atlas.TraceCampaign, error)
 	ChaosCampaign func() (*atlas.ChaosCampaign, error)
 	// RequestTimeout bounds every request; requests over it receive
@@ -84,21 +87,23 @@ type Options struct {
 	// unlimited. Exceeding a bucket returns 429 + Retry-After.
 	RateLimits map[string]overload.Rate
 
-	// FactsDir mounts the ad-hoc query layer: campaign probe-month
-	// samples persist as a month-partitioned columnar fact lake under
-	// this directory, and GET /api/query serves country × metric ×
-	// month-window aggregations over it with strict partition pruning.
-	// If the directory holds no generation for this world's scope, the
-	// lake builds on Warm (queries 503 with Retry-After meanwhile).
-	// Empty disables the layer. See DESIGN.md §17.
+	// FactsDir is the fact lake's directory: the campaigns the handler
+	// serves persist there as month-partitioned columnar files, and
+	// GET /api/query serves country × metric × month-window
+	// aggregations over them with strict partition pruning. If the
+	// directory holds no generation for this world's scope, the lake
+	// builds from the campaigns on Warm (queries 503 with Retry-After
+	// meanwhile). Empty puts the lake at <Store dir>/facts/<scope>,
+	// one lake per world configuration (world.Config.Scope), or,
+	// without a Store, disables the layer. See DESIGN.md §17.
 	FactsDir string
 
-	// Store persists computed experiment tables and campaign results
-	// across restarts: on a cache miss the handler consults the store
-	// before simulating, and every fresh computation is written back,
-	// so Warm() after a restart is near-instant. Corrupt or torn
-	// entries are quarantined and recomputed, never served. Nil
-	// disables persistence.
+	// Store persists computed experiment tables (and, when FactsDir is
+	// empty, holds the fact lake) across restarts: on a cache miss the
+	// handler consults the store before computing, and every fresh
+	// table is written back, so Warm() after a restart is near-instant.
+	// Corrupt or torn entries are quarantined and recomputed, never
+	// served. Nil disables persistence.
 	Store *resultstore.Store
 
 	// Metrics is the registry the handler (and the gate, store, and
@@ -191,10 +196,10 @@ type Handler struct {
 
 	sweeps *sweep.Manager // nil without a result store
 
-	lake         *facts.Lake   // nil without Options.FactsDir
-	queryEng     *query.Engine // nil without Options.FactsDir
+	lake         *facts.Lake   // nil without Options.FactsDir or Store
+	queryEng     *query.Engine // nil without Options.FactsDir or Store
 	qmet         queryMetrics
-	lakeMu       sync.Mutex  // serializes lake builds
+	lakeMu       sync.Mutex  // serializes lake commits
 	lakeBuilding atomic.Bool // a background build is in flight
 
 	cluster       *cluster.Coordinator // non-nil for role "coordinator"
@@ -232,6 +237,11 @@ func NewWithOptions(w *world.World, opts Options) *Handler {
 	h.exps = make(map[string]core.Experiment)
 	for _, e := range core.Experiments() {
 		h.exps[e.ID] = e
+	}
+	// The lake opens before anything that can fill a campaign cell
+	// (resumed sweeps do, from their own goroutines).
+	if opts.FactsDir != "" || opts.Store != nil {
+		h.initFacts()
 	}
 	// The scenario engine reuses the handler's memoized baseline
 	// campaigns, so a scenario run pays for one scenario simulation,
@@ -296,9 +306,6 @@ func NewWithOptions(w *world.World, opts Options) *Handler {
 	h.mux.HandleFunc("GET /api/sweeps", h.listSweeps)
 	h.mux.HandleFunc("POST /api/sweeps", h.postSweep)
 	h.mux.HandleFunc("GET /api/sweeps/{id}", h.getSweep)
-	if opts.FactsDir != "" {
-		h.initFacts()
-	}
 	if opts.DNSPlane != nil {
 		opts.DNSPlane.Instrument(h.reg)
 		h.mux.HandleFunc("GET /api/dns", h.dnsStatus)
@@ -362,71 +369,81 @@ func simulate[T any](fn func() (T, error)) (val T, err error) {
 	return fn()
 }
 
+// traceCampaign returns the traceroute campaign, filling its cell on
+// first use. A fill that simulated persists both campaigns to the fact
+// lake once the chaos cell holds one too.
 func (h *Handler) traceCampaign(ctx context.Context) (*atlas.TraceCampaign, error) {
-	return h.trace.Get(func() (*atlas.TraceCampaign, error) {
-		if tc, ok := h.storedTrace(); ok {
-			return tc, nil
-		}
+	tc, simulated, err := h.fillTrace(ctx)
+	if simulated {
+		h.persistCampaigns()
+	}
+	return tc, err
+}
+
+// chaosCampaign is traceCampaign for the CHAOS campaign.
+func (h *Handler) chaosCampaign(ctx context.Context) (*atlas.ChaosCampaign, error) {
+	cc, simulated, err := h.fillChaos(ctx)
+	if simulated {
+		h.persistCampaigns()
+	}
+	return cc, err
+}
+
+// fillTrace fills the trace cell from the fact lake when it holds a
+// generation, otherwise by simulating through Options.TraceCampaign or
+// the world. simulated reports whether this call's simulation filled
+// the cell.
+func (h *Handler) fillTrace(ctx context.Context) (tc *atlas.TraceCampaign, simulated bool, err error) {
+	tc, err = h.trace.Get(func() (*atlas.TraceCampaign, error) {
 		if tc, ok := h.lakeTrace(); ok {
 			return tc, nil
 		}
-		tc, err := simulate(func() (*atlas.TraceCampaign, error) {
+		simulated = true
+		return simulate(func() (*atlas.TraceCampaign, error) {
 			if h.opts.TraceCampaign != nil {
 				return h.opts.TraceCampaign()
 			}
 			return h.w.TraceCampaignCtx(ctx), nil
 		})
-		if err == nil {
-			h.persistTrace(tc)
-		}
-		return tc, err
 	})
+	return tc, simulated && err == nil, err
+}
+
+// fillChaos is fillTrace for the CHAOS campaign.
+func (h *Handler) fillChaos(ctx context.Context) (cc *atlas.ChaosCampaign, simulated bool, err error) {
+	cc, err = h.chaos.Get(func() (*atlas.ChaosCampaign, error) {
+		if cc, ok := h.lakeChaos(); ok {
+			return cc, nil
+		}
+		simulated = true
+		return simulate(func() (*atlas.ChaosCampaign, error) {
+			if h.opts.ChaosCampaign != nil {
+				return h.opts.ChaosCampaign()
+			}
+			return h.w.ChaosCampaignCtx(ctx), nil
+		})
+	})
+	return cc, simulated && err == nil, err
 }
 
 // Warm primes both lazy campaign caches and blocks until they are warm
 // (or failed; a failure is not cached and the next request retries).
-// The two campaigns run concurrently, and each fans its monthly
-// snapshots out over the world's Workers pool, so /readyz reports warm
-// campaigns proportionally sooner on multicore. Call it from a goroutine
-// at startup to pre-warm without delaying the listener.
+// With a fact lake, the lake is ensured first: a generation reloaded
+// from disk fills both caches without simulating, and a missing one is
+// built from the caches' own simulations. Otherwise the two campaigns
+// run concurrently, each fanning its monthly snapshots out over the
+// world's Workers pool. Call it from a goroutine at startup to pre-warm
+// without delaying the listener.
 func (h *Handler) Warm() {
 	ctx := context.Background()
-	if h.lake != nil {
-		// The lake builds first, deliberately not concurrently with the
-		// campaign caches: one simulation fills the lake, and the
-		// campaign warms below then reconstruct from its partitions
-		// instead of simulating a second time. A lake reloaded from
-		// disk skips simulation entirely.
-		if err := h.ensureLake(ctx, false); err != nil {
-			log.Printf("httpapi: warm fact lake: %v", err)
-		}
+	if err := h.ensureLake(ctx, false); err != nil {
+		log.Printf("httpapi: warm fact lake: %v", err)
 	}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { defer wg.Done(); _, _ = h.traceCampaign(ctx) }()
 	go func() { defer wg.Done(); _, _ = h.chaosCampaign(ctx) }()
 	wg.Wait()
-}
-
-func (h *Handler) chaosCampaign(ctx context.Context) (*atlas.ChaosCampaign, error) {
-	return h.chaos.Get(func() (*atlas.ChaosCampaign, error) {
-		if cc, ok := h.storedChaos(); ok {
-			return cc, nil
-		}
-		if cc, ok := h.lakeChaos(); ok {
-			return cc, nil
-		}
-		cc, err := simulate(func() (*atlas.ChaosCampaign, error) {
-			if h.opts.ChaosCampaign != nil {
-				return h.opts.ChaosCampaign()
-			}
-			return h.w.ChaosCampaignCtx(ctx), nil
-		})
-		if err == nil {
-			h.persistChaos(cc)
-		}
-		return cc, err
-	})
 }
 
 // runExperiment renders one registry experiment, simulating (or reusing)

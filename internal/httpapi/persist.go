@@ -1,23 +1,21 @@
 package httpapi
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"log"
 
-	"vzlens/internal/atlas"
 	"vzlens/internal/core"
 	"vzlens/internal/resultstore"
 )
 
-// This file is the bridge between the handler's in-memory caches and
-// the crash-safe result store: campaign results persist in the Atlas
-// JSON-lines interchange format, experiment tables as the same JSON
-// document the API serves. Every read path treats the store as a
-// cache, never an authority — a missing, corrupt, or mismatched entry
-// silently falls through to recomputation (the store quarantines
-// corrupt entries itself).
+// This file is the bridge between the handler's table cache and the
+// crash-safe result store: experiment tables persist as the same JSON
+// document the API serves (campaigns persist in the fact lake, see
+// query.go). Every read path treats the store as a cache, never an
+// authority — a missing, corrupt, or mismatched entry silently falls
+// through to recomputation (the store quarantines corrupt entries
+// itself).
 
 // storeKey scopes an entry to the world configuration that produced
 // it, so a store directory reused across differently-configured
@@ -69,72 +67,6 @@ func (h *Handler) persistTable(id string, t *core.Table) {
 	}
 	if err := h.opts.Store.Put(h.storeKey("table", id), payload); err != nil {
 		log.Printf("httpapi: persist table %s: %v", id, err)
-	}
-}
-
-// storedTrace loads the traceroute campaign from the store.
-func (h *Handler) storedTrace() (*atlas.TraceCampaign, bool) {
-	if h.opts.Store == nil {
-		return nil, false
-	}
-	payload, err := h.opts.Store.Get(h.storeKey("campaign", "trace"))
-	if err != nil {
-		logStoreMiss("trace campaign", err)
-		return nil, false
-	}
-	_, trace, err := atlas.ParseResultsJSON(bytes.NewReader(payload))
-	if err != nil || trace.Len() == 0 {
-		log.Printf("httpapi: store entry for trace campaign undecodable: %v", err)
-		return nil, false
-	}
-	return trace, true
-}
-
-// persistTrace writes the simulated traceroute campaign to the store.
-func (h *Handler) persistTrace(tc *atlas.TraceCampaign) {
-	if h.opts.Store == nil || tc == nil || tc.Len() == 0 {
-		return
-	}
-	var buf bytes.Buffer
-	if err := atlas.WriteTraceJSON(&buf, tc.Samples()); err != nil {
-		log.Printf("httpapi: encode trace campaign for store: %v", err)
-		return
-	}
-	if err := h.opts.Store.Put(h.storeKey("campaign", "trace"), buf.Bytes()); err != nil {
-		log.Printf("httpapi: persist trace campaign: %v", err)
-	}
-}
-
-// storedChaos loads the CHAOS campaign from the store.
-func (h *Handler) storedChaos() (*atlas.ChaosCampaign, bool) {
-	if h.opts.Store == nil {
-		return nil, false
-	}
-	payload, err := h.opts.Store.Get(h.storeKey("campaign", "chaos"))
-	if err != nil {
-		logStoreMiss("chaos campaign", err)
-		return nil, false
-	}
-	chaos, _, err := atlas.ParseResultsJSON(bytes.NewReader(payload))
-	if err != nil || chaos.Len() == 0 {
-		log.Printf("httpapi: store entry for chaos campaign undecodable: %v", err)
-		return nil, false
-	}
-	return chaos, true
-}
-
-// persistChaos writes the simulated CHAOS campaign to the store.
-func (h *Handler) persistChaos(cc *atlas.ChaosCampaign) {
-	if h.opts.Store == nil || cc == nil || cc.Len() == 0 {
-		return
-	}
-	var buf bytes.Buffer
-	if err := atlas.WriteChaosJSON(&buf, cc.Results()); err != nil {
-		log.Printf("httpapi: encode chaos campaign for store: %v", err)
-		return
-	}
-	if err := h.opts.Store.Put(h.storeKey("campaign", "chaos"), buf.Bytes()); err != nil {
-		log.Printf("httpapi: persist chaos campaign: %v", err)
 	}
 }
 

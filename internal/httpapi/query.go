@@ -5,6 +5,8 @@ import (
 	"errors"
 	"log"
 	"net/http"
+	"path/filepath"
+	"sync"
 	"time"
 
 	"vzlens/internal/atlas"
@@ -51,12 +53,18 @@ func newQueryMetrics(reg *obs.Registry, lake *facts.Lake) queryMetrics {
 	return m
 }
 
-// initFacts opens the fact lake and mounts GET /api/query. Open only
-// loads the manifest; if the directory holds no generation for this
-// world's scope, the lake builds on Warm (or lazily behind the first
-// query, which 503s meanwhile).
+// initFacts opens the fact lake (at Options.FactsDir, or under the
+// result store at facts/<scope>, so one store keeps the campaigns of
+// every world configuration that used it) and mounts GET /api/query.
+// Open only loads the manifest; if the directory holds no generation
+// for this world's scope, the lake builds on Warm (or lazily behind the
+// first query, which 503s meanwhile).
 func (h *Handler) initFacts() {
-	lake, err := facts.Open(h.opts.FactsDir, h.w.Config.Scope())
+	dir := h.opts.FactsDir
+	if dir == "" {
+		dir = filepath.Join(h.opts.Store.Dir(), "facts", h.w.Config.Scope())
+	}
+	lake, err := facts.Open(dir, h.w.Config.Scope())
 	if err != nil {
 		// An unreadable lake directory is an operator mistake worth
 		// failing loudly at startup, like a scenario file that doesn't
@@ -69,17 +77,20 @@ func (h *Handler) initFacts() {
 	h.mux.HandleFunc("GET /api/query", h.query)
 }
 
-// Lake returns the fact lake (nil unless Options.FactsDir was set), so
-// vzserve can report build progress and tests can reach the decode
-// counters.
+// Lake returns the fact lake (nil unless Options.FactsDir or
+// Options.Store was set), so vzserve can report build progress and
+// tests can reach the decode counters.
 func (h *Handler) Lake() *facts.Lake { return h.lake }
 
-// ensureLake builds the lake's first generation if none is committed.
-// Concurrent callers coalesce: one builds, the rest see Ready flip.
-// With force, a committed generation does not short-circuit the build:
-// that is the quarantine-heal path, where the lake is Ready but one of
-// its partitions is corrupt on disk and only a fresh generation
-// replaces it.
+// ensureLake commits a lake generation if none is committed: it fills
+// both campaign cells (from the lake, the hooks or the world) and
+// builds the generation from them. Concurrent callers coalesce: one
+// builds, the rest see Ready flip. With force, a committed generation
+// does not short-circuit the build: that is the quarantine-heal path,
+// where the lake is Ready but one of its partitions is corrupt on disk
+// and only a fresh generation replaces it. The two fills run
+// concurrently under lakeMu, so they must not persist on their own
+// (persistCampaigns takes it).
 func (h *Handler) ensureLake(ctx context.Context, force bool) error {
 	if h.lake == nil || (!force && h.lake.Ready()) {
 		return nil
@@ -89,7 +100,68 @@ func (h *Handler) ensureLake(ctx context.Context, force bool) error {
 	if !force && h.lake.Ready() {
 		return nil
 	}
-	return h.lake.Build(ctx, h.w)
+	var (
+		cc       *atlas.ChaosCampaign
+		chaosErr error
+		wg       sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		cc, _, chaosErr = h.fillChaos(ctx)
+	}()
+	tc, _, err := h.fillTrace(ctx)
+	wg.Wait()
+	if err != nil {
+		return err
+	}
+	if chaosErr != nil {
+		return chaosErr
+	}
+	return h.lake.BuildFrom(h.w, tc, cc)
+}
+
+// persistCampaigns commits a lake generation from the two campaign
+// cells once both hold a campaign. A fill that simulated calls it, so
+// the lake persists exactly the campaigns the handler serves. A
+// generation already built from these campaigns (a concurrent
+// ensureLake, or the other cell's fill) is not written again.
+func (h *Handler) persistCampaigns() {
+	if h.lake == nil {
+		return
+	}
+	h.lakeMu.Lock()
+	defer h.lakeMu.Unlock()
+	tc, ok := h.trace.Peek()
+	if !ok {
+		return
+	}
+	cc, ok := h.chaos.Peek()
+	if !ok {
+		return
+	}
+	if h.lakeHolds(tc, cc) {
+		return
+	}
+	if err := h.lake.BuildFrom(h.w, tc, cc); err != nil {
+		log.Printf("httpapi: persist campaigns to the fact lake: %v", err)
+	}
+}
+
+// lakeHolds reports whether the committed generation was built from tc
+// and cc: a generation holds the partitions it was built from, so its
+// first partition of each kind is the campaign's own pointer.
+func (h *Handler) lakeHolds(tc *atlas.TraceCampaign, cc *atlas.ChaosCampaign) bool {
+	tps, cps := tc.Partitions(), cc.Partitions()
+	if len(tps) == 0 || len(cps) == 0 {
+		return false
+	}
+	tp, err := h.lake.TracePart(tps[0].Month)
+	if err != nil || tp != tps[0] {
+		return false
+	}
+	cp, err := h.lake.ChaosPart(cps[0].Month)
+	return err == nil && cp == cps[0]
 }
 
 // kickLakeBuild starts one background build; later calls while it runs
@@ -107,20 +179,18 @@ func (h *Handler) kickLakeBuild(force bool) {
 	}()
 }
 
-// lakeTrace reconstructs the baseline traceroute campaign from the
-// fact lake. The kernels' emission contract (probes ascending, samples
-// contiguous, months concatenated in order) makes the reconstruction
-// byte-identical to a fresh simulation, so experiments, scenario-diff
-// baselines, and sweeps all join against the lake instead of
-// re-simulating. Any lake problem falls back to simulation — the lake
-// is an accelerator here, never a correctness dependency.
+// lakeTrace serves the traceroute campaign from the fact lake's
+// partitions, so experiments, scenario-diff baselines and sweeps read
+// the persisted campaign instead of re-simulating it. Any lake problem
+// falls back to simulation — the lake is an accelerator here, never a
+// correctness dependency.
 func (h *Handler) lakeTrace() (*atlas.TraceCampaign, bool) {
 	if h.lake == nil || !h.lake.Ready() {
 		return nil, false
 	}
 	tc, err := h.lake.TraceCampaign()
 	if err != nil {
-		log.Printf("httpapi: fact-lake trace reconstruction: %v (simulating instead)", err)
+		log.Printf("httpapi: fact-lake trace campaign: %v (simulating instead)", err)
 		return nil, false
 	}
 	return tc, true
@@ -133,7 +203,7 @@ func (h *Handler) lakeChaos() (*atlas.ChaosCampaign, bool) {
 	}
 	cc, err := h.lake.ChaosCampaign()
 	if err != nil {
-		log.Printf("httpapi: fact-lake chaos reconstruction: %v (simulating instead)", err)
+		log.Printf("httpapi: fact-lake chaos campaign: %v (simulating instead)", err)
 		return nil, false
 	}
 	return cc, true

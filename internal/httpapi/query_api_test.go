@@ -5,12 +5,16 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"vzlens/internal/atlas"
 	"vzlens/internal/months"
 	"vzlens/internal/query"
+	"vzlens/internal/resultstore"
 	"vzlens/internal/scenario"
 	"vzlens/internal/world"
 )
@@ -194,5 +198,102 @@ func TestQueryLakeReload(t *testing.T) {
 	}
 	if len(res.Groups) != 13 {
 		t.Errorf("letter groups = %d, want 13", len(res.Groups))
+	}
+}
+
+// TestLakeHonorsCampaignHooks: with a fact lake configured, the
+// campaigns the handler serves and persists are the ones its
+// TraceCampaign hook returns, not a second simulation of the world.
+// The hook drops the world's first trace month, inside fig12's 2016 H1
+// window, so a lake built from the world would serve a different fig12.
+func TestLakeHonorsCampaignHooks(t *testing.T) {
+	w := mustBuild(world.Config{
+		TraceStart: months.New(2016, time.January),
+		TraceEnd:   months.New(2016, time.April),
+		ChaosStart: months.New(2016, time.January),
+		ChaosEnd:   months.New(2016, time.January),
+		Step:       3,
+	})
+	full := w.TraceCampaign()
+	hooked := atlas.NewTraceCampaignOf(slices.Clone(full.Partitions()[1:]))
+	hook := func() (*atlas.TraceCampaign, error) { return hooked, nil }
+
+	plain := NewWithOptions(w, Options{TraceCampaign: hook})
+	want := getFrom(t, plain, "/api/experiments/fig12")
+	if want.Code != http.StatusOK {
+		t.Fatalf("fig12 without a lake: %d %s", want.Code, want.Body.String())
+	}
+	unhooked := getFrom(t, New(w), "/api/experiments/fig12")
+	if unhooked.Body.String() == want.Body.String() {
+		t.Fatal("the hook's campaign renders the same fig12 as the world's; the test cannot tell them apart")
+	}
+
+	laked := NewWithOptions(w, Options{FactsDir: t.TempDir(), TraceCampaign: hook})
+	laked.Warm()
+	got := getFrom(t, laked, "/api/experiments/fig12")
+	if got.Code != http.StatusOK || got.Body.String() != want.Body.String() {
+		t.Errorf("fig12 with a lake: %d, byte-equal to the hook's = %v", got.Code, got.Body.String() == want.Body.String())
+	}
+	if got, want := laked.Lake().TraceMonths(), hooked.Months(); !slices.Equal(got, want) {
+		t.Errorf("lake trace months %v, hook's campaign %v", got, want)
+	}
+}
+
+// TestPersistSkipsCommittedGeneration: a fill that finishes after a
+// generation was built from the same two campaigns (a request that
+// raced Warm's ensureLake, say) does not write that generation again.
+func TestPersistSkipsCommittedGeneration(t *testing.T) {
+	h := NewWithOptions(mustBuild(queryTestConfig()), Options{FactsDir: t.TempDir()})
+	h.Warm()
+	if !h.Lake().Ready() {
+		t.Fatal("Warm did not commit a lake generation")
+	}
+	manifest := filepath.Join(h.Lake().Dir(), "manifest.vzr")
+	before, err := os.Stat(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.persistCampaigns()
+	after, err := os.Stat(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Error("persistCampaigns rewrote the generation built from the same campaigns")
+	}
+}
+
+// TestStoreKeepsLakePerConfiguration: one store directory keeps the
+// campaigns of every world configuration that used it, so switching to
+// another configuration and back re-simulates nothing.
+func TestStoreKeepsLakePerConfiguration(t *testing.T) {
+	store, err := resultstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgB := queryTestConfig()
+	cfgB.Step = 3
+	wA, wB := mustBuild(queryTestConfig()), mustBuild(cfgB)
+	NewWithOptions(wA, Options{Store: store}).Warm()
+	NewWithOptions(wB, Options{Store: store}).Warm()
+
+	var calls atomic.Int64
+	h := NewWithOptions(wA, Options{
+		Store: store,
+		TraceCampaign: func() (*atlas.TraceCampaign, error) {
+			calls.Add(1)
+			return wA.TraceCampaign(), nil
+		},
+		ChaosCampaign: func() (*atlas.ChaosCampaign, error) {
+			calls.Add(1)
+			return wA.ChaosCampaign(), nil
+		},
+	})
+	h.Warm()
+	if n := calls.Load(); n != 0 {
+		t.Errorf("back on the first configuration, %d campaigns re-simulated, want 0", n)
+	}
+	if !h.Lake().Ready() {
+		t.Error("the first configuration's lake is not ready")
 	}
 }

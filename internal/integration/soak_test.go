@@ -8,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,9 +23,10 @@ import (
 // overload-protection layer: it hammers the real HTTP server with 64
 // concurrent clients while the chaos campaign fails its first
 // simulation, then restarts the server against the same result store,
-// then corrupts a store entry. It asserts the load-shedding, request
-// coalescing, crash-safe persistence, and quarantine contracts all at
-// once, the way a production incident would exercise them together.
+// then corrupts a campaign partition in the store's fact lake. It
+// asserts the load-shedding, request coalescing, crash-safe
+// persistence, and quarantine contracts all at once, the way a
+// production incident would exercise them together.
 func TestSoakOverloadFaultRestart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign simulation soak")
@@ -216,26 +216,23 @@ func TestSoakOverloadFaultRestart(t *testing.T) {
 	}
 	srv2.Close()
 
-	// ---- Phase 3: a corrupted store entry is quarantined, not served ----
-	names, err := store.Keys()
-	if err != nil {
-		t.Fatal(err)
+	// ---- Phase 3: a corrupted campaign partition is quarantined, not served ----
+	// The store holds the campaigns in its fact lake, one file per
+	// campaign month.
+	lakeDir := h2.Lake().Dir()
+	if filepath.Dir(filepath.Dir(lakeDir)) != store.Dir() {
+		t.Fatalf("fact lake at %s, want under the store %s", lakeDir, store.Dir())
 	}
-	var chaosEntry string
-	for _, name := range names {
-		if strings.HasPrefix(name, "campaign-chaos") {
-			chaosEntry = filepath.Join(store.Dir(), name)
-		}
+	chaosParts, err := filepath.Glob(filepath.Join(lakeDir, "chaos-*.vzfp"))
+	if err != nil || len(chaosParts) == 0 {
+		t.Fatalf("chaos partition missing from the store's fact lake: %v, %v", chaosParts, err)
 	}
-	if chaosEntry == "" {
-		t.Fatalf("chaos campaign entry missing from store: %v", names)
-	}
-	data, err := os.ReadFile(chaosEntry)
+	data, err := os.ReadFile(chaosParts[0])
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0x01 // a single flipped bit mid-payload
-	if err := os.WriteFile(chaosEntry, data, 0o644); err != nil {
+	if err := os.WriteFile(chaosParts[0], data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -248,9 +245,9 @@ func TestSoakOverloadFaultRestart(t *testing.T) {
 	if got := traceCalls3.Load(); got != 0 {
 		t.Errorf("trace re-simulated %d times, its entry was intact", got)
 	}
-	q, err := store.Quarantined()
+	q, err := os.ReadDir(filepath.Join(lakeDir, "quarantine"))
 	if err != nil || len(q) == 0 {
-		t.Errorf("corrupt entry not quarantined: %v, %v", q, err)
+		t.Errorf("corrupt partition not quarantined: %v, %v", q, err)
 	}
 	srv3 := httptest.NewServer(h3)
 	defer srv3.Close()

@@ -190,8 +190,8 @@ func (r *Resolver) CatchmentIndex(srcAS bgp.ASN, srcCity geo.City, sites []Site,
 // additionally reporting the AS-path hop count of the selected site (1
 // when the source AS hosts it). It is the one catchment path: the
 // campaign kernels, the DNS plane and CatchmentIndex all run it, and
-// the hop count is a free by-product the fact-emission path records per
-// probe class.
+// the hop count is a free by-product the trace kernel records per
+// probe class in each month partition's Hops column.
 //
 // domestic, when not empty, is the source's country: replicas located
 // there are reachable over the domestic peering fabric, modeled as

@@ -1,7 +1,6 @@
 package query
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -61,7 +60,11 @@ func fixtureErr() error {
 		if fix.err != nil {
 			return
 		}
-		if fix.err = fix.lake.Build(context.Background(), fix.w); fix.err != nil {
+		if fix.err = fix.lake.BuildFrom(fix.w, fix.w.TraceCampaign(), fix.w.ChaosCampaign()); fix.err != nil {
+			return
+		}
+		// Reopen cold, so queries read partitions decoded from disk.
+		if fix.lake, fix.err = facts.Open(fix.dir, fix.w.Config.Scope()); fix.err != nil {
 			return
 		}
 		fix.eng = New(fix.lake)
@@ -413,54 +416,67 @@ func TestWarmQueryAllocs(t *testing.T) {
 
 // TestQueryRebuildSoak races warm queries against full lake rebuilds —
 // the serving pattern under -race: generation swaps must never tear a
-// running query.
+// running query. Each round serves a cold reopen of the lake, so its
+// queries decode partitions from disk while the rebuild rewrites those
+// files and swaps the generation (the quarantine-heal path).
 func TestQueryRebuildSoak(t *testing.T) {
 	if err := fixtureErr(); err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	lake, err := facts.Open(dir, fix.w.Config.Scope())
+	scope := fix.w.Config.Scope()
+	tc, cc := fix.w.TraceCampaign(), fix.w.ChaosCampaign()
+	built, err := facts.Open(dir, scope)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lake.Build(context.Background(), fix.w); err != nil {
+	if err := built.BuildFrom(fix.w, tc, cc); err != nil {
 		t.Fatal(err)
 	}
-	eng := New(lake)
 
 	const rebuilds = 3
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	queryErrs := make(chan error, 8)
 	plans := []Params{
 		mustParams(t, "metric=median_rtt&from=2018-01&to=2019-10"),
 		mustParams(t, "metric=reachability&from=2018-04&to=2019-04&group_by=asn"),
 		mustParams(t, "metric=catchment_share&from=2018-01&to=2019-10&group_by=letter"),
 	}
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if _, err := eng.Run(plans[(g+i)%len(plans)]); err != nil {
-					queryErrs <- fmt.Errorf("goroutine %d iter %d: %w", g, i, err)
-					return
-				}
-			}
-		}(g)
-	}
+	queryErrs := make(chan error, 4*rebuilds)
+	var decodes uint64
 	for i := 0; i < rebuilds; i++ {
-		if err := lake.Build(context.Background(), fix.w); err != nil {
+		lake, err := facts.Open(dir, scope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := New(lake)
+		done := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				// Every goroutine runs at least one query, the first
+				// of which decodes cold.
+				for j := 0; ; j++ {
+					if _, err := eng.Run(plans[(g+j)%len(plans)]); err != nil {
+						queryErrs <- fmt.Errorf("rebuild %d goroutine %d iter %d: %w", i, g, j, err)
+						return
+					}
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
+			}(g)
+		}
+		if err := lake.BuildFrom(fix.w, tc, cc); err != nil {
 			t.Errorf("rebuild %d: %v", i, err)
 		}
+		close(done)
+		wg.Wait()
+		decodes += lake.Decodes()
 	}
-	close(done)
-	wg.Wait()
+	t.Logf("%d rebuilds raced %d cold partition decodes", rebuilds, decodes)
 	close(queryErrs)
 	for err := range queryErrs {
 		t.Error(err)

@@ -76,3 +76,11 @@ func (l *LazyResult[T]) Ready() bool {
 	defer l.mu.Unlock()
 	return l.done
 }
+
+// Peek returns the cached value without computing it; ok is false
+// while no value is cached.
+func (l *LazyResult[T]) Peek() (v T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.val, l.done
+}

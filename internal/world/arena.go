@@ -23,7 +23,7 @@ type campaignArena struct {
 	idx    []int32   // selected site index per slot
 	oneWay []float64 // one-way latency per slot
 	access []float64 // access delay per slot
-	hops   []uint8   // catchment AS-path length per slot (fact emission)
+	hops   []uint8   // catchment AS-path length per slot (the Hops column)
 }
 
 // newCampaignArena builds an empty arena whose Rand permanently wraps

@@ -125,7 +125,7 @@ func (w *World) traceCampaign(ctx context.Context, plan *ScenarioPlan) *atlas.Tr
 		ar, acq := w.acquireArena()
 		samples, hops := w.traceMonth(ctx, ms[i], plan, ar)
 		w.releaseArena(ar)
-		parts[i] = w.tracePartition(ms[i], plan, samples, hops)
+		parts[i] = atlas.NewTracePartition(ms[i], samples, hops)
 		d := time.Since(t0)
 		busy.Add(int64(d))
 		arenaWait.Add(int64(acq))
@@ -231,25 +231,6 @@ func (w *World) traceMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 	return samples, hops
 }
 
-// tracePartition codes one simulated month into the campaign's month
-// partition and hands a baseline month to the armed fact sink.
-func (w *World) tracePartition(m months.Month, plan *ScenarioPlan, samples []atlas.TraceSample, hops []uint8) *atlas.TracePartition {
-	p := atlas.NewTracePartition(m, samples, hops)
-	if sink := w.armedFactSink(); sink != nil && plan == nil {
-		sink.TraceMonthFacts(p)
-	}
-	return p
-}
-
-// chaosPartition is tracePartition for the CHAOS sweep.
-func (w *World) chaosPartition(m months.Month, plan *ScenarioPlan, results []atlas.ChaosResult) *atlas.ChaosPartition {
-	p := atlas.NewChaosPartition(m, results)
-	if sink := w.armedFactSink(); sink != nil && plan == nil {
-		sink.ChaosMonthFacts(p)
-	}
-	return p
-}
-
 // clampHops saturates an AS-path length into the fact lake's uint8 hop
 // column; real paths are single digits, so 255 marks "off the scale".
 func clampHops(h int) uint8 {
@@ -298,7 +279,7 @@ func (w *World) chaosCampaign(ctx context.Context, plan *ScenarioPlan) *atlas.Ch
 		ar, acq := w.acquireArena()
 		results := w.chaosMonth(ctx, ms[i], plan, ar)
 		w.releaseArena(ar)
-		parts[i] = w.chaosPartition(ms[i], plan, results)
+		parts[i] = atlas.NewChaosPartition(ms[i], results)
 		d := time.Since(t0)
 		busy.Add(int64(d))
 		arenaWait.Add(int64(acq))

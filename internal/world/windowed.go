@@ -127,7 +127,7 @@ func (w *World) TraceCampaignScenarioWindowed(ctx context.Context, plan *Scenari
 		ar, _ := w.acquireArena()
 		samples, hops := w.traceMonth(ctx, ms[i], plan, ar)
 		w.releaseArena(ar)
-		parts[i] = w.tracePartition(ms[i], plan, samples, hops)
+		parts[i] = atlas.NewTracePartition(ms[i], samples, hops)
 	})
 	tc := atlas.NewTraceCampaignOf(parts)
 	span.SetAttr("months", len(ms))
@@ -158,7 +158,7 @@ func (w *World) ChaosCampaignScenarioWindowed(ctx context.Context, plan *Scenari
 		ar, _ := w.acquireArena()
 		results := w.chaosMonth(ctx, ms[i], plan, ar)
 		w.releaseArena(ar)
-		parts[i] = w.chaosPartition(ms[i], plan, results)
+		parts[i] = atlas.NewChaosPartition(ms[i], results)
 	})
 	cc := atlas.NewChaosCampaignOf(parts)
 	span.SetAttr("months", len(ms))

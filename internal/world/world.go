@@ -3,7 +3,6 @@ package world
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"vzlens/internal/aspop"
@@ -141,11 +140,6 @@ type World struct {
 	// runs, and sweep specs. No New hook: misses are counted as builds
 	// in acquireArena.
 	arenas sync.Pool
-
-	// factSink is the armed fact-emission hook (see SetFactSink); the
-	// kernels load it per month shard, so arming mid-campaign affects
-	// only months simulated afterwards.
-	factSink atomic.Pointer[factSinkCell]
 
 	// met is the campaign engine's observability surface (see
 	// Instrument); the zero value records nothing.
