@@ -443,10 +443,12 @@ func BenchmarkChaosCampaignFull(b *testing.B) {
 }
 
 // BenchmarkTraceCampaignWarm times a full traceroute replay on a world
-// whose kernel caches (interned topologies, site lists, localization
-// memos, arena pool) are already hot — the steady-state cost of one
-// sweep iteration. This is the allocation benchmark for the columnar
-// kernel: allocs/op here is output slices plus scheduling, nothing else.
+// whose kernel caches that outlive a pass (interned topologies and
+// distance table, site lists, probe-class snapshots, arena pool) are
+// already hot. Path trees are not: each replay is a baseline pass of
+// its own, so it rebuilds the trees it needs and drops them when it
+// returns. Allocations are the month partitions, the rebuilt trees and
+// scheduling.
 func BenchmarkTraceCampaignWarm(b *testing.B) {
 	w := mustBuild(world.Config{Step: 3, Workers: 1})
 	_ = w.TraceCampaign()
@@ -458,7 +460,8 @@ func BenchmarkTraceCampaignWarm(b *testing.B) {
 }
 
 // BenchmarkChaosCampaignWarm is BenchmarkTraceCampaignWarm for the
-// thirteen-letter CHAOS sweep.
+// thirteen-letter CHAOS sweep; it too rebuilds its path trees per
+// replay, and its TXT intern table stays hot.
 func BenchmarkChaosCampaignWarm(b *testing.B) {
 	w := mustBuild(world.Config{Step: 3, Workers: 1})
 	_ = w.ChaosCampaign()
@@ -676,7 +679,7 @@ func BenchmarkSweepResume(b *testing.B) {
 }
 
 // BenchmarkFactBuild times producing one full fact-lake generation:
-// both campaigns simulate, every month encodes into a dictionary-coded
+// both campaigns simulate concurrently, every month encodes into a dictionary-coded
 // columnar partition, the SCD2 dimensions derive from the world, and
 // the generation commits durably (tmp+fsync+rename, manifest last).
 func BenchmarkFactBuild(b *testing.B) {
@@ -688,7 +691,7 @@ func BenchmarkFactBuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := lake.BuildFrom(benchW, benchW.TraceCampaign(), benchW.ChaosCampaign()); err != nil {
+		if err := lake.Build(context.Background(), benchW); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -696,9 +699,10 @@ func BenchmarkFactBuild(b *testing.B) {
 
 // BenchmarkColdStart times what a vzserve start pays before it is
 // ready: a fresh world at the served quarterly resolution, then one
-// fact-lake generation built from it. Unlike BenchmarkFactBuild, no
-// topology, path tree, site list or distance table carries over
-// between iterations.
+// fact-lake generation built from it, its two campaigns simulating
+// concurrently as vzserve's warm-up runs them. Unlike
+// BenchmarkFactBuild, no topology, site list or distance table carries
+// over between iterations.
 func BenchmarkColdStart(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -707,7 +711,7 @@ func BenchmarkColdStart(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := lake.BuildFrom(w, w.TraceCampaign(), w.ChaosCampaign()); err != nil {
+		if err := lake.Build(context.Background(), w); err != nil {
 			b.Fatal(err)
 		}
 	}

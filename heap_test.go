@@ -11,15 +11,16 @@ import (
 // TestColdStartRetainedHeap pins the live heap a cold start leaves
 // behind: a fresh world at vzserve's default quarterly resolution, its
 // fact lake built, and both campaigns simulated, measured as the
-// HeapAlloc growth after two collections. The campaign kernel's memos
-// (path trees, probe-class snapshots, root site lists) are most of it
-// besides the campaigns themselves. It is not parallel, so no other
-// test allocates while it measures.
+// HeapAlloc growth after two collections. Besides the campaigns
+// themselves it is the campaign kernel's memos that outlive a pass
+// (probe-class snapshots, root site lists, topologies); path trees are
+// not among them, because the last baseline pass drops them. It is not
+// parallel, so no other test allocates while it measures.
 func TestColdStartRetainedHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a world, a fact lake and both campaigns")
 	}
-	const budgetMB = 13 // measured 11.1 MB (linux/amd64, Go 1.24)
+	const budgetMB = 6 // measured 4.35 MB (linux/amd64, Go 1.24)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()
@@ -53,12 +54,13 @@ func TestColdStartRetainedHeap(t *testing.T) {
 // TestServedRetainedHeap is TestColdStartRetainedHeap on the path a
 // restarted vzserve serves: the lake is reopened over the directory a
 // build wrote, so the campaigns come from its partitions decoded from
-// disk, and the kernel's own campaigns are dropped.
+// disk, and the kernel's own campaigns are dropped. As there, no path
+// tree outlives the passes that built the lake.
 func TestServedRetainedHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a world and a fact lake")
 	}
-	const budgetMB = 13 // measured 11.1 MB (linux/amd64, Go 1.24)
+	const budgetMB = 6 // measured 4.32 MB (linux/amd64, Go 1.24)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()

@@ -30,9 +30,10 @@ func (e treeEntry) info() PathInfo {
 // month) run off a single breadth-first traversal per source AS. Trees
 // are computed over the topology's dense index-based view ([]treeEntry
 // indexed by interned AS, not maps) with pooled scratch buffers, so a
-// traversal allocates only its result slice. It is safe for concurrent
-// use: campaign simulations triggered by concurrent API requests share
-// the per-month resolvers.
+// traversal allocates only its result slice. The trees are a cache:
+// ReleaseTrees drops them and the next lookup rebuilds the same bits.
+// It is safe for concurrent use: campaign simulations triggered by
+// concurrent API requests share the per-month resolvers.
 type Resolver struct {
 	topo *Topology
 
@@ -73,6 +74,17 @@ func (r *Resolver) treeFor(src bgp.ASN) ([]treeEntry, *denseTopo) {
 		m.treeMemoHit.Inc()
 	}
 	return r.trees[si], r.d
+}
+
+// ReleaseTrees drops every memoized tree, so a resolver that outlives
+// the campaign pass that filled it retains only its topology. A later
+// lookup rebuilds the tree it needs over a freshly allocated index;
+// callers still holding a tree from before keep a valid, immutable copy.
+func (r *Resolver) ReleaseTrees() {
+	r.mu.Lock()
+	r.d = nil
+	r.trees = nil
+	r.mu.Unlock()
 }
 
 // PathInfoFrom returns shortest valley-free path information from src to

@@ -104,3 +104,24 @@ func TestPathTreeMatchesReference(t *testing.T) {
 		t.Fatalf("unknown source got a tree of %d entries", len(tree))
 	}
 }
+
+// TestReleaseTreesRebuilds pins ReleaseTrees' contract: the next
+// lookup rebuilds the tree into a fresh slice with the same entries,
+// and a tree a caller still holds is left as it was.
+func TestReleaseTreesRebuilds(t *testing.T) {
+	r := NewResolver(testTopology())
+	for _, src := range r.topo.dense().asns {
+		held, _ := r.treeFor(src)
+		want := append([]treeEntry(nil), held...)
+		r.ReleaseTrees()
+		got, _ := r.treeFor(src)
+		if &got[0] == &held[0] {
+			t.Fatalf("AS%d: tree not rebuilt after ReleaseTrees", src)
+		}
+		for i := range want {
+			if got[i] != want[i] || held[i] != want[i] {
+				t.Fatalf("AS%d: entry %d rebuilt %+v, held %+v, want %+v", src, i, got[i], held[i], want[i])
+			}
+		}
+	}
+}

@@ -110,11 +110,16 @@ func (w *World) TraceCampaignCtx(ctx context.Context) *atlas.TraceCampaign {
 // baseline), fanning monthly snapshots over the worker pool. Each
 // worker iteration checks a scratch arena out of the World's pool, so
 // steady-state shards reuse columns instead of reallocating them, and
-// codes its month into a partition; the row fragment is transient.
+// codes its month into a partition; the row fragment is transient. A
+// baseline run is a kernel pass: the signature resolvers' path trees
+// live until the last pass in flight returns (see kernel.go).
 func (w *World) traceCampaign(ctx context.Context, plan *ScenarioPlan) *atlas.TraceCampaign {
 	ctx, span := obs.StartSpan(ctx, "campaign.trace")
 	if plan != nil {
 		span.SetAttr("scenario", plan.Key)
+	} else {
+		w.beginBaselinePass()
+		defer w.endBaselinePass()
 	}
 	ms := w.campaignMonths(w.Config.TraceStart, w.Config.TraceEnd)
 	parts := make([]*atlas.TracePartition, len(ms))
@@ -264,11 +269,15 @@ func (w *World) ChaosCampaignCtx(ctx context.Context) *atlas.ChaosCampaign {
 	return w.chaosCampaign(ctx, nil)
 }
 
-// chaosCampaign simulates the CHAOS sweep under plan (nil = baseline).
+// chaosCampaign simulates the CHAOS sweep under plan (nil = baseline);
+// a baseline run is a kernel pass, as in traceCampaign.
 func (w *World) chaosCampaign(ctx context.Context, plan *ScenarioPlan) *atlas.ChaosCampaign {
 	ctx, span := obs.StartSpan(ctx, "campaign.chaos")
 	if plan != nil {
 		span.SetAttr("scenario", plan.Key)
+	} else {
+		w.beginBaselinePass()
+		defer w.endBaselinePass()
 	}
 	ms := w.campaignMonths(w.Config.ChaosStart, w.Config.ChaosEnd)
 	parts := make([]*atlas.ChaosPartition, len(ms))

@@ -20,7 +20,12 @@ import (
 // eventual customer wired) plus an O(edits) overlay per distinct
 // monthly signature — the (provider set, customer count) pair. A
 // ten-year campaign sees ~20 distinct signatures, and every month with
-// the same signature shares one resolver and its memoized path trees.
+// the same signature shares one resolver. Its path trees live only
+// while a baseline campaign pass runs: concurrent passes (the trace and
+// CHAOS campaigns of a cold start) share every tree, and when the last
+// pass in flight returns every signature resolver drops its trees.
+// Any later caller (the DNS plane, a direct month kernel) rebuilds the
+// trees it needs on a miss, with the same bits.
 //
 // Exactness: the overlay's effective adjacency equals the fresh
 // month's exactly — providers are added back verbatim, inactive
@@ -145,6 +150,33 @@ func (w *World) kernelTopologyAt(m months.Month) *netsim.Resolver {
 			panic(fmt.Sprintf("world: kernel overlay %s: %v", m, err))
 		}
 		cell.r = netsim.NewResolver(ov)
+		w.kernelMu.Lock()
+		w.kernelResolvers = append(w.kernelResolvers, cell.r)
+		w.kernelMu.Unlock()
 	})
 	return cell.r
+}
+
+// beginBaselinePass counts a baseline campaign pass in flight; pair it
+// with endBaselinePass.
+func (w *World) beginBaselinePass() {
+	w.kernelMu.Lock()
+	w.kernelPasses++
+	w.kernelMu.Unlock()
+}
+
+// endBaselinePass ends a pass begun by beginBaselinePass. The last pass
+// in flight drops every signature resolver's path trees; the count and
+// the drop share kernelMu, so a pass that begins meanwhile never loses
+// the trees it is building.
+func (w *World) endBaselinePass() {
+	w.kernelMu.Lock()
+	defer w.kernelMu.Unlock()
+	w.kernelPasses--
+	if w.kernelPasses > 0 {
+		return
+	}
+	for _, r := range w.kernelResolvers {
+		r.ReleaseTrees()
+	}
 }

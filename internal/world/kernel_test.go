@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"vzlens/internal/geo"
 	"vzlens/internal/months"
 	"vzlens/internal/netsim"
+	"vzlens/internal/obs"
 )
 
 // refTopologyFor is the pre-kernel resolver path: the faithful monthly
@@ -290,5 +292,114 @@ func TestKernelSignatureInterning(t *testing.T) {
 	}
 	if sig := kernelSigAt(mm(2013, time.June)); sig == kernelSigAt(mm(2013, time.August)) {
 		t.Errorf("kernelSigAt equal across Verizon's departure: %+v", sig)
+	}
+}
+
+// TestKernelTreesLiveOnlyForPasses pins the path-tree lifecycle, read
+// off vz_netsim_tree_bfs_total. Concurrent baseline passes share every
+// tree: at Step 3 the trace and CHAOS campaigns run 1,705 BFS
+// traversals together, each source of each signature once. When the
+// last pass returns the trees are dropped, so a DNS answer afterwards
+// rebuilds its source's tree (one traversal) and keeps it until the
+// next pass ends. A pass over rebuilt trees produces the same
+// partitions. The last round runs the passes again with DNS answers
+// racing them, for -race: the answers never change, and the passes
+// share their trees with the racers.
+func TestKernelTreesLiveOnlyForPasses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("four Step 3 campaign passes")
+	}
+	reg := obs.NewRegistry()
+	netsim.InstrumentMetrics(reg)
+	bfs := reg.Counter("vz_netsim_tree_bfs_total", "")
+	w := mustBuild(Config{Step: 3})
+	passes := func() (*atlas.TraceCampaign, *atlas.ChaosCampaign) {
+		var cc *atlas.ChaosCampaign
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cc = w.ChaosCampaign()
+		}()
+		tc := w.TraceCampaign()
+		wg.Wait()
+		return tc, cc
+	}
+	// A Venezuelan probe at the DNS plane's pinned month asks every
+	// letter; its source tree is one the passes build too.
+	dm := w.DefaultDNSMonth()
+	var client atlas.Probe
+	for _, p := range w.Fleet.ActiveAt(dm) {
+		if p.Country == "VE" {
+			client = p
+			break
+		}
+	}
+	if client.ID == 0 {
+		t.Fatalf("no Venezuelan probe active at %s", dm)
+	}
+	answers := func() []DNSAnswer {
+		var out []DNSAnswer
+		for _, l := range dnsroot.Letters() {
+			a, err := w.DNSAnswerAt(l, dm, client.Country, client.ASN, client.City, nil)
+			if err != nil {
+				t.Errorf("DNSAnswerAt %c: %v", l, err)
+			}
+			out = append(out, a)
+		}
+		return out
+	}
+
+	n := bfs.Value()
+	tc, cc := passes()
+	if got := bfs.Value() - n; got != 1705 {
+		t.Errorf("concurrent baseline passes ran %d tree BFS, want 1705", got)
+	}
+	n = bfs.Value()
+	want := answers()
+	if got := bfs.Value() - n; got != 1 {
+		t.Errorf("DNS answers after the passes ran %d tree BFS, want 1 (its dropped tree rebuilt)", got)
+	}
+	n = bfs.Value()
+	answers()
+	if got := bfs.Value() - n; got != 0 {
+		t.Errorf("repeated DNS answers ran %d tree BFS, want 0 (the rebuilt tree is kept)", got)
+	}
+
+	again := w.TraceCampaign()
+	if !reflect.DeepEqual(again.Partitions(), tc.Partitions()) {
+		t.Error("trace campaign over rebuilt trees diverges from the first run")
+	}
+
+	stop := make(chan struct{})
+	var racers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		racers.Add(1)
+		go func() {
+			defer racers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got := answers(); !reflect.DeepEqual(got, want) {
+					t.Errorf("DNS answers racing the passes: %+v, want %+v", got, want)
+					return
+				}
+			}
+		}()
+	}
+	n = bfs.Value()
+	tc2, cc2 := passes()
+	close(stop)
+	racers.Wait()
+	// A racer that answers after the last pass drops the trees
+	// rebuilds its own once more.
+	if got := bfs.Value() - n; got < 1705 || got > 1706 {
+		t.Errorf("passes raced by DNS answers ran %d tree BFS, want 1705 (+1 for a rebuild after the drop)", got)
+	}
+	if !reflect.DeepEqual(tc2.Partitions(), tc.Partitions()) || !reflect.DeepEqual(cc2.Partitions(), cc.Partitions()) {
+		t.Error("passes raced by DNS answers diverge from the first run")
 	}
 }

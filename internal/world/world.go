@@ -121,7 +121,8 @@ type World struct {
 	// copy), and the interned CHAOS TXT strings. All of it memoizes
 	// pure functions of the month (or list identity), so concurrent
 	// fills are idempotent. Lock ordering: siteMu may take kernelMu
-	// (lists are prepared against the kernel base); nothing else nests.
+	// (lists are prepared against the kernel base), and kernelMu takes a
+	// resolver's own lock to drop its trees; nothing else nests.
 	kernelMu    sync.Mutex
 	kernelBase  *baseCell
 	kernelCells map[kernelSig]*topoCell
@@ -135,6 +136,13 @@ type World struct {
 	rootSets    map[dnsroot.Letter][]*rootList
 	txtMu       sync.Mutex
 	txtIntern   map[txtKey]string
+
+	// kernelResolvers lists every signature resolver once built, and
+	// kernelPasses counts the baseline campaign passes in flight; the
+	// last pass to end drops the resolvers' path trees. Both are
+	// guarded by kernelMu.
+	kernelResolvers []*netsim.Resolver
+	kernelPasses    int
 
 	// arenas pools campaignArena scratch across month shards, campaign
 	// runs, and sweep specs. No New hook: misses are counted as builds
