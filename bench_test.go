@@ -735,7 +735,7 @@ func setupLake() (*facts.Lake, error) {
 		}
 		benchLake, benchLakeErr = facts.Open(dir, benchW.Config.Scope())
 		if benchLakeErr == nil {
-			benchLakeErr = benchLake.BuildFrom(benchW, benchW.TraceCampaign(), benchW.ChaosCampaign())
+			benchLakeErr = benchLake.Build(context.Background(), benchW)
 		}
 	})
 	return benchLake, benchLakeErr

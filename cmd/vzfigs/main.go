@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"log"
 	"os"
@@ -53,12 +54,11 @@ func main() {
 	write("fig13_gdp.csv", core.Fig13GDPRank().Panel.CSV())
 	write("fig17_probes.csv", core.Fig17AtlasFootprint(w).PerCountry.CSV())
 
-	tc := w.TraceCampaign()
+	tc, cc := w.BaselineCampaigns(context.Background())
 	write("fig12_gpdns_rtt.csv", core.Fig12GPDNS(tc).Panel.CSV())
 	fig20 := core.Fig20ProbeGeo(w.Fleet, tc, months.New(2023, time.December))
 	write("fig20_probe_geo.csv", fig20.Table().CSV())
 
-	cc := w.ChaosCampaign()
 	write("fig6_rootdns.csv", core.Fig6RootDNS(cc).PerCountry.CSV())
 	write("fig16_root_origins.csv", core.Fig16RootOrigins(cc).Table().CSV())
 }

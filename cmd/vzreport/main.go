@@ -13,12 +13,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
 	"time"
 
+	"vzlens/internal/atlas"
 	"vzlens/internal/core"
 	"vzlens/internal/months"
 	"vzlens/internal/report"
@@ -119,8 +121,19 @@ func main() {
 	// Campaign-backed experiments run last: they dominate runtime.
 	needTrace := want("fig12") || want("fig20")
 	needChaos := want("fig6") || want("fig16")
+	var (
+		tc *atlas.TraceCampaign
+		cc *atlas.ChaosCampaign
+	)
+	switch {
+	case needTrace && needChaos:
+		tc, cc = w.BaselineCampaigns(context.Background())
+	case needTrace:
+		tc = w.TraceCampaign()
+	case needChaos:
+		cc = w.ChaosCampaign()
+	}
 	if needTrace {
-		tc := w.TraceCampaign()
 		if want("fig12") {
 			fmt.Printf("== fig12 ==\n%s\n", render(core.Fig12GPDNS(tc).Table()))
 		}
@@ -130,7 +143,6 @@ func main() {
 		}
 	}
 	if needChaos {
-		cc := w.ChaosCampaign()
 		if want("fig6") {
 			fmt.Printf("== fig6 ==\n%s\n", render(core.Fig6RootDNS(cc).Table()))
 		}

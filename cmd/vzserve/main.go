@@ -7,8 +7,7 @@
 //	        [-scenario-file FILE] [-scenario-lenient]
 //	        [-sweep-workers 2] [-sweep-spec-timeout 5m]
 //	        [-dns-addr :5353] [-dns-month 2023-01] [-dns-readers 2]
-//	        [-role standalone|coordinator|worker] [-peers URL,URL,...]
-//	        [-cluster-self URL] [-replicas 2] [-hedge-delay 500ms] [-probe-interval 1s]
+//	        [-role standalone]
 //
 //	GET  /healthz                     (liveness)
 //	GET  /readyz                      (readiness + degradation report + overload stats)
@@ -48,17 +47,9 @@
 // sweep proceeds. On SIGTERM the server drains in-flight specs and
 // checkpoints before exiting.
 //
-// Several vzserve processes built from the same flags can form a
-// fault-tolerant serving tier. A -role coordinator consistent-hashes
-// scenario and sweep simulations across the -peers worker ring with
-// health probing, hedged dispatch, and automatic reassignment when a
-// worker dies; -role worker mounts the /cluster/* endpoints next to
-// the normal API and replicates computed result frames to its ring
-// successors so a restarted peer warms without re-simulating. Sweep
-// leaderboards are byte-identical at any worker count, including with
-// workers killed mid-sweep; a coordinator whose whole fleet is down
-// simulates locally. The default -role standalone is exactly the
-// single-process server described above.
+// vzserve is one standalone process. -role accepts only "standalone"
+// (its default); any other value exits nonzero, because the sharded
+// cluster tier was removed (DESIGN.md §15).
 //
 // -facts DIR persists both campaigns as a month-partitioned columnar
 // fact lake under DIR and serves ad-hoc aggregations over it at GET
@@ -105,7 +96,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"vzlens/internal/atlas"
@@ -138,15 +128,13 @@ func main() {
 	dnsAddr := flag.String("dns-addr", "", "UDP listen address for the DNS data plane; empty = disabled")
 	dnsMonth := flag.String("dns-month", "", "month the DNS plane serves, YYYY-MM (default: campaign end)")
 	dnsReaders := flag.Int("dns-readers", 2, "DNS reader goroutines sharing the socket")
-	role := flag.String("role", "standalone", "cluster role: standalone, coordinator, or worker")
-	peers := flag.String("peers", "", "comma-separated worker base URLs (coordinator: the ring; worker: peers to warm from)")
-	clusterSelf := flag.String("cluster-self", "", "this worker's own base URL as it appears in the coordinator's -peers")
-	replicas := flag.Int("replicas", 2, "result-frame replicas per content key (coordinator)")
-	hedgeDelay := flag.Duration("hedge-delay", 500*time.Millisecond, "latency hedge before trying the next worker (coordinator)")
-	probeInterval := flag.Duration("probe-interval", time.Second, "worker health probe interval (coordinator)")
+	role := flag.String("role", "standalone", "serving role; only standalone is supported")
 	debugAddr := flag.String("debug-addr", "", "debug listener (pprof, expvar, metrics); empty = disabled")
 	traceOut := flag.String("trace", "", "append span JSON lines to FILE (\"-\" = stderr); empty = tracing off")
 	flag.Parse()
+	if *role != "standalone" {
+		log.Fatalf("vzserve: -role %q: the cluster tier was removed; vzserve runs standalone only", *role)
+	}
 
 	cfg := world.Config{Seed: *seed, Workers: *workers}
 	if *quick {
@@ -162,27 +150,12 @@ func main() {
 	atlas.InstrumentMetrics(reg)
 	reg.PublishExpvar("vzlens")
 	opts := httpapi.Options{
-		RequestTimeout:       *timeout,
-		MaxInFlight:          *maxInflight,
-		QueueTimeout:         *queueTimeout,
-		Metrics:              reg,
-		SweepWorkers:         *sweepWorkers,
-		SweepSpecTimeout:     *sweepSpecTimeout,
-		ClusterRole:          *role,
-		ClusterSelf:          *clusterSelf,
-		ClusterReplicas:      *replicas,
-		ClusterHedgeDelay:    *hedgeDelay,
-		ClusterProbeInterval: *probeInterval,
-	}
-	if *peers != "" {
-		for _, p := range strings.Split(*peers, ",") {
-			if p = strings.TrimSpace(p); p != "" {
-				opts.ClusterPeers = append(opts.ClusterPeers, p)
-			}
-		}
-	}
-	if *role == "coordinator" || *role == "worker" {
-		log.Printf("vzserve: cluster role %s (%d peers)", *role, len(opts.ClusterPeers))
+		RequestTimeout:   *timeout,
+		MaxInFlight:      *maxInflight,
+		QueueTimeout:     *queueTimeout,
+		Metrics:          reg,
+		SweepWorkers:     *sweepWorkers,
+		SweepSpecTimeout: *sweepSpecTimeout,
 	}
 	if *traceOut != "" {
 		sink := os.Stderr
@@ -321,10 +294,6 @@ func main() {
 	if err := h.DrainSweeps(dctx); err != nil {
 		log.Printf("vzserve: sweep drain incomplete: %v (journaled progress is kept)", err)
 	}
-	// Stop cluster machinery (health prober, replication queue,
-	// assignment journal) only after sweeps drain: draining specs may
-	// still be dispatching to workers.
-	h.Close()
 	if dnsSrv != nil {
 		if err := dnsSrv.Close(); err != nil {
 			log.Printf("vzserve: dns listener close: %v", err)

@@ -127,20 +127,10 @@ func (l *Lake) state() *lakeState {
 
 // Build simulates w's baseline campaigns and commits them with
 // BuildFrom, for callers that hold a world but no campaigns. The two
-// campaigns run concurrently, as the server's own lake build runs
-// them, so they share the kernel's path trees for the whole pass.
+// campaigns run concurrently (world.BaselineCampaigns), so they share
+// the kernel's path trees for the whole pass.
 func (l *Lake) Build(ctx context.Context, w *world.World) error {
-	var (
-		cc *atlas.ChaosCampaign
-		wg sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		cc = w.ChaosCampaignCtx(ctx)
-	}()
-	tc := w.TraceCampaignCtx(ctx)
-	wg.Wait()
+	tc, cc := w.BaselineCampaigns(ctx)
 	return l.BuildFrom(w, tc, cc)
 }
 

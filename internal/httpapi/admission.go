@@ -21,19 +21,6 @@ func classify(r *http.Request) (overload.Priority, string) {
 	switch {
 	case r.URL.Path == "/healthz" || r.URL.Path == "/readyz":
 		return overload.PriorityCritical, "health"
-	case r.URL.Path == "/cluster/health":
-		// Coordinator probes must never shed: a worker that drops its
-		// health check under load gets marked down, which shifts that
-		// load onto its peers and makes the overload worse.
-		return overload.PriorityCritical, "health"
-	case strings.HasPrefix(r.URL.Path, "/cluster/frames"):
-		// Frame pulls and replication pushes are cheap byte copies that
-		// warm restarted peers; shedding them only forces re-simulation.
-		return overload.PriorityHigh, "cluster"
-	case strings.HasPrefix(r.URL.Path, "/cluster/"):
-		// Dispatched simulations are as expensive as the local paths
-		// they replace, so they shed at the same low priority.
-		return overload.PriorityLow, "cluster"
 	case r.URL.Path == "/metrics" || r.URL.Path == "/metrics.json":
 		// Scrapes must survive overload: metrics from a drowning server
 		// are exactly what the operator needs to see.

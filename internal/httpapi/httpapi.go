@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"vzlens/internal/atlas"
-	"vzlens/internal/cluster"
 	"vzlens/internal/core"
 	"vzlens/internal/dnsplane"
 	"vzlens/internal/facts"
@@ -142,30 +141,6 @@ type Options struct {
 	// SweepSpecTimeout is the per-spec watchdog deadline inside a sweep
 	// (default 5m; negative disables).
 	SweepSpecTimeout time.Duration
-
-	// ClusterRole selects this node's role in the sharded serving
-	// tier: "" or "standalone" (default) serve alone, "coordinator"
-	// dispatches scenario and sweep simulations across ClusterPeers,
-	// "worker" additionally mounts the /cluster/* simulation
-	// endpoints. See DESIGN.md §15.
-	ClusterRole string
-	// ClusterPeers are worker base URLs ("http://host:port"): the
-	// ring membership for a coordinator, the warm-up peers for a
-	// worker.
-	ClusterPeers []string
-	// ClusterSelf is a worker's own advertised base URL, excluded
-	// from its peer pulls.
-	ClusterSelf string
-	// ClusterReplicas is how many ring owners hold each result frame,
-	// executor included (default 2).
-	ClusterReplicas int
-	// ClusterHedgeDelay is the coordinator's latency-hedge threshold:
-	// how long a dispatch may stay silent before the next ring owner
-	// is raced (default 500ms).
-	ClusterHedgeDelay time.Duration
-	// ClusterProbeInterval is the coordinator's worker health-probe
-	// period (default 1s).
-	ClusterProbeInterval time.Duration
 }
 
 // Handler serves the API over a built world. Campaign-backed
@@ -201,9 +176,6 @@ type Handler struct {
 	qmet         queryMetrics
 	lakeMu       sync.Mutex  // serializes lake commits
 	lakeBuilding atomic.Bool // a background build is in flight
-
-	cluster       *cluster.Coordinator // non-nil for role "coordinator"
-	clusterWorker *cluster.Worker      // non-nil for role "worker"
 }
 
 // New returns a Handler over w with default Options.
@@ -258,10 +230,6 @@ func NewWithOptions(w *world.World, opts Options) *Handler {
 			panic(fmt.Sprintf("httpapi: preloaded scenario: %v", err))
 		}
 	}
-	// The cluster half (if any) must exist before the sweep manager:
-	// a coordinator's manager simulates specs by dispatching across
-	// the ring instead of running the local engine.
-	h.initCluster()
 	// The sweep engine journals through the result store — that journal
 	// is its crash-safety — so it only exists when a store does. It
 	// shares the handler's scenario engine (and thus the memoized
@@ -272,10 +240,6 @@ func NewWithOptions(w *world.World, opts Options) *Handler {
 		if h.gate != nil {
 			admit = h.sweepAdmit
 		}
-		var runSpec func(ctx context.Context, sp *scenario.Spec) (*scenario.Diff, scenario.RunStats, error)
-		if h.cluster != nil {
-			runSpec = h.clusterRunSpec
-		}
 		h.sweeps = sweep.NewManager(sweep.Options{
 			World:       w,
 			Engine:      h.engine,
@@ -283,7 +247,6 @@ func NewWithOptions(w *world.World, opts Options) *Handler {
 			Workers:     opts.SweepWorkers,
 			SpecTimeout: opts.SweepSpecTimeout,
 			Admit:       admit,
-			RunSpec:     runSpec,
 		})
 		h.sweeps.Instrument(h.reg)
 		if restored, err := h.sweeps.Resume(); err != nil {
@@ -311,9 +274,6 @@ func NewWithOptions(w *world.World, opts Options) *Handler {
 		h.mux.HandleFunc("GET /api/dns", h.dnsStatus)
 		h.mux.HandleFunc("PUT /api/dns/scenario/{id}", h.dnsSetScenario)
 		h.mux.HandleFunc("DELETE /api/dns/scenario", h.dnsClearScenario)
-	}
-	if h.clusterWorker != nil {
-		h.clusterWorker.Register(h.mux)
 	}
 	var root http.Handler = h.mux
 	if opts.RequestTimeout > 0 {
@@ -487,12 +447,6 @@ type readiness struct {
 	// Overload is the admission-gate snapshot (absent when the gate
 	// is disabled).
 	Overload *overload.GateStats `json:"overload,omitempty"`
-	// Cluster reports the sharded tier as this node sees it — ring
-	// membership with per-worker health and drain state from a
-	// coordinator, replication lag from a worker. Absent for a
-	// standalone server. /healthz stays strictly local: a node's
-	// liveness must never depend on its peers.
-	Cluster *cluster.Snapshot `json:"cluster,omitempty"`
 }
 
 // ready is the readiness probe: the world is built and serving, with
@@ -514,12 +468,6 @@ func (h *Handler) ready(w http.ResponseWriter, _ *http.Request) {
 	if h.gate != nil {
 		stats := h.gate.Stats()
 		doc.Overload = &stats
-	}
-	switch {
-	case h.cluster != nil:
-		doc.Cluster = h.cluster.Snapshot()
-	case h.clusterWorker != nil:
-		doc.Cluster = h.clusterWorker.Snapshot()
 	}
 	if h.w.Degraded() {
 		doc.Status = "degraded"
@@ -555,14 +503,6 @@ func (h *Handler) experiment(w http.ResponseWriter, r *http.Request) {
 	table, err, shared := h.flights.Do(id, func() (*core.Table, error) {
 		if t, ok := h.storedTable(id); ok {
 			return t, nil
-		}
-		// A coordinator reads through the ring first: the owning
-		// worker has likely computed (and cached) the table already.
-		if h.cluster != nil {
-			if t, ok := h.clusterTable(ctx, id); ok {
-				h.persistTable(id, t)
-				return t, nil
-			}
 		}
 		t, err := h.runExperiment(ctx, exp)
 		if err == nil {

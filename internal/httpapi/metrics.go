@@ -23,7 +23,7 @@ type handlerMetrics struct {
 	followers *obs.Counter              // coalesced singleflight waits
 }
 
-var requestClasses = []string{"health", "experiment", "scenario", "sweep", "query", "api", "metrics", "cluster"}
+var requestClasses = []string{"health", "experiment", "scenario", "sweep", "query", "api", "metrics"}
 
 // shedReasons must cover every reason writeShed and the rate limiter
 // can emit, so the counters exist before the first rejection.

@@ -22,17 +22,7 @@ import (
 // servers never serves stale results. Workers is deliberately
 // excluded: campaign output is bit-identical at any worker count.
 func (h *Handler) storeKey(kind, id string) string {
-	return kind + "-" + id + "-" + h.configScope()
-}
-
-// configScope is the world-configuration fingerprint shared by every
-// store key. The cluster tier reuses it verbatim so that a
-// coordinator and its workers — built from the same flags — agree on
-// frame keys, and differently-configured nodes can never exchange
-// frames. The fact lake's manifest records the same scope, so the
-// format lives on world.Config where both layers reach it.
-func (h *Handler) configScope() string {
-	return h.w.Config.Scope()
+	return kind + "-" + id + "-" + h.w.Config.Scope()
 }
 
 // storedTable loads a previously computed experiment table.

@@ -103,11 +103,11 @@ func (h *Handler) scenarioByID(id string) (*scenario.Spec, bool) {
 	return s, ok
 }
 
-// computeDiffLocal runs the full scenario simulation on this process's
+// computeDiff runs the full scenario simulation on this process's
 // engine and serializes the diff in the canonical wire form (indented
-// JSON plus trailing newline) — the same bytes whether produced here,
-// loaded from the store, or returned by a cluster worker.
-func (h *Handler) computeDiffLocal(ctx context.Context, spec *scenario.Spec) ([]byte, error) {
+// JSON plus trailing newline) — the same bytes whether produced here
+// or loaded from the store.
+func (h *Handler) computeDiff(ctx context.Context, spec *scenario.Spec) ([]byte, error) {
 	diff, err := h.engine.Run(ctx, spec)
 	if err != nil {
 		return nil, err
@@ -117,30 +117,6 @@ func (h *Handler) computeDiffLocal(ctx context.Context, spec *scenario.Spec) ([]
 		return nil, err
 	}
 	return append(data, '\n'), nil
-}
-
-// localDiffPayload is the cluster worker's diff entry point: serve the
-// stored bytes when present, otherwise simulate and persist. Workers
-// coalesce concurrent cluster requests through the same singleflight
-// group as their own API traffic.
-func (h *Handler) localDiffPayload(ctx context.Context, spec *scenario.Spec) ([]byte, error) {
-	payload, err, _ := h.scenFlights.Do(spec.Key(), func() ([]byte, error) {
-		key := h.storeKey("scenario", spec.Key())
-		if h.opts.Store != nil {
-			if stored, err := h.opts.Store.Get(key); err == nil {
-				return stored, nil
-			} else {
-				logStoreMiss("scenario "+spec.ID, err)
-			}
-		}
-		data, err := h.computeDiffLocal(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		h.persistDiff(spec.ID, key, data)
-		return data, nil
-	})
-	return payload, err
 }
 
 // persistDiff writes a serialized diff document to the store; failures
@@ -178,20 +154,7 @@ func (h *Handler) scenarioDiff(w http.ResponseWriter, r *http.Request) {
 				logStoreMiss("scenario "+id, err)
 			}
 		}
-		// A coordinator dispatches the simulation to the spec's ring
-		// owner; the worker returns the same serialized document this
-		// process would produce, so persisting it keeps the restart
-		// path bit-identical. Any dispatch failure (including an empty
-		// ring) falls through to local computation.
-		if h.cluster != nil {
-			if data, err := h.cluster.DiffPayload(ctx, spec); err == nil {
-				h.persistDiff(id, key, data)
-				return data, nil
-			} else {
-				log.Printf("httpapi: cluster scenario %s diff: %v (computing locally)", id, err)
-			}
-		}
-		data, err := h.computeDiffLocal(ctx, spec)
+		data, err := h.computeDiff(ctx, spec)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -137,8 +138,8 @@ func Generate(w io.Writer, wd *world.World, opts Options) error {
 	var campaigns []section
 	var chaos *atlas.ChaosCampaign
 	if opts.IncludeCampaigns {
-		tc := wd.TraceCampaign()
-		chaos = wd.ChaosCampaign()
+		var tc *atlas.TraceCampaign
+		tc, chaos = wd.BaselineCampaigns(context.Background())
 		campaigns = []section{
 			{
 				"Root DNS replicas (Figure 6)",

@@ -1,10 +1,9 @@
 // Package resilience supplies the fault-handling primitives the pipeline
 // uses to survive the realities of decade-scale archival data: mirrors
 // stall, dumps truncate, and APIs rate-limit. It provides retry with
-// exponential backoff and deterministic jitter, latency hedging,
-// deadline-wrapped execution, and an error-aware lazy cache that —
-// unlike sync.Once — does not poison itself on a transient first
-// failure.
+// exponential backoff and deterministic jitter, deadline-wrapped
+// execution, and an error-aware lazy cache that — unlike sync.Once —
+// does not poison itself on a transient first failure.
 //
 // Everything is deterministic under test: jitter draws from a seedable
 // RNG and sleeping is injectable.

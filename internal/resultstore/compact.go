@@ -8,14 +8,14 @@ import (
 	"vzlens/internal/obs"
 )
 
-// This file adds journal compaction: long-lived journals — a sweep's
-// per-spec results, the cluster coordinator's shard-assignment
-// manifest — accumulate records forever, and some of those records are
-// superseded (a spec re-assigned three times only needs its last
-// assignment). Compact rewrites the journal keeping only the records
-// the caller still wants, with WriteAtomic like a Store.Put. A crash at
-// any byte offset leaves either the old journal or the new one, never
-// a torn mix.
+// This file adds journal compaction: a long-lived journal — a sweep's
+// per-spec results — accumulates records forever, and some of those
+// records are redundant (repeated crash-resume cycles leave duplicate
+// manifests and spec results, of which replay needs one each).
+// Compact rewrites the journal keeping only the records the caller
+// still wants, with WriteAtomic like a Store.Put. A crash at any byte
+// offset leaves either the old journal or the new one, never a torn
+// mix.
 
 // Instrument attaches the journal's nil-safe metrics hooks; currently
 // the compaction counter (see InstrumentCompactions). Safe to skip —
@@ -26,10 +26,10 @@ func (j *Journal) Instrument(compactions *obs.Counter) {
 	j.compactions = compactions
 }
 
-// InstrumentCompactions registers (or finds) the shared
+// InstrumentCompactions registers (or finds) the
 // vz_resultstore_compactions_total counter on reg, so every journal
-// owner — sweep manager, cluster coordinator — reports into one
-// series. Attach it to journals with Journal.Instrument.
+// the sweep manager opens reports into one series. Attach it to
+// journals with Journal.Instrument.
 func InstrumentCompactions(reg *obs.Registry) *obs.Counter {
 	return reg.Counter("vz_resultstore_compactions_total",
 		"Journal compactions (rewrites dropping superseded records).")

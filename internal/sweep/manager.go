@@ -70,9 +70,10 @@ type Options struct {
 	// serving layer's admission control. It returns a release func or
 	// an error (shed); sheds are retried like any transient failure.
 	Admit func(ctx context.Context) (func(), error)
-	// RunSpec overrides how one spec is simulated; nil uses the
-	// scenario engine with experiment tables skipped. Tests inject
-	// failing and panicking runs here.
+	// RunSpec overrides how one spec is simulated. Nil — what the
+	// server passes — runs the scenario engine in this process with
+	// experiment tables skipped; only tests and benchmarks set it, to
+	// inject cheap, failing, hanging and panicking runs.
 	RunSpec func(ctx context.Context, sp *scenario.Spec) (*scenario.Diff, scenario.RunStats, error)
 }
 

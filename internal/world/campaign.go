@@ -269,6 +269,27 @@ func (w *World) ChaosCampaignCtx(ctx context.Context) *atlas.ChaosCampaign {
 	return w.chaosCampaign(ctx, nil)
 }
 
+// BaselineCampaigns runs both campaigns at once — the CHAOS pass in a
+// goroutine beside the trace pass — and returns them. Concurrent
+// baseline passes share every kernel path tree, so a caller that needs
+// both campaigns pays for each tree once, where running them one
+// after the other rebuilds every tree the first pass dropped. Each
+// campaign is the one TraceCampaignCtx and ChaosCampaignCtx return.
+func (w *World) BaselineCampaigns(ctx context.Context) (*atlas.TraceCampaign, *atlas.ChaosCampaign) {
+	var (
+		cc *atlas.ChaosCampaign
+		wg sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		cc = w.ChaosCampaignCtx(ctx)
+	}()
+	tc := w.TraceCampaignCtx(ctx)
+	wg.Wait()
+	return tc, cc
+}
+
 // chaosCampaign simulates the CHAOS sweep under plan (nil = baseline);
 // a baseline run is a kernel pass, as in traceCampaign.
 func (w *World) chaosCampaign(ctx context.Context, plan *ScenarioPlan) *atlas.ChaosCampaign {

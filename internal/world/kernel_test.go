@@ -313,18 +313,6 @@ func TestKernelTreesLiveOnlyForPasses(t *testing.T) {
 	netsim.InstrumentMetrics(reg)
 	bfs := reg.Counter("vz_netsim_tree_bfs_total", "")
 	w := mustBuild(Config{Step: 3})
-	passes := func() (*atlas.TraceCampaign, *atlas.ChaosCampaign) {
-		var cc *atlas.ChaosCampaign
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cc = w.ChaosCampaign()
-		}()
-		tc := w.TraceCampaign()
-		wg.Wait()
-		return tc, cc
-	}
 	// A Venezuelan probe at the DNS plane's pinned month asks every
 	// letter; its source tree is one the passes build too.
 	dm := w.DefaultDNSMonth()
@@ -351,7 +339,7 @@ func TestKernelTreesLiveOnlyForPasses(t *testing.T) {
 	}
 
 	n := bfs.Value()
-	tc, cc := passes()
+	tc, cc := w.BaselineCampaigns(context.Background())
 	if got := bfs.Value() - n; got != 1705 {
 		t.Errorf("concurrent baseline passes ran %d tree BFS, want 1705", got)
 	}
@@ -391,7 +379,7 @@ func TestKernelTreesLiveOnlyForPasses(t *testing.T) {
 		}()
 	}
 	n = bfs.Value()
-	tc2, cc2 := passes()
+	tc2, cc2 := w.BaselineCampaigns(context.Background())
 	close(stop)
 	racers.Wait()
 	// A racer that answers after the last pass drops the trees

@@ -17,7 +17,12 @@
 # missing from either side is reported (NEW / GONE) but never fails the
 # check, so adding or retiring a benchmark does not break CI. A baseline
 # of 0 allocs/op is a hard pin — any allocation at all fails it (a
-# percentage gate is meaningless against zero).
+# percentage gate is meaningless against zero). A baseline row that
+# records its own "benchtime" (a median taken at, say, 2000x) is timed
+# at that benchtime in a separate `go test` run, because one timed
+# iteration also pays first-call warm-up the recorded median does not;
+# the key applies to the row's whole top-level benchmark. Every other
+# benchmark runs at BENCH_TIME.
 #
 # With --compare, no benchmarks run: the two named JSON files are
 # compared with exactly the --check rules. This is the hook the
@@ -28,7 +33,9 @@
 #                          columnar-kernel + BFS + fact-lake set)
 #   BENCH_TIME             -benchtime value (default: 1x — one timed
 #                          iteration per benchmark keeps the sweep fast;
-#                          raise for stable numbers, e.g. BENCH_TIME=3x)
+#                          raise for stable numbers, e.g. BENCH_TIME=3x);
+#                          under --check, baseline rows with their own
+#                          "benchtime" keep it
 #   BENCH_TOLERANCE        --check ns/op regression threshold in percent
 #                          (default 25)
 #   BENCH_ALLOC_TOLERANCE  --check allocs/op regression threshold in
@@ -138,6 +145,10 @@ benchtime="${BENCH_TIME:-1x}"
 
 if [[ "$mode" == check ]]; then
     baseline="${1:-BENCH_campaigns.json}"
+    if [[ ! -f "$baseline" ]]; then
+        echo "bench.sh --check: baseline $baseline not found" >&2
+        exit 2
+    fi
     out="$(mktemp)"
 else
     out="${1:-BENCH_campaigns.json}"
@@ -146,7 +157,42 @@ fi
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
 
-go test -run='^$' -bench="$pattern" -benchmem -benchtime="$benchtime" . | tee "$raw"
+# bench PATTERN BENCHTIME — one `go test -bench` run, appended to $raw.
+bench() {
+    go test -run='^$' -bench="$1" -benchmem -benchtime="$2" . | tee -a "$raw"
+}
+
+if [[ "$mode" == check ]]; then
+    # own[top-level benchmark] = the benchtime its baseline row records.
+    declare -A own=()
+    while read -r name bt; do
+        own[$name]=$bt
+    done < <(awk '/"name"/ && /"benchtime"/ {
+        name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name); sub(/\/.*/, "", name)
+        bt = $0; sub(/.*"benchtime": *"/, "", bt); sub(/".*/, "", bt)
+        print name, bt
+    }' "$baseline")
+    # Split the benchmarks the pattern selects into one group per
+    # recorded benchtime and the rest, which run at BENCH_TIME.
+    declare -A groups=()
+    rest=""
+    while read -r name; do
+        if [[ -n "${own[$name]:-}" ]]; then
+            bt="${own[$name]}"
+            groups[$bt]="${groups[$bt]:+${groups[$bt]}|}$name"
+        else
+            rest="${rest:+$rest|}$name"
+        fi
+    done < <(go test -run='^$' -list="$pattern" . | grep '^Benchmark')
+    if [[ -n "$rest" ]]; then
+        bench "^($rest)\$" "$benchtime"
+    fi
+    for bt in "${!groups[@]}"; do
+        bench "^(${groups[$bt]})\$" "$bt"
+    done
+else
+    bench "$pattern" "$benchtime"
+fi
 
 # Parse `go test -bench` lines:
 #   BenchmarkName/sub-8  10  123456 ns/op  789 B/op  12 allocs/op [extra metrics]
@@ -182,11 +228,6 @@ echo "wrote $out ($(grep -c '"name"' "$out") benchmarks)"
 
 if [[ "$mode" == run ]]; then
     exit 0
-fi
-
-if [[ ! -f "$baseline" ]]; then
-    echo "bench.sh --check: baseline $baseline not found" >&2
-    exit 2
 fi
 
 status=0
