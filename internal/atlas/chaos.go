@@ -134,7 +134,7 @@ func (p *ChaosPartition) sitesByCountry(onlyProbeCC string) map[string]int {
 	}
 	type answer struct {
 		letter uint8
-		txt    uint32
+		txt    uint16
 	}
 	coded := map[answer]bool{}
 	seen := map[siteKey]string{}

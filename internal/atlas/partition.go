@@ -47,7 +47,7 @@ func (p *TracePartition) sample(i int) TraceSample {
 type ChaosPartition struct {
 	Month   months.Month
 	ProbeID []int32
-	TXT     []uint32 // CHAOS TXT answer, dictionary code
+	TXT     []uint16 // CHAOS TXT answer, dictionary code
 	CC      []uint16 // probe country, dictionary code
 	SiteCC  []uint16 // parsed site country code, or DictNone
 	Letter  []uint8  // root letter 'A'..'M'
@@ -151,7 +151,7 @@ func newChaosBuilder(m months.Month, rows, dictHint int) chaosBuilder {
 		p: &ChaosPartition{
 			Month:   m,
 			ProbeID: make([]int32, 0, rows),
-			TXT:     make([]uint32, 0, rows),
+			TXT:     make([]uint16, 0, rows),
 			CC:      make([]uint16, 0, rows),
 			SiteCC:  make([]uint16, 0, rows),
 			Letter:  make([]uint8, 0, rows),
@@ -175,7 +175,7 @@ func (b *chaosBuilder) add(r ChaosResult) {
 		p.SiteCC = append(p.SiteCC, p.SiteCC[j])
 	} else {
 		b.first[key] = len(p.TXT)
-		p.TXT = append(p.TXT, uint32(b.dict.code(r.TXT)))
+		p.TXT = append(p.TXT, b.dict.code(r.TXT))
 		p.CC = append(p.CC, b.dict.code(r.ProbeCC))
 		site := uint16(DictNone)
 		if cc := siteCountry(r.Letter, r.TXT); cc != "" {

@@ -21,6 +21,14 @@ const (
 	bufSize  = readArea + int(dnswire.MaxUDPSize)
 )
 
+// recvBuffer is the socket receive buffer Serve asks for. Datagrams
+// that arrive while no reader is running wait in this buffer, and the
+// kernel drops whatever overflows it. Linux's default (rmem_default,
+// 208 KB) holds ~270 small queries, ~100 ms at 2,500 qps, and reader
+// stalls that long occur on a 2-CPU host whose cores a sweep keeps
+// busy. The kernel caps the request at net.core.rmem_max.
+const recvBuffer = 4 << 20
+
 // bufPool shares packet buffers across reader goroutines and server
 // instances.
 var bufPool = sync.Pool{
@@ -78,6 +86,8 @@ func Serve(opts ServerOptions) (*Server, error) {
 		pc.Close()
 		return nil, fmt.Errorf("dnsplane: %T is not a UDP socket", pc)
 	}
+	// Best effort: a socket that keeps the default buffer still serves.
+	_ = conn.SetReadBuffer(recvBuffer)
 	readers := opts.Readers
 	if readers <= 0 {
 		readers = 1

@@ -1,8 +1,12 @@
 package dnsplane
 
 import (
+	"encoding/binary"
 	"net"
+	"os"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -194,5 +198,71 @@ func TestDNSOverlaySwapSoak(t *testing.T) {
 		t.Errorf("soak answered only %d queries — racing barely happened", n)
 	} else {
 		t.Logf("soak: %d answers across %d overlay flavors", n, len(plans))
+	}
+}
+
+// TestServeQueuesBurstWhileReadersStall holds every reader off the
+// socket (the test takes the answer cache's lock, so each reader parks
+// in its first lookup) while a burst far larger than Linux's default
+// receive buffer arrives, then lets them go: every query must still be
+// answered. The kernel drops what overflows the socket's buffer, and it
+// caps Serve's request at net.core.rmem_max, hence the skip.
+func TestServeQueuesBurstWhileReadersStall(t *testing.T) {
+	raw, err := os.ReadFile("/proc/sys/net/core/rmem_max")
+	if err != nil {
+		t.Skip("no net.core.rmem_max to read")
+	}
+	if max, err := strconv.Atoi(strings.TrimSpace(string(raw))); err != nil || max < recvBuffer {
+		t.Skipf("net.core.rmem_max %q caps the receive buffer below %d bytes", strings.TrimSpace(string(raw)), recvBuffer)
+	}
+	leakGuard(t)
+	r := NewResolver(testWorld(t), months.MustParse("2023-01"))
+	srv, err := Serve(ServerOptions{Addr: "127.0.0.1:0", Resolver: r, Readers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.DialUDP("udp", nil, srv.Addr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// The replies come back as fast as two readers answer; the client
+	// must not be the socket that overflows.
+	if err := conn.SetReadBuffer(recvBuffer); err != nil {
+		t.Fatal(err)
+	}
+
+	const burst = 3000
+	var answered atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]byte, 4096)
+		for answered.Load() < burst {
+			if _, err := conn.Read(buf); err != nil {
+				return
+			}
+			answered.Add(1)
+		}
+	}()
+
+	pkt := mustQuery(t, 0, dnswire.HostnameBind+".l", dnswire.TypeTXT, dnswire.ClassCH)
+	r.mu.Lock()
+	for i := 0; i < burst; i++ {
+		binary.BigEndian.PutUint16(pkt, uint16(i))
+		if _, err := conn.Write(pkt); err != nil {
+			r.mu.Unlock()
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	r.mu.Unlock()
+
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+	}
+	if n := answered.Load(); n != burst {
+		t.Errorf("%d of %d queries answered after the readers stalled", n, burst)
 	}
 }

@@ -2,6 +2,9 @@ package facts
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -71,7 +74,7 @@ func TestChaosPartitionRoundTrip(t *testing.T) {
 	p := &atlas.ChaosPartition{
 		Month:   months.MustParse("2021-11"),
 		ProbeID: []int32{1, 2, 3},
-		TXT:     []uint32{0, 2, 2},
+		TXT:     []uint16{0, 2, 2},
 		CC:      []uint16{1, 1, 3},
 		SiteCC:  []uint16{3, atlas.DictNone, 1},
 		Letter:  []uint8{'A', 'K', 'M'},
@@ -91,7 +94,7 @@ func TestEmptyPartitionsRoundTrip(t *testing.T) {
 	if _, _, err := DecodePartition(EncodeTracePartition(tp0)); err != nil {
 		t.Fatalf("empty trace partition: %v", err)
 	}
-	cp0 := &atlas.ChaosPartition{Month: 1, ProbeID: []int32{}, TXT: []uint32{}, CC: []uint16{}, SiteCC: []uint16{}, Letter: []uint8{}, Dict: []string{}}
+	cp0 := &atlas.ChaosPartition{Month: 1, ProbeID: []int32{}, TXT: []uint16{}, CC: []uint16{}, SiteCC: []uint16{}, Letter: []uint8{}, Dict: []string{}}
 	if _, _, err := DecodePartition(EncodeChaosPartition(cp0)); err != nil {
 		t.Fatalf("empty chaos partition: %v", err)
 	}
@@ -124,23 +127,72 @@ func TestDecodeCorrupt(t *testing.T) {
 		Month: months.MustParse("2020-01"), RTT: []float64{1},
 		ProbeID: []int32{4}, CC: []uint16{9}, Hops: []uint8{1}, Dict: []string{"VE"},
 	})
+	// A chaos txt code one past uint16: the column stores 4 bytes, the
+	// decoded partition 2, so a narrowing decode would read a valid 0.
+	badTXT := EncodeChaosPartition(&atlas.ChaosPartition{
+		Month: months.MustParse("2020-01"), ProbeID: []int32{4}, TXT: []uint16{0},
+		CC: []uint16{0}, SiteCC: []uint16{atlas.DictNone}, Letter: []uint8{'L'}, Dict: []string{"VE"},
+	})
+	txtOff := pad8(frameHeaderSize+dictBlobLen([]string{"VE"})) + pad8(4)
+	binary.LittleEndian.PutUint32(badTXT[txtOff:], 0x10000)
 	cases := map[string][]byte{
-		"empty":          {},
-		"short header":   valid[:16],
-		"bad magic":      mutate(0, 'X'),
-		"bad version":    mutate(4, 9),
-		"bad kind":       mutate(6, 7),
-		"reserved set":   mutate(7, 1),
-		"zero month":     zeroMonth,
-		"huge rows":      mutate(16, 0xFF),
-		"huge dict":      mutate(20, 0xFF),
-		"truncated":      valid[:len(valid)-8],
-		"cc out of dict": badCC,
-		"trailing bytes": append(append([]byte(nil), valid...), 0, 0, 0, 0, 0, 0, 0, 0),
+		"empty":           {},
+		"short header":    valid[:16],
+		"bad magic":       mutate(0, 'X'),
+		"bad version":     mutate(4, 9),
+		"bad kind":        mutate(6, 7),
+		"reserved set":    mutate(7, 1),
+		"zero month":      zeroMonth,
+		"huge rows":       mutate(16, 0xFF),
+		"huge dict":       mutate(20, 0xFF),
+		"truncated":       valid[:len(valid)-8],
+		"cc out of dict":  badCC,
+		"txt out of dict": badTXT,
+		"trailing bytes":  append(append([]byte(nil), valid...), 0, 0, 0, 0, 0, 0, 0, 0),
 	}
 	for name, payload := range cases {
 		if _, _, err := DecodePartition(payload); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: got err=%v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
+// TestPartitionEncodingPinned pins the VZFC encodings of the Step-3
+// world's campaigns, month by month, so a lake written by an earlier
+// build of the coder reloads to the same partitions: the sha256 over
+// the encoded partitions in month order, per kind.
+func TestPartitionEncodingPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates both Step-3 campaigns")
+	}
+	w, err := world.Build(world.Config{Step: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceSum, chaosSum := sha256.New(), sha256.New()
+	traceRows, chaosRows := 0, 0
+	for _, p := range w.TraceCampaign().Partitions() {
+		traceSum.Write(EncodeTracePartition(p))
+		traceRows += p.Rows()
+	}
+	for _, p := range w.ChaosCampaign().Partitions() {
+		chaosSum.Write(EncodeChaosPartition(p))
+		chaosRows += p.Rows()
+	}
+	pins := []struct {
+		kind       string
+		rows, want int
+		sum, pin   string
+	}{
+		{"trace", traceRows, 41613, hex.EncodeToString(traceSum.Sum(nil)), "8b8fa04e6401e554b6aed5128d376fc469cccee889b7bfc2d998a7a8f14123ec"},
+		{"chaos", chaosRows, 159224, hex.EncodeToString(chaosSum.Sum(nil)), "2a2d6860b300a8b850ec77cfb49e25b31808f7edb87dc4a30437db280a57271c"},
+	}
+	for _, p := range pins {
+		if p.rows != p.want {
+			t.Errorf("%s: %d rows, want %d", p.kind, p.rows, p.want)
+		}
+		if p.sum != p.pin {
+			t.Errorf("%s: encodings hash to %s, want %s", p.kind, p.sum, p.pin)
 		}
 	}
 }

@@ -45,6 +45,10 @@ var ErrCorrupt = resultstore.ErrCorrupt
 //	trace: rtt float64, probeID int32, cc uint16, hops uint8
 //	chaos: probeID int32, txt uint32, cc uint16, siteCC uint16, letter uint8
 //
+// The chaos txt column stores 4-byte codes although a decoded
+// partition holds them as uint16, the dictionary's code width; decode
+// rejects a stored code past the dictionary before narrowing it.
+//
 // Strings (probe countries, CHAOS TXT answers, parsed site countries)
 // live once in the per-partition dictionary; columns hold codes. The
 // trace and chaos code spaces share one dictionary per partition, so
@@ -156,7 +160,7 @@ func EncodeChaosPartition(p *atlas.ChaosPartition) []byte {
 	}
 	off += pad8(4 * rows)
 	for i, v := range p.TXT {
-		binary.LittleEndian.PutUint32(buf[off+4*i:], v)
+		binary.LittleEndian.PutUint32(buf[off+4*i:], uint32(v))
 	}
 	off += pad8(4 * rows)
 	for i, v := range p.CC {
@@ -325,7 +329,7 @@ func decodeChaos(payload []byte, h frameHead) (*atlas.ChaosPartition, error) {
 	p := &atlas.ChaosPartition{
 		Month:   h.month,
 		ProbeID: make([]int32, rows),
-		TXT:     make([]uint32, rows),
+		TXT:     make([]uint16, rows),
 		CC:      make([]uint16, rows),
 		SiteCC:  make([]uint16, rows),
 		Letter:  make([]uint8, rows),
@@ -345,10 +349,13 @@ func decodeChaos(payload []byte, h frameHead) (*atlas.ChaosPartition, error) {
 		return nil, err
 	}
 	for i := range p.TXT {
-		p.TXT[i] = binary.LittleEndian.Uint32(b[4*i:])
-		if uint64(p.TXT[i]) >= uint64(len(p.Dict)) {
-			return nil, fmt.Errorf("%w: facts txt code %d outside dictionary", ErrCorrupt, p.TXT[i])
+		// Check the stored code before narrowing it: a bare uint16 of
+		// 0x10000 would be a valid 0.
+		code := binary.LittleEndian.Uint32(b[4*i:])
+		if uint64(code) >= uint64(len(p.Dict)) {
+			return nil, fmt.Errorf("%w: facts txt code %d outside dictionary", ErrCorrupt, code)
 		}
+		p.TXT[i] = uint16(code)
 	}
 	if b, off, err = section(payload, off, 2*rows); err != nil {
 		return nil, err

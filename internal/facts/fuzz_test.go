@@ -31,7 +31,7 @@ func FuzzFactFrame(f *testing.F) {
 	f.Add(EncodeChaosPartition(&atlas.ChaosPartition{
 		Month:   months.MustParse("2021-06"),
 		ProbeID: []int32{9},
-		TXT:     []uint32{0},
+		TXT:     []uint16{0},
 		CC:      []uint16{1},
 		SiteCC:  []uint16{atlas.DictNone},
 		Letter:  []uint8{'K'},

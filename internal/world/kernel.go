@@ -34,8 +34,10 @@ import (
 // expanded by the valley-free BFS (it has no edges), never hosts an
 // anycast site, and never originates a probe, so path trees, latencies
 // and catchments over the real ASes are bit-identical. TopologyAt
-// keeps building faithful per-month topologies for the archive
-// exports; only the campaign hot path uses kernel cells.
+// keeps building faithful per-month topologies for its remaining
+// callers (scenario compiles, collector paths); the relationship
+// archive keys faithful graphs by this same signature (relGraphAt in
+// world.go); only the campaign hot path uses kernel cells.
 
 // kernelSig identifies a month's Venezuelan wiring: a bitmask of
 // active CANTV providers over cantvTransitOrder plus the active

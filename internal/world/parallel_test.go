@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"vzlens/internal/atlas"
+	"vzlens/internal/bgp"
 )
 
 // TestParallelCampaignsDeterministic guards the parallel engine's core
@@ -67,15 +68,29 @@ func TestCampaignRerunIdentical(t *testing.T) {
 }
 
 // TestConcurrentCampaignsRace exercises the shared per-month caches the
-// way concurrent API requests do: both campaigns plus direct TopologyAt
-// probes on one World, all racing. Run under -race in CI.
+// way concurrent API requests do: both campaigns, direct TopologyAt
+// probes and relationship archives (Fig 8/9) on one World, all racing.
+// Every archive must hand out the same shared graphs. Run under -race
+// in CI.
 func TestConcurrentCampaignsRace(t *testing.T) {
 	w := mustBuild(Config{
 		TraceStart: mm(2023, time.January), TraceEnd: mm(2023, time.December),
 		ChaosStart: mm(2023, time.January), ChaosEnd: mm(2023, time.December),
 		Step: 3, Workers: 4,
 	})
+	lo, hi := mm(1998, time.January), mm(2024, time.January)
+	archives := make([]*bgp.Archive, 4)
 	var wg sync.WaitGroup
+	for i := range archives {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			archives[i] = w.ASRelArchive(lo, hi)
+			if len(archives[i].UpstreamSeries(ASCANTV)) == 0 {
+				t.Error("empty relationship archive")
+			}
+		}()
+	}
 	for i := 0; i < 2; i++ {
 		wg.Add(3)
 		go func() {
@@ -100,6 +115,13 @@ func TestConcurrentCampaignsRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	for _, a := range archives[1:] {
+		for _, m := range a.Months() {
+			if a.Get(m) != archives[0].Get(m) {
+				t.Fatalf("%s: concurrent archives built distinct graphs", m)
+			}
+		}
+	}
 }
 
 // TestSampleSeedDistinct: neighboring probe-months must land in distinct

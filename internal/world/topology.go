@@ -73,11 +73,15 @@ func cityAt(iata string) geo.City {
 	return c
 }
 
-// TopologyAt assembles the interdomain topology for month m. Results are
-// cached on the World — both campaigns, the archive exports, and the
-// HTTP handlers share one resolver (and therefore one set of memoized
-// path trees) per month. Only the cell lookup holds the cache lock;
-// construction runs under the cell's own once, so parallel month shards
+// TopologyAt assembles the faithful interdomain topology for month m:
+// the relationship graph, AS locations and a resolver over them.
+// Results are cached on the World, one resolver (and therefore one set
+// of memoized path trees) per month, for the callers that need a whole
+// month's topology: scenario compiles, CollectorPaths and the
+// examples. Campaigns run on the kernel's per-signature resolvers
+// (kernel.go) and ASRelArchive on its per-signature graphs, so neither
+// fills this cache. Only the cell lookup holds the cache lock;
+// construction runs under the cell's own once, so concurrent callers
 // build distinct months concurrently.
 func (w *World) TopologyAt(m months.Month) *netsim.Resolver {
 	w.topoMu.Lock()
@@ -87,21 +91,21 @@ func (w *World) TopologyAt(m months.Month) *netsim.Resolver {
 		w.topoCache[m] = cell
 	}
 	w.topoMu.Unlock()
-	cell.once.Do(func() { cell.r = w.buildTopologyAt(m) })
+	cell.once.Do(func() { cell.r = netsim.NewResolver(w.monthTopology(m)) })
 	return cell.r
 }
 
-// buildTopologyAt constructs month m's topology and resolver.
-func (w *World) buildTopologyAt(m months.Month) *netsim.Resolver {
-	return netsim.NewResolver(w.assembleTopology(func(t *netsim.Topology) {
+// monthTopology constructs month m's faithful topology.
+func (w *World) monthTopology(m months.Month) *netsim.Topology {
+	return w.assembleTopology(func(t *netsim.Topology) {
 		w.wireVenezuela(t, m)
-	}))
+	})
 }
 
 // assembleTopology constructs the month-independent part of the
 // interdomain topology — the tier-1 mesh, foreign nationals, and every
 // non-Venezuelan country fleet — delegating the Venezuelan wiring
-// (the only month-dependent piece) to wireVE. buildTopologyAt passes
+// (the only month-dependent piece) to wireVE. monthTopology passes
 // the documented monthly timeline; the campaign kernel passes a
 // superset variant whose months are carved out by overlay edits.
 func (w *World) assembleTopology(wireVE func(*netsim.Topology)) *netsim.Topology {

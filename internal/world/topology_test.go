@@ -1,10 +1,12 @@
 package world
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"vzlens/internal/atlas"
+	"vzlens/internal/bgp"
 	"vzlens/internal/dnsroot"
 	"vzlens/internal/netsim"
 )
@@ -112,6 +114,58 @@ func TestTopologyCacheReuse(t *testing.T) {
 	c := w.TopologyAt(mm(2020, time.July))
 	if a == c {
 		t.Error("distinct months share a topology")
+	}
+}
+
+// TestASRelArchiveMatchesMonthlyTopologies pins the relationship
+// archive's per-signature memo against faithful monthly topologies:
+// for every month of 1998-01..2024-01 the archive's graph serializes to
+// the same bytes as a fresh world's TopologyAt(m) graph, months share a
+// graph exactly when their kernelSigAt is equal, and the archive leaves
+// the TopologyAt cache empty.
+func TestASRelArchiveMatchesMonthlyTopologies(t *testing.T) {
+	w := mustBuild(Config{})
+	ref := mustBuild(Config{})
+	lo, hi := mm(1998, time.January), mm(2024, time.January)
+	arch := w.ASRelArchive(lo, hi)
+
+	bySig := map[kernelSig]*bgp.Graph{}
+	graphs := map[*bgp.Graph]bool{}
+	n := 0
+	for m := lo; !m.After(hi); m = m.Add(1) {
+		n++
+		g := arch.Get(m)
+		if g == nil {
+			t.Fatalf("%s: no graph archived", m)
+		}
+		var got, want bytes.Buffer
+		if _, err := g.WriteTo(&got); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ref.TopologyAt(m).Topology().Graph().WriteTo(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%s: archive graph differs from TopologyAt's (%d vs %d bytes)", m, got.Len(), want.Len())
+		}
+		sig := kernelSigAt(m)
+		if prev, ok := bySig[sig]; ok && prev != g {
+			t.Errorf("%s: signature %+v built a second graph", m, sig)
+		}
+		bySig[sig] = g
+		graphs[g] = true
+	}
+	if n != 313 {
+		t.Fatalf("checked %d months, want 313", n)
+	}
+	if len(graphs) != len(bySig) || len(graphs) != 45 {
+		t.Errorf("archive holds %d graphs for %d signatures, want 45 of each", len(graphs), len(bySig))
+	}
+	w.topoMu.Lock()
+	cached := len(w.topoCache)
+	w.topoMu.Unlock()
+	if cached != 0 {
+		t.Errorf("ASRelArchive filled %d TopologyAt cells, want 0", cached)
 	}
 }
 

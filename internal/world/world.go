@@ -98,12 +98,22 @@ type World struct {
 	}
 	axes []AxisStatus
 
-	// topoCache holds one resolver cell per month. The map itself is
+	// topoCache holds one TopologyAt resolver cell per month, for the
+	// callers that need a faithful month's resolver (scenario compiles,
+	// collector paths); campaigns run on kernel cells and the
+	// relationship archive on relGraphs instead. The map itself is
 	// lock-protected; each cell builds its resolver exactly once, outside
-	// the map lock, so parallel month shards never serialize on another
+	// the map lock, so concurrent callers never serialize on another
 	// month's topology construction.
 	topoMu    sync.Mutex
 	topoCache map[months.Month]*topoCell
+
+	// relGraphs holds ASRelArchive's relationship graphs, one per
+	// Venezuelan wiring signature (kernelSigAt): months that wire CANTV
+	// alike share one read-only graph. Cells fill outside relMu, as
+	// topoCache's do.
+	relMu     sync.Mutex
+	relGraphs map[kernelSig]*graphCell
 
 	// scenCache holds per-scenario resolver cells, keyed by plan key
 	// then month, capped at maxScenarioCacheKeys keys (FIFO eviction).
@@ -158,6 +168,13 @@ type World struct {
 type topoCell struct {
 	once sync.Once
 	r    *netsim.Resolver
+}
+
+// graphCell is a once-cell for one wiring signature's relationship
+// graph.
+type graphCell struct {
+	once sync.Once
+	g    *bgp.Graph
 }
 
 // baseCell is a once-cell for the kernel's static base topology.
@@ -390,13 +407,36 @@ func (w *World) campaignMonths(lo, hi months.Month) []months.Month {
 }
 
 // ASRelArchive exports the monthly AS relationship files over [lo, hi]
-// (stepped), mirroring the CAIDA serial-1 archive back to 1998.
+// (stepped), mirroring the CAIDA serial-1 archive back to 1998. Each
+// month's graph equals TopologyAt(m)'s, but it comes from a memo with
+// one graph per Venezuelan wiring signature, so months that wire CANTV
+// alike share one *bgp.Graph, across archives too, and no month keeps
+// a resolver or AS locations. The graphs are shared and read-only:
+// callers must not add relationships to them.
 func (w *World) ASRelArchive(lo, hi months.Month) *bgp.Archive {
 	a := bgp.NewArchive()
 	for m := lo; !m.After(hi); m = m.Add(w.Config.Step) {
-		a.Put(m, w.TopologyAt(m).Topology().Graph())
+		a.Put(m, w.relGraphAt(m))
 	}
 	return a
+}
+
+// relGraphAt returns month m's relationship graph from the
+// per-signature memo.
+func (w *World) relGraphAt(m months.Month) *bgp.Graph {
+	sig := kernelSigAt(m)
+	w.relMu.Lock()
+	if w.relGraphs == nil {
+		w.relGraphs = map[kernelSig]*graphCell{}
+	}
+	cell, ok := w.relGraphs[sig]
+	if !ok {
+		cell = &graphCell{}
+		w.relGraphs[sig] = cell
+	}
+	w.relMu.Unlock()
+	cell.once.Do(func() { cell.g = w.monthTopology(m).Graph() })
+	return cell.g
 }
 
 // RIBArchive exports monthly Venezuelan prefix-to-AS snapshots over

@@ -24,6 +24,14 @@
 # the key applies to the row's whole top-level benchmark. Every other
 # benchmark runs at BENCH_TIME.
 #
+# Without --check, the sweep refreshes the output file (default
+# BENCH_campaigns.json) with the same per-row grouping, read from that
+# file, or from BENCH_campaigns.json while the output does not exist
+# yet: a row recorded with a "benchtime" is re-timed at it and keeps
+# the key, and a row that also records "count" and "stat" is re-taken
+# with -count=<count> and written as the per-column median of those
+# runs, keys kept.
+#
 # With --compare, no benchmarks run: the two named JSON files are
 # compared with exactly the --check rules. This is the hook the
 # regression test drives the comparator through.
@@ -155,53 +163,96 @@ else
 fi
 
 raw="$(mktemp)"
-trap 'rm -f "$raw"' EXIT
+keys="$(mktemp)"
+trap 'rm -f "$raw" "$keys"' EXIT
 
-# bench PATTERN BENCHTIME — one `go test -bench` run, appended to $raw.
+# bench PATTERN BENCHTIME COUNT — one `go test -bench` run, appended to
+# $raw.
 bench() {
-    go test -run='^$' -bench="$1" -benchmem -benchtime="$2" . | tee -a "$raw"
+    go test -run='^$' -bench="$1" -benchmem -benchtime="$2" -count="$3" . | tee -a "$raw"
 }
 
-if [[ "$mode" == check ]]; then
-    # own[top-level benchmark] = the benchtime its baseline row records.
-    declare -A own=()
-    while read -r name bt; do
-        own[$name]=$bt
-    done < <(awk '/"name"/ && /"benchtime"/ {
+# recorded FILE — one "benchmark benchtime count" line per row of FILE
+# that records its own benchtime. The benchmark is the row's top-level
+# one, because the key applies to all of its sub-benchmarks; count is
+# the row's "count", or 1 when it records none.
+recorded() {
+    awk '/"name"/ && /"benchtime"/ {
         name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name); sub(/\/.*/, "", name)
         bt = $0; sub(/.*"benchtime": *"/, "", bt); sub(/".*/, "", bt)
-        print name, bt
-    }' "$baseline")
-    # Split the benchmarks the pattern selects into one group per
-    # recorded benchtime and the rest, which run at BENCH_TIME.
-    declare -A groups=()
-    rest=""
-    while read -r name; do
-        if [[ -n "${own[$name]:-}" ]]; then
-            bt="${own[$name]}"
-            groups[$bt]="${groups[$bt]:+${groups[$bt]}|}$name"
-        else
-            rest="${rest:+$rest|}$name"
-        fi
-    done < <(go test -run='^$' -list="$pattern" . | grep '^Benchmark')
-    if [[ -n "$rest" ]]; then
-        bench "^($rest)\$" "$benchtime"
-    fi
-    for bt in "${!groups[@]}"; do
-        bench "^(${groups[$bt]})\$" "$bt"
-    done
-else
-    bench "$pattern" "$benchtime"
+        count = 1
+        if (index($0, "\"count\":") > 0) {
+            count = $0; sub(/.*"count": */, "", count); sub(/[,}].*/, "", count)
+        }
+        print name, bt, count
+    }' "$1"
+}
+
+# --check re-times each recorded row once at its benchtime and writes
+# its rows without keys, as the comparator reads none.
+rowkeys="$keys"
+if [[ "$mode" == check ]]; then
+    recorded "$baseline" | awk '{ print $1, $2, 1 }' > "$keys"
+    rowkeys=/dev/null
+elif [[ -f "$out" ]]; then
+    recorded "$out" > "$keys"
+elif [[ -f BENCH_campaigns.json ]]; then
+    recorded BENCH_campaigns.json > "$keys"
 fi
+
+# Split the benchmarks the pattern selects into one group per recorded
+# (benchtime, count) and the rest, which run once at BENCH_TIME.
+declare -A own=() groups=()
+while read -r name bt count; do
+    own[$name]="$bt $count"
+done < "$keys"
+rest=""
+while read -r name; do
+    if [[ -n "${own[$name]:-}" ]]; then
+        g="${own[$name]}"
+        groups[$g]="${groups[$g]:+${groups[$g]}|}$name"
+    else
+        rest="${rest:+$rest|}$name"
+    fi
+done < <(go test -run='^$' -list="$pattern" . | grep '^Benchmark')
+if [[ -n "$rest" ]]; then
+    bench "^($rest)\$" "$benchtime" 1
+fi
+for g in "${!groups[@]}"; do
+    read -r bt count <<< "$g"
+    bench "^(${groups[$g]})\$" "$bt" "$count"
+done
 
 # Parse `go test -bench` lines:
 #   BenchmarkName/sub-8  10  123456 ns/op  789 B/op  12 allocs/op [extra metrics]
-awk -v label="$benchtime" '
-BEGIN { n = 0 }
+# A benchmark run more than once (a recorded count) is written as the
+# per-column median of its runs; a row whose top-level benchmark is in
+# $rowkeys carries its benchtime, and its count and stat when it has one.
+awk -v label="$benchtime" -v keysfile="$rowkeys" '
+function median(col, name, k,   i, j, v, t) {
+    for (i = 1; i <= k; i++) {
+        t = samples[col, name, i] + 0
+        for (j = i - 1; j >= 1 && v[j] > t; j--) v[j+1] = v[j]
+        v[j+1] = t
+    }
+    t = (k % 2) ? v[(k+1)/2] : (v[k/2] + v[k/2+1]) / 2
+    return (t == int(t)) ? sprintf("%.0f", t) : sprintf("%.1f", t)
+}
+function value(col, name) {
+    if (runs[name] == 1) return samples[col, name, 1]
+    return median(col, name, runs[name])
+}
+BEGIN {
+    n = 0
+    while ((getline line < keysfile) > 0) {
+        split(line, f, " ")
+        kbt[f[1]] = f[2]
+        kcount[f[1]] = f[3]
+    }
+}
 $1 ~ /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)            # strip -GOMAXPROCS suffix
-    iters = $2
     ns = ""; bop = ""; allocs = ""
     for (i = 3; i < NF; i++) {
         if ($(i+1) == "ns/op")     ns = $i
@@ -209,17 +260,31 @@ $1 ~ /^Benchmark/ {
         if ($(i+1) == "allocs/op") allocs = $i
     }
     if (ns == "") next
-    row = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s", name, iters, ns)
-    if (bop != "")    row = row sprintf(", \"bytes_per_op\": %s", bop)
-    if (allocs != "") row = row sprintf(", \"allocs_per_op\": %s", allocs)
-    row = row "}"
-    rows[n++] = row
+    if (!(name in runs)) order[n++] = name
+    k = ++runs[name]
+    iters[name] = $2
+    samples["ns", name, k] = ns
+    samples["b", name, k] = bop
+    samples["a", name, k] = allocs
 }
 END {
     print "{"
     printf "  \"benchtime\": \"%s\",\n", label
     print "  \"benchmarks\": ["
-    for (i = 0; i < n; i++) printf "%s%s\n", rows[i], (i < n-1 ? "," : "")
+    for (i = 0; i < n; i++) {
+        name = order[i]
+        top = name
+        sub(/\/.*/, "", top)
+        row = sprintf("    {\"name\": \"%s\"", name)
+        if (top in kbt) {
+            row = row sprintf(", \"benchtime\": \"%s\"", kbt[top])
+            if (kcount[top] > 1) row = row sprintf(", \"count\": %s, \"stat\": \"median\"", kcount[top])
+        }
+        row = row sprintf(", \"iterations\": %s, \"ns_per_op\": %s", iters[name], value("ns", name))
+        if (samples["b", name, 1] != "") row = row sprintf(", \"bytes_per_op\": %s", value("b", name))
+        if (samples["a", name, 1] != "") row = row sprintf(", \"allocs_per_op\": %s", value("a", name))
+        printf "%s}%s\n", row, (i < n-1 ? "," : "")
+    }
     print "  ]"
     print "}"
 }' "$raw" > "$out"
