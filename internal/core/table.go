@@ -1,8 +1,10 @@
 // Package core implements the paper's analyses: one function per figure
 // or table in the evaluation, each consuming the datasets a World
 // provides and returning a typed result that renders to the rows the
-// paper reports. The cmd/vzreport binary strings them all together;
-// bench_test.go regenerates each experiment under the benchmark harness.
+// paper reports. The experiment registry (Experiments, registry.go)
+// lists them once for every consumer: the HTTP API, the golden suite,
+// the markdown report, vzreport and vzfigs; bench_test.go regenerates
+// each experiment under the benchmark harness.
 package core
 
 import (

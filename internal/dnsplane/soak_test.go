@@ -138,24 +138,40 @@ func TestDNSOverlaySwapSoak(t *testing.T) {
 			}
 			defer conn.Close()
 			buf := make([]byte, 4096)
+			// abandoned counts, by ID, the queries this hammerer timed
+			// out on: the server may still answer them, late.
+			abandoned := map[uint16]int{}
 			for i := 0; !stop.Load(); i++ {
 				pkt := queries[(g+i)%len(queries)]
+				want := uint16(pkt[0])<<8 | uint16(pkt[1])
 				if _, err := conn.Write(pkt); err != nil {
 					return
 				}
 				conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
-				n, err := conn.Read(buf)
-				if err != nil {
+				var msg *dnswire.Message
+				for msg == nil {
+					n, err := conn.Read(buf)
+					if err != nil {
+						break
+					}
+					m, err := dnswire.Decode(buf[:n])
+					if err != nil {
+						t.Errorf("soak wire: undecodable reply: %v", err)
+						return
+					}
+					switch {
+					case m.ID == want:
+						msg = m
+					case abandoned[m.ID] > 0:
+						abandoned[m.ID]-- // a late reply: read on until the deadline
+					default:
+						t.Errorf("soak wire: reply ID %d for query ID %d, and no query with that ID was given up on", m.ID, want)
+						return
+					}
+				}
+				if msg == nil {
+					abandoned[want]++
 					continue // lost datagram: a timeout, as on a real network
-				}
-				msg, err := dnswire.Decode(buf[:n])
-				if err != nil {
-					t.Errorf("soak wire: undecodable reply: %v", err)
-					return
-				}
-				if want := uint16(pkt[0])<<8 | uint16(pkt[1]); msg.ID != want {
-					t.Errorf("soak wire: reply ID %d for query ID %d", msg.ID, want)
-					return
 				}
 				switch msg.Rcode() {
 				case dnswire.RcodeOK, dnswire.RcodeServFail, dnswire.RcodeRef:

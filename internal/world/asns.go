@@ -146,7 +146,10 @@ func buildOrgs(nets map[string]CountryNet, est *aspop.Estimates) *bgp.OrgMap {
 	orgs.Add(bgp.ASInfo{ASN: ASCANTV, Name: "CANTV Servicios, Venezuela", Country: "VE", Org: "ORG-CANV"})
 	orgs.Add(bgp.ASInfo{ASN: ASMovilnet, Name: "Telecomunicaciones MOVILNET", Country: "VE", Org: "ORG-CANV"})
 	orgs.Add(bgp.ASInfo{ASN: ASTelefonica, Name: "TELEFONICA VENEZOLANA, C.A.", Country: "VE", Org: "ORG-TELF"})
-	for cc, net := range nets {
+	// Countries in sorted order: an AS wired into two countries takes
+	// the first one's, so the directory is the same on every build.
+	for _, cc := range sortedCountries(nets) {
+		net := nets[cc]
 		all := append([]bgp.ASN{net.Transit}, net.Eyeballs...)
 		for _, asn := range all {
 			if _, ok := orgs.Lookup(asn); ok {

@@ -118,3 +118,23 @@ func TestGeoPolicyChangesCatchment(t *testing.T) {
 		t.Errorf("geo policy median %.1f should exceed BGP median %.1f", vg, vb)
 	}
 }
+
+// TestBuildOrgsDeterministic pins the as2org directory to one byte
+// stream: a few synthetic ASes are wired into two countries, and each
+// must take the same country on every build.
+func TestBuildOrgsDeterministic(t *testing.T) {
+	nets := buildNets()
+	pop := buildPopulations(nets)
+	var first []byte
+	for i := 0; i < 20; i++ {
+		var b bytes.Buffer
+		if _, err := buildOrgs(nets, pop).WriteTo(&b); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = b.Bytes()
+		} else if !bytes.Equal(b.Bytes(), first) {
+			t.Fatalf("build %d wrote a different as2org directory", i)
+		}
+	}
+}
