@@ -21,7 +21,7 @@ func TestColdStartRetainedHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a world, a fact lake and both campaigns")
 	}
-	const budgetMB = 6 // measured 4.03 MB (linux/amd64, Go 1.24)
+	const budgetMB = 6 // measured 2.96 MB (linux/amd64, Go 1.24)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()
@@ -61,7 +61,7 @@ func TestServedRetainedHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a world and a fact lake")
 	}
-	const budgetMB = 6 // measured 4.01 MB (linux/amd64, Go 1.24)
+	const budgetMB = 6 // measured 3.01 MB (linux/amd64, Go 1.24)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.GC()
@@ -101,6 +101,56 @@ func TestServedRetainedHeap(t *testing.T) {
 	t.Logf("retained heap serving lake-built campaigns: %.2f MB (budget %d MB)", retainedMB, budgetMB)
 	if retainedMB > budgetMB {
 		t.Errorf("serving lake-built campaigns retains %.2f MB of heap, budget %d MB", retainedMB, budgetMB)
+	}
+}
+
+// TestChaosCampaignRetainedHeap pins what the served CHAOS campaign
+// alone costs: a Step-3 lake is built and reopened cold, and the heap
+// is measured around its ChaosCampaign, which decodes every CHAOS
+// partition from disk. A partition keeps two uint16 codes per row and
+// its probe and answer tables, not five row columns. Measured like the
+// tests above.
+func TestChaosCampaignRetainedHeap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a world and a fact lake")
+	}
+	const budgetMB = 1.2 // measured 0.91 MB (linux/amd64, Go 1.24)
+	w := mustBuild(world.Config{Step: 3})
+	dir := t.TempDir()
+	built, err := facts.Open(dir, w.Config.Scope())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.BuildFrom(w, w.TraceCampaign(), w.ChaosCampaign()); err != nil {
+		t.Fatal(err)
+	}
+	lake, err := facts.Open(dir, w.Config.Scope())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+
+	cc, err := lake.ChaosCampaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(w)
+	runtime.KeepAlive(lake)
+
+	if cc.Len() != 159224 {
+		t.Fatalf("lake CHAOS campaign holds %d rows, want 159224", cc.Len())
+	}
+	retainedMB := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / (1 << 20)
+	t.Logf("retained heap of the lake-built CHAOS campaign: %.2f MB (budget %.1f MB)", retainedMB, budgetMB)
+	if retainedMB > budgetMB {
+		t.Errorf("the lake-built CHAOS campaign retains %.2f MB of heap, budget %.1f MB", retainedMB, budgetMB)
 	}
 }
 

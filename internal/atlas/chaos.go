@@ -23,7 +23,7 @@ type ChaosResult struct {
 // Add must not race anything.
 type ChaosCampaign struct {
 	parts []*ChaosPartition // ascending by month, none empty
-	open  map[months.Month]*chaosBuilder
+	open  map[months.Month]*ChaosBuilder
 }
 
 // NewChaosCampaign returns an empty campaign.
@@ -45,29 +45,29 @@ func NewChaosCampaignOf(parts []*ChaosPartition) *ChaosCampaign {
 }
 
 // Add records a result.
-func (c *ChaosCampaign) Add(r ChaosResult) { c.builder(r.Month).add(r) }
+func (c *ChaosCampaign) Add(r ChaosResult) { c.builder(r.Month).Add(r) }
 
 // builder is TraceCampaign.builder for CHAOS partitions.
-func (c *ChaosCampaign) builder(m months.Month) *chaosBuilder {
+func (c *ChaosCampaign) builder(m months.Month) *ChaosBuilder {
 	if b := c.open[m]; b != nil {
 		return b
 	}
 	i, found := c.search(m)
-	b := newChaosBuilder(m, 0, 0)
+	b := NewChaosBuilder(m, 0)
 	if found {
 		old := c.parts[i]
 		for r := range old.Rows() {
-			b.add(old.result(r))
+			b.Add(old.result(r))
 		}
 		c.parts[i] = b.p
 	} else {
 		c.parts = slices.Insert(c.parts, i, b.p)
 	}
 	if c.open == nil {
-		c.open = map[months.Month]*chaosBuilder{}
+		c.open = map[months.Month]*ChaosBuilder{}
 	}
-	c.open[m] = &b
-	return &b
+	c.open[m] = b
+	return b
 }
 
 // search finds month m's position in the partition list.
@@ -120,34 +120,29 @@ func (c *ChaosCampaign) SitesByCountry(m months.Month, onlyProbeCC string) map[s
 }
 
 // sitesByCountry counts one month's distinct answers per site country,
-// reading the SiteCC column the coder resolved once per answer. Answers
-// that differ only by case or padding are one instance.
+// reading the answer table, which resolved each answer's site country
+// once. Answers that differ only by case or padding are one instance.
 func (p *ChaosPartition) sitesByCountry(onlyProbeCC string) map[string]int {
 	out := map[string]int{}
-	filter := -1
+	var heard []bool // per answer: a probe in onlyProbeCC received it
 	if onlyProbeCC != "" {
 		code, ok := dictCode(p.Dict, onlyProbeCC)
 		if !ok {
 			return out
 		}
-		filter = int(code)
+		heard = make([]bool, len(p.Answers))
+		for i, pc := range p.Probe {
+			if p.Probes[pc].CC == code {
+				heard[p.Answer[i]] = true
+			}
+		}
 	}
-	type answer struct {
-		letter uint8
-		txt    uint16
-	}
-	coded := map[answer]bool{}
 	seen := map[siteKey]string{}
-	for i, site := range p.SiteCC {
-		if site == DictNone || filter >= 0 && int(p.CC[i]) != filter {
+	for a, an := range p.Answers {
+		if an.SiteCC == DictNone || heard != nil && !heard[a] {
 			continue
 		}
-		a := answer{p.Letter[i], p.TXT[i]}
-		if coded[a] {
-			continue
-		}
-		coded[a] = true
-		seen[siteKey{dnsroot.Letter(a.letter), normalizeTXT(p.Dict[a.txt])}] = p.Dict[site]
+		seen[siteKey{dnsroot.Letter(an.Letter), normalizeTXT(p.Dict[an.TXT])}] = p.Dict[an.SiteCC]
 	}
 	for _, cc := range seen {
 		out[cc]++
@@ -169,15 +164,17 @@ func (c *ChaosCampaign) CountrySeries(cc string) map[months.Month]int {
 // per probe country. The paper uses this to argue Venezuela's replica
 // regression is not a coverage artifact (Appendix F).
 func (c *ChaosCampaign) ProbesSeen(m months.Month) map[string]int {
-	probes := map[int]string{}
-	if p := c.part(m); p != nil {
-		for r, id := range p.ProbeID {
-			probes[int(id)] = p.Dict[p.CC[r]]
+	probes := map[int32]uint16{} // probe ID -> country code of its last row
+	p := c.part(m)
+	if p != nil {
+		for _, pc := range p.Probe {
+			pr := p.Probes[pc]
+			probes[pr.ID] = pr.CC
 		}
 	}
 	out := map[string]int{}
 	for _, cc := range probes {
-		out[cc]++
+		out[p.Dict[cc]]++
 	}
 	return out
 }

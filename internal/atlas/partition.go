@@ -1,6 +1,7 @@
 package atlas
 
 import (
+	"slices"
 	"strings"
 	"sync"
 
@@ -11,10 +12,14 @@ import (
 // A campaign is an ordered list of month partitions: each month's rows
 // held column by column, with every string (probe country, CHAOS TXT
 // answer, parsed site country) stored once in a per-partition
-// dictionary and the columns holding codes. The fact lake persists
+// dictionary and the columns holding codes. A CHAOS row is narrower
+// still: a (probe, answer) pair of codes into the partition's probe and
+// answer tables, which hold each probe's ID and country and each
+// answer's letter, TXT and site country once. The fact lake persists
 // exactly these partitions (internal/facts encodes them as VZFC
-// payloads), so a campaign served from the lake is the lake's decoded
-// partitions, not a copy of them.
+// payloads, expanding CHAOS rows back into five row columns on disk),
+// so a campaign served from the lake is the lake's decoded partitions,
+// not a copy of them.
 
 // DictNone is the SiteCC column's sentinel for a CHAOS answer whose TXT
 // did not parse under its letter's naming convention — the rows the
@@ -43,24 +48,48 @@ func (p *TracePartition) sample(i int) TraceSample {
 }
 
 // ChaosPartition is one month of CHAOS facts. Rows are in insertion
-// order; the kernel emits them letter-major, probe-minor.
+// order; the kernel emits them letter-major, probe-minor. A row is a
+// (probe, answer) code pair indexing the partition's two tables: a
+// month's ~4,800 rows carry only ~370 distinct probes and ~120
+// distinct answers, so each probe's ID and country and each answer's
+// letter, TXT and site country are held once, not once per row. Both
+// tables are in first-appearance row order.
 type ChaosPartition struct {
 	Month   months.Month
-	ProbeID []int32
-	TXT     []uint16 // CHAOS TXT answer, dictionary code
-	CC      []uint16 // probe country, dictionary code
-	SiteCC  []uint16 // parsed site country code, or DictNone
-	Letter  []uint8  // root letter 'A'..'M'
+	Probe   []uint16 // row's probe, an index into Probes
+	Answer  []uint16 // row's answer, an index into Answers
+	Probes  []ChaosProbe
+	Answers []ChaosAnswer
 	Dict    []string
 }
 
+// ChaosProbe is one distinct probe of a CHAOS partition.
+type ChaosProbe struct {
+	ID int32
+	CC uint16 // probe country, dictionary code
+}
+
+// ChaosAnswer is one distinct answer of a CHAOS partition: a root
+// letter answering with one TXT string.
+type ChaosAnswer struct {
+	Letter uint8  // root letter 'A'..'M'
+	TXT    uint16 // CHAOS TXT answer, dictionary code
+	SiteCC uint16 // parsed site country code, or DictNone
+}
+
+// MaxChaosCodes bounds a CHAOS partition's probe and answer tables: a
+// row's codes are uint16, and the tables stop one short of 1<<16 as
+// the dictionary does.
+const MaxChaosCodes = DictNone
+
 // Rows returns the number of fact rows.
-func (p *ChaosPartition) Rows() int { return len(p.ProbeID) }
+func (p *ChaosPartition) Rows() int { return len(p.Probe) }
 
 // result returns row i as a ChaosResult.
 func (p *ChaosPartition) result(i int) ChaosResult {
-	return ChaosResult{Month: p.Month, ProbeID: int(p.ProbeID[i]), ProbeCC: p.Dict[p.CC[i]],
-		Letter: dnsroot.Letter(p.Letter[i]), TXT: p.Dict[p.TXT[i]]}
+	pr, an := p.Probes[p.Probe[i]], p.Answers[p.Answer[i]]
+	return ChaosResult{Month: p.Month, ProbeID: int(pr.ID), ProbeCC: p.Dict[pr.CC],
+		Letter: dnsroot.Letter(an.Letter), TXT: p.Dict[an.TXT]}
 }
 
 // NewTracePartition codes one month of samples into a partition. hops
@@ -76,11 +105,11 @@ func NewTracePartition(m months.Month, samples []TraceSample, hops []uint8) *Tra
 // NewChaosPartition codes one month of CHAOS results into a partition,
 // resolving each distinct answer's site country once.
 func NewChaosPartition(m months.Month, results []ChaosResult) *ChaosPartition {
-	b := newChaosBuilder(m, len(results), 256) // a month has ~100–200 distinct strings
+	b := NewChaosBuilder(m, len(results))
 	for _, r := range results {
-		b.add(r)
+		b.Add(r)
 	}
-	return b.p
+	return b.Partition()
 }
 
 // dictBuilder interns strings into a partition dictionary in
@@ -138,52 +167,110 @@ func (b *traceBuilder) add(s TraceSample, hops uint8) {
 	p.Dict = b.dict.dict
 }
 
-// chaosBuilder appends rows to one CHAOS partition.
-type chaosBuilder struct {
-	p     *ChaosPartition
-	dict  dictBuilder
-	first map[siteKey]int // (letter, raw TXT) → the row that coded it
+// ChaosBuilder codes rows into one CHAOS partition.
+type ChaosBuilder struct {
+	p       *ChaosPartition
+	dict    dictBuilder
+	probes  map[ChaosProbe]uint16
+	answers map[answerKey]uint16
 }
 
-// newChaosBuilder is newTraceBuilder for CHAOS partitions.
-func newChaosBuilder(m months.Month, rows, dictHint int) chaosBuilder {
-	return chaosBuilder{
+// answerKey identifies a coded answer: a letter and a TXT dictionary
+// code. The site country follows from the pair.
+type answerKey struct {
+	letter uint8
+	txt    uint16
+}
+
+// NewChaosBuilder sizes the row columns for the given number of rows
+// and the tables for a month's worth of probes and answers; all grow
+// past that as needed.
+func NewChaosBuilder(m months.Month, rows int) *ChaosBuilder {
+	// A month has ~370 probes, ~120 answers and ~100–200 distinct
+	// strings.
+	probes, answers := min(rows, 512), min(rows, 256)
+	return &ChaosBuilder{
 		p: &ChaosPartition{
 			Month:   m,
-			ProbeID: make([]int32, 0, rows),
-			TXT:     make([]uint16, 0, rows),
-			CC:      make([]uint16, 0, rows),
-			SiteCC:  make([]uint16, 0, rows),
-			Letter:  make([]uint8, 0, rows),
+			Probe:   make([]uint16, 0, rows),
+			Answer:  make([]uint16, 0, rows),
+			Probes:  make([]ChaosProbe, 0, probes),
+			Answers: make([]ChaosAnswer, 0, answers),
 		},
-		dict:  newDictBuilder(dictHint),
-		first: make(map[siteKey]int, dictHint),
+		dict:    newDictBuilder(256),
+		probes:  make(map[ChaosProbe]uint16, probes),
+		answers: make(map[answerKey]uint16, answers),
 	}
 }
 
-// add codes an answer's TXT, ProbeCC and SiteCC, in that order, on the
-// answer's first row and only ProbeCC on its later rows, reusing the
-// first row's TXT and SiteCC codes.
-func (b *chaosBuilder) add(r ChaosResult) {
+// Add appends a result.
+func (b *ChaosBuilder) Add(r ChaosResult) {
+	probe, answer := int32(-1), int32(-1)
+	b.AddMemo(&probe, &answer, int32(r.ProbeID), r.ProbeCC, r.Letter, r.TXT)
+}
+
+// AddMemo appends the row (id, cc, l, txt) for a caller that knows
+// which rows share a probe and which share an answer. *probe and
+// *answer memoize the row's table codes: -1 until the first row that
+// carries them, which codes them and fills them in, so later rows
+// skip the dictionary and both tables. On an answer's first row the
+// dictionary codes its TXT, the probe's country and the answer's site
+// country in that order, and on a probe's first row its country: the
+// order Add has always coded in, which keeps the lake's partition
+// files byte-identical whichever path coded the rows.
+func (b *ChaosBuilder) AddMemo(probe, answer *int32, id int32, cc string, l dnsroot.Letter, txt string) {
 	p := b.p
-	p.ProbeID = append(p.ProbeID, int32(r.ProbeID))
-	p.Letter = append(p.Letter, uint8(r.Letter))
-	key := siteKey{r.Letter, r.TXT}
-	if j, ok := b.first[key]; ok {
-		p.TXT = append(p.TXT, p.TXT[j])
-		p.CC = append(p.CC, b.dict.code(r.ProbeCC))
-		p.SiteCC = append(p.SiteCC, p.SiteCC[j])
-	} else {
-		b.first[key] = len(p.TXT)
-		p.TXT = append(p.TXT, b.dict.code(r.TXT))
-		p.CC = append(p.CC, b.dict.code(r.ProbeCC))
-		site := uint16(DictNone)
-		if cc := siteCountry(r.Letter, r.TXT); cc != "" {
-			site = b.dict.code(cc)
+	coded, newAnswer := *probe < 0 || *answer < 0, -1
+	if *answer < 0 {
+		key := answerKey{uint8(l), b.dict.code(txt)}
+		a, ok := b.answers[key]
+		if !ok {
+			if len(p.Answers) >= MaxChaosCodes {
+				panic("atlas: chaos answer table overflows uint16 codes")
+			}
+			a = uint16(len(p.Answers))
+			b.answers[key] = a
+			p.Answers = append(p.Answers, ChaosAnswer{Letter: key.letter, TXT: key.txt, SiteCC: DictNone})
+			newAnswer = int(a)
 		}
-		p.SiteCC = append(p.SiteCC, site)
+		*answer = int32(a)
 	}
-	p.Dict = b.dict.dict
+	if *probe < 0 {
+		key := ChaosProbe{ID: id, CC: b.dict.code(cc)}
+		c, ok := b.probes[key]
+		if !ok {
+			if len(p.Probes) >= MaxChaosCodes {
+				panic("atlas: chaos probe table overflows uint16 codes")
+			}
+			c = uint16(len(p.Probes))
+			b.probes[key] = c
+			p.Probes = append(p.Probes, key)
+		}
+		*probe = int32(c)
+	}
+	if newAnswer >= 0 {
+		if site := siteCountry(l, txt); site != "" {
+			p.Answers[newAnswer].SiteCC = b.dict.code(site)
+		}
+	}
+	p.Probe = append(p.Probe, uint16(*probe))
+	p.Answer = append(p.Answer, uint16(*answer))
+	if coded {
+		p.Dict = b.dict.dict
+	}
+}
+
+// Partition seals and returns the partition: its dictionary and tables
+// are copied to their length, so the builder's growth slack is not
+// kept for the life of the campaign. The builder must not be used
+// afterwards.
+func (b *ChaosBuilder) Partition() *ChaosPartition {
+	p := b.p
+	p.Dict = slices.Clone(p.Dict)
+	p.Probes = slices.Clone(p.Probes)
+	p.Answers = slices.Clone(p.Answers)
+	b.p = nil
+	return p
 }
 
 // siteKey identifies a CHAOS answer: one letter answering with one TXT

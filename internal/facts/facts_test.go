@@ -1,6 +1,7 @@
 package facts
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -72,13 +74,16 @@ func TestTracePartitionRoundTrip(t *testing.T) {
 
 func TestChaosPartitionRoundTrip(t *testing.T) {
 	p := &atlas.ChaosPartition{
-		Month:   months.MustParse("2021-11"),
-		ProbeID: []int32{1, 2, 3},
-		TXT:     []uint16{0, 2, 2},
-		CC:      []uint16{1, 1, 3},
-		SiteCC:  []uint16{3, atlas.DictNone, 1},
-		Letter:  []uint8{'A', 'K', 'M'},
-		Dict:    []string{"ccs1-ccs2", "VE", "mia1-ccs3", "US"},
+		Month:  months.MustParse("2021-11"),
+		Probe:  []uint16{0, 1, 2},
+		Answer: []uint16{0, 1, 2},
+		Probes: []atlas.ChaosProbe{{ID: 1, CC: 1}, {ID: 2, CC: 1}, {ID: 3, CC: 3}},
+		Answers: []atlas.ChaosAnswer{
+			{Letter: 'A', TXT: 0, SiteCC: 3},
+			{Letter: 'K', TXT: 2, SiteCC: atlas.DictNone},
+			{Letter: 'M', TXT: 2, SiteCC: 1},
+		},
+		Dict: []string{"ccs1-ccs2", "VE", "mia1-ccs3", "US"},
 	}
 	tp, cp, err := DecodePartition(EncodeChaosPartition(p))
 	if err != nil || tp != nil {
@@ -89,15 +94,82 @@ func TestChaosPartitionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestChaosPartitionTuplesRoundTrip round-trips a coded partition in
+// which one probe ID reports from two countries and one TXT answers
+// for two letters: decode keys its tables on whole tuples, so it
+// rebuilds the coder's partition exactly, re-encodes to the same bytes
+// and gives back the rows the partition was coded from.
+func TestChaosPartitionTuplesRoundTrip(t *testing.T) {
+	m := months.MustParse("2022-03")
+	rows := []atlas.ChaosResult{
+		{Month: m, ProbeID: 7, ProbeCC: "VE", Letter: 'L', TXT: "x"},
+		{Month: m, ProbeID: 7, ProbeCC: "CO", Letter: 'L', TXT: "x"}, // probe 7 in a second country
+		{Month: m, ProbeID: 8, ProbeCC: "CO", Letter: 'K', TXT: "x"}, // "x" under a second letter
+		{Month: m, ProbeID: 7, ProbeCC: "VE", Letter: 'K', TXT: "x"},
+		{Month: m, ProbeID: 9, ProbeCC: "VE", Letter: 'L', TXT: "CO"}, // a TXT that is also a country
+	}
+	p := atlas.NewChaosPartition(m, rows)
+	if len(p.Probes) != 4 || len(p.Answers) != 3 {
+		t.Fatalf("coded %d probes and %d answers, want 4 and 3", len(p.Probes), len(p.Answers))
+	}
+	enc := EncodeChaosPartition(p)
+	_, cp, err := DecodePartition(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cp, p) {
+		t.Fatalf("decoded partition differs from the coded one:\n got %+v\nwant %+v", cp, p)
+	}
+	if again := EncodeChaosPartition(cp); !bytes.Equal(again, enc) {
+		t.Fatal("Encode(Decode(Encode(p))) differs from Encode(p)")
+	}
+	if got := atlas.NewChaosCampaignOf([]*atlas.ChaosPartition{cp}).Results(); !reflect.DeepEqual(got, rows) {
+		t.Fatalf("Results = %v, want %v", got, rows)
+	}
+}
+
 func TestEmptyPartitionsRoundTrip(t *testing.T) {
 	tp0 := &atlas.TracePartition{Month: 1, RTT: []float64{}, ProbeID: []int32{}, CC: []uint16{}, Hops: []uint8{}, Dict: []string{}}
 	if _, _, err := DecodePartition(EncodeTracePartition(tp0)); err != nil {
 		t.Fatalf("empty trace partition: %v", err)
 	}
-	cp0 := &atlas.ChaosPartition{Month: 1, ProbeID: []int32{}, TXT: []uint16{}, CC: []uint16{}, SiteCC: []uint16{}, Letter: []uint8{}, Dict: []string{}}
+	cp0 := &atlas.ChaosPartition{Month: 1, Probe: []uint16{}, Answer: []uint16{}, Dict: []string{}}
 	if _, _, err := DecodePartition(EncodeChaosPartition(cp0)); err != nil {
 		t.Fatalf("empty chaos partition: %v", err)
 	}
+}
+
+// chaosTableOverflow encodes a structurally valid chaos payload of
+// 1<<16 rows, every row a distinct probe (distinct == "probes") or a
+// distinct answer (distinct == "answers"): one past what a row's
+// uint16 codes can index.
+func chaosTableOverflow(distinct string) []byte {
+	const rows = 1 << 16
+	dict := make([]string, 256)
+	for i := range dict {
+		dict[i] = fmt.Sprintf("s%d", i)
+	}
+	p := &atlas.ChaosPartition{
+		Month:   months.MustParse("2020-01"),
+		Probe:   make([]uint16, rows),
+		Answer:  make([]uint16, rows),
+		Probes:  []atlas.ChaosProbe{{ID: 1, CC: 0}},
+		Answers: []atlas.ChaosAnswer{{Letter: 'L', TXT: 1, SiteCC: atlas.DictNone}},
+		Dict:    dict,
+	}
+	payload := EncodeChaosPartition(p)
+	idOff := pad8(frameHeaderSize + dictBlobLen(dict))
+	txtOff := idOff + pad8(4*rows)
+	siteOff := txtOff + pad8(4*rows) + pad8(2*rows)
+	for i := range rows {
+		if distinct == "probes" {
+			binary.LittleEndian.PutUint32(payload[idOff+4*i:], uint32(i))
+		} else {
+			binary.LittleEndian.PutUint32(payload[txtOff+4*i:], uint32(i&0xFF))
+			binary.LittleEndian.PutUint16(payload[siteOff+2*i:], uint16(i>>8))
+		}
+	}
+	return payload
 }
 
 // TestDecodeCorrupt drives structural mutations through DecodePartition
@@ -130,8 +202,10 @@ func TestDecodeCorrupt(t *testing.T) {
 	// A chaos txt code one past uint16: the column stores 4 bytes, the
 	// decoded partition 2, so a narrowing decode would read a valid 0.
 	badTXT := EncodeChaosPartition(&atlas.ChaosPartition{
-		Month: months.MustParse("2020-01"), ProbeID: []int32{4}, TXT: []uint16{0},
-		CC: []uint16{0}, SiteCC: []uint16{atlas.DictNone}, Letter: []uint8{'L'}, Dict: []string{"VE"},
+		Month: months.MustParse("2020-01"), Probe: []uint16{0}, Answer: []uint16{0},
+		Probes:  []atlas.ChaosProbe{{ID: 4, CC: 0}},
+		Answers: []atlas.ChaosAnswer{{Letter: 'L', TXT: 0, SiteCC: atlas.DictNone}},
+		Dict:    []string{"VE"},
 	})
 	txtOff := pad8(frameHeaderSize+dictBlobLen([]string{"VE"})) + pad8(4)
 	binary.LittleEndian.PutUint32(badTXT[txtOff:], 0x10000)
@@ -149,10 +223,23 @@ func TestDecodeCorrupt(t *testing.T) {
 		"cc out of dict":  badCC,
 		"txt out of dict": badTXT,
 		"trailing bytes":  append(append([]byte(nil), valid...), 0, 0, 0, 0, 0, 0, 0, 0),
+		// Row codes are uint16: a partition cannot hold 1<<16 distinct
+		// probes or answers.
+		"too many probes":  chaosTableOverflow("probes"),
+		"too many answers": chaosTableOverflow("answers"),
 	}
 	for name, payload := range cases {
-		if _, _, err := DecodePartition(payload); !errors.Is(err, ErrCorrupt) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := DecodePartition(payload)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: got err=%v, want ErrCorrupt", name, err)
+		}
+		// Decoding costs O(len(payload)), whatever the header claims: a
+		// 13-byte chaos row can add one table entry and map key.
+		if n := after.TotalAlloc - before.TotalAlloc; n > 16*uint64(len(payload))+64<<10 {
+			t.Errorf("%s: decoding a %d-byte payload allocated %d bytes", name, len(payload), n)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"vzlens/internal/atlas"
 	"vzlens/internal/months"
@@ -48,6 +49,14 @@ var ErrCorrupt = resultstore.ErrCorrupt
 // The chaos txt column stores 4-byte codes although a decoded
 // partition holds them as uint16, the dictionary's code width; decode
 // rejects a stored code past the dictionary before narrowing it.
+//
+// Disk holds chaos rows as these five columns; memory holds them as
+// tables. An atlas.ChaosPartition keeps two uint16 codes per row, a
+// probe and an answer, indexing its Probes (probeID, cc) and Answers
+// (letter, txt, siteCC) tables. Encode expands each row's pair back
+// into the five columns; decode rebuilds both tables in
+// first-appearance row order, so the layout and its bytes are the
+// same whichever form wrote them.
 //
 // Strings (probe countries, CHAOS TXT answers, parsed site countries)
 // live once in the per-partition dictionary; columns hold codes. The
@@ -142,10 +151,11 @@ func EncodeTracePartition(p *atlas.TracePartition) []byte {
 	return buf
 }
 
-// EncodeChaosPartition encodes p into a VZFC payload.
+// EncodeChaosPartition encodes p into a VZFC payload, expanding each
+// row's probe and answer codes back into the five row columns.
 func EncodeChaosPartition(p *atlas.ChaosPartition) []byte {
 	rows := p.Rows()
-	if len(p.TXT) != rows || len(p.CC) != rows || len(p.SiteCC) != rows || len(p.Letter) != rows {
+	if len(p.Answer) != rows {
 		panic("facts: chaos partition column lengths disagree")
 	}
 	if len(p.Dict) > maxDictEntries {
@@ -154,24 +164,19 @@ func EncodeChaosPartition(p *atlas.ChaosPartition) []byte {
 	size := pad8(frameHeaderSize+dictBlobLen(p.Dict)) +
 		pad8(4*rows) + pad8(4*rows) + pad8(2*rows) + pad8(2*rows) + pad8(rows)
 	buf := make([]byte, size)
-	off := encodeHeader(buf, KindChaos, p.Month, rows, p.Dict)
-	for i, v := range p.ProbeID {
-		binary.LittleEndian.PutUint32(buf[off+4*i:], uint32(v))
+	idOff := encodeHeader(buf, KindChaos, p.Month, rows, p.Dict)
+	txtOff := idOff + pad8(4*rows)
+	ccOff := txtOff + pad8(4*rows)
+	siteOff := ccOff + pad8(2*rows)
+	letterOff := siteOff + pad8(2*rows)
+	for i := range rows {
+		pr, an := p.Probes[p.Probe[i]], p.Answers[p.Answer[i]]
+		binary.LittleEndian.PutUint32(buf[idOff+4*i:], uint32(pr.ID))
+		binary.LittleEndian.PutUint32(buf[txtOff+4*i:], uint32(an.TXT))
+		binary.LittleEndian.PutUint16(buf[ccOff+2*i:], pr.CC)
+		binary.LittleEndian.PutUint16(buf[siteOff+2*i:], an.SiteCC)
+		buf[letterOff+i] = an.Letter
 	}
-	off += pad8(4 * rows)
-	for i, v := range p.TXT {
-		binary.LittleEndian.PutUint32(buf[off+4*i:], uint32(v))
-	}
-	off += pad8(4 * rows)
-	for i, v := range p.CC {
-		binary.LittleEndian.PutUint16(buf[off+2*i:], v)
-	}
-	off += pad8(2 * rows)
-	for i, v := range p.SiteCC {
-		binary.LittleEndian.PutUint16(buf[off+2*i:], v)
-	}
-	off += pad8(2 * rows)
-	copy(buf[off:], p.Letter)
 	return buf
 }
 
@@ -320,69 +325,113 @@ func decodeTrace(payload []byte, h frameHead) (*atlas.TracePartition, error) {
 	return p, nil
 }
 
+// decodeChaos validates the five row columns and rebuilds the probe
+// and answer tables in first-appearance row order, so the partition
+// equals the one the builder coded. Tables are keyed on whole tuples:
+// a probe ID under two countries is two probes, and a TXT under two
+// letters two answers, so every valid payload decodes to one that
+// re-encodes to the same bytes.
 func decodeChaos(payload []byte, h frameHead) (*atlas.ChaosPartition, error) {
 	rows := h.rows
 	want := pad8(4*rows) + pad8(4*rows) + pad8(2*rows) + pad8(2*rows) + pad8(rows)
 	if len(payload)-h.off != want {
 		return nil, fmt.Errorf("%w: facts chaos payload %d bytes, want %d after header", ErrCorrupt, len(payload)-h.off, want)
 	}
-	p := &atlas.ChaosPartition{
-		Month:   h.month,
-		ProbeID: make([]int32, rows),
-		TXT:     make([]uint16, rows),
-		CC:      make([]uint16, rows),
-		SiteCC:  make([]uint16, rows),
-		Letter:  make([]uint8, rows),
-		Dict:    h.dict,
-	}
-	b, off, err := section(payload, h.off, 4*rows)
+	ids, off, err := section(payload, h.off, 4*rows)
 	if err != nil {
 		return nil, err
 	}
-	for i := range p.ProbeID {
-		p.ProbeID[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-		if p.ProbeID[i] < 0 {
+	txts, off, err := section(payload, off, 4*rows)
+	if err != nil {
+		return nil, err
+	}
+	ccs, off, err := section(payload, off, 2*rows)
+	if err != nil {
+		return nil, err
+	}
+	sites, off, err := section(payload, off, 2*rows)
+	if err != nil {
+		return nil, err
+	}
+	letters, _, err := section(payload, off, rows)
+	if err != nil {
+		return nil, err
+	}
+	p := &atlas.ChaosPartition{
+		Month:  h.month,
+		Probe:  make([]uint16, rows),
+		Answer: make([]uint16, rows),
+		Dict:   h.dict,
+	}
+	ndict := len(p.Dict)
+	// The indexes key on tuples packed into a uint64, which hashes far
+	// faster than the structs; their hints are bounded by rows, as
+	// every allocation here is. Before an index lookup a row tries the
+	// code its predecessor suggests, the next probe and the same
+	// answer: letter-major, probe-minor rows mostly repeat the probe
+	// order and run the same site.
+	probes := make(map[uint64]uint16, min(rows, 512))
+	answers := make(map[uint64]uint16, min(rows, 256))
+	nextProbe, lastAnswer := 0, 0
+	for i := range rows {
+		pr := atlas.ChaosProbe{
+			ID: int32(binary.LittleEndian.Uint32(ids[4*i:])),
+			CC: binary.LittleEndian.Uint16(ccs[2*i:]),
+		}
+		if pr.ID < 0 {
 			return nil, fmt.Errorf("%w: facts negative probe ID", ErrCorrupt)
 		}
-	}
-	if b, off, err = section(payload, off, 4*rows); err != nil {
-		return nil, err
-	}
-	for i := range p.TXT {
-		// Check the stored code before narrowing it: a bare uint16 of
-		// 0x10000 would be a valid 0.
-		code := binary.LittleEndian.Uint32(b[4*i:])
-		if uint64(code) >= uint64(len(p.Dict)) {
-			return nil, fmt.Errorf("%w: facts txt code %d outside dictionary", ErrCorrupt, code)
+		if int(pr.CC) >= ndict {
+			return nil, fmt.Errorf("%w: facts cc code %d outside dictionary", ErrCorrupt, pr.CC)
 		}
-		p.TXT[i] = uint16(code)
-	}
-	if b, off, err = section(payload, off, 2*rows); err != nil {
-		return nil, err
-	}
-	for i := range p.CC {
-		p.CC[i] = binary.LittleEndian.Uint16(b[2*i:])
-		if int(p.CC[i]) >= len(p.Dict) {
-			return nil, fmt.Errorf("%w: facts cc code %d outside dictionary", ErrCorrupt, p.CC[i])
+		// Check the stored TXT code before narrowing it: a bare uint16
+		// of 0x10000 would be a valid 0.
+		txt := binary.LittleEndian.Uint32(txts[4*i:])
+		if uint64(txt) >= uint64(ndict) {
+			return nil, fmt.Errorf("%w: facts txt code %d outside dictionary", ErrCorrupt, txt)
 		}
-	}
-	if b, off, err = section(payload, off, 2*rows); err != nil {
-		return nil, err
-	}
-	for i := range p.SiteCC {
-		p.SiteCC[i] = binary.LittleEndian.Uint16(b[2*i:])
-		if p.SiteCC[i] != atlas.DictNone && int(p.SiteCC[i]) >= len(p.Dict) {
-			return nil, fmt.Errorf("%w: facts siteCC code %d outside dictionary", ErrCorrupt, p.SiteCC[i])
+		an := atlas.ChaosAnswer{Letter: letters[i], TXT: uint16(txt), SiteCC: binary.LittleEndian.Uint16(sites[2*i:])}
+		if an.SiteCC != atlas.DictNone && int(an.SiteCC) >= ndict {
+			return nil, fmt.Errorf("%w: facts siteCC code %d outside dictionary", ErrCorrupt, an.SiteCC)
 		}
-	}
-	if b, _, err = section(payload, off, rows); err != nil {
-		return nil, err
-	}
-	for i := range p.Letter {
-		p.Letter[i] = b[i]
-		if p.Letter[i] < 'A' || p.Letter[i] > 'M' {
-			return nil, fmt.Errorf("%w: facts letter %d outside A-M", ErrCorrupt, p.Letter[i])
+		if an.Letter < 'A' || an.Letter > 'M' {
+			return nil, fmt.Errorf("%w: facts letter %d outside A-M", ErrCorrupt, an.Letter)
 		}
+		if nextProbe == len(p.Probes) {
+			nextProbe = 0
+		}
+		c, ok := tableCode(&p.Probes, probes, nextProbe, pr, uint64(uint32(pr.ID))<<16|uint64(pr.CC))
+		if !ok {
+			return nil, fmt.Errorf("%w: facts chaos partition has more than %d distinct probes", ErrCorrupt, atlas.MaxChaosCodes)
+		}
+		p.Probe[i], nextProbe = c, int(c)+1
+		c, ok = tableCode(&p.Answers, answers, lastAnswer, an, uint64(an.Letter)<<32|uint64(an.TXT)<<16|uint64(an.SiteCC))
+		if !ok {
+			return nil, fmt.Errorf("%w: facts chaos partition has more than %d distinct answers", ErrCorrupt, atlas.MaxChaosCodes)
+		}
+		p.Answer[i], lastAnswer = c, int(c)
 	}
+	p.Probes = slices.Clone(p.Probes)
+	p.Answers = slices.Clone(p.Answers)
 	return p, nil
+}
+
+// tableCode returns v's code in *table, whose entries are distinct:
+// guess when that entry is v, else the code index holds under key,
+// else a new code, appending v. It reports false when the table
+// already holds atlas.MaxChaosCodes entries.
+func tableCode[T comparable](table *[]T, index map[uint64]uint16, guess int, v T, key uint64) (uint16, bool) {
+	if guess < len(*table) && (*table)[guess] == v {
+		return uint16(guess), true
+	}
+	if c, ok := index[key]; ok {
+		return c, true
+	}
+	if len(*table) >= atlas.MaxChaosCodes {
+		return 0, false
+	}
+	c := uint16(len(*table))
+	index[key] = c
+	*table = append(*table, v)
+	return c, true
 }

@@ -30,13 +30,13 @@ func FuzzFactFrame(f *testing.F) {
 	}))
 	f.Add(EncodeChaosPartition(&atlas.ChaosPartition{
 		Month:   months.MustParse("2021-06"),
-		ProbeID: []int32{9},
-		TXT:     []uint16{0},
-		CC:      []uint16{1},
-		SiteCC:  []uint16{atlas.DictNone},
-		Letter:  []uint8{'K'},
+		Probe:   []uint16{0},
+		Answer:  []uint16{0},
+		Probes:  []atlas.ChaosProbe{{ID: 9, CC: 1}},
+		Answers: []atlas.ChaosAnswer{{Letter: 'K', TXT: 0, SiteCC: atlas.DictNone}},
 		Dict:    []string{"ns1.ve-ccs.k.ripe.net", "VE"},
 	}))
+	f.Add(chaosTableOverflow("probes"))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		tp, cp, err := DecodePartition(payload)
 		if err != nil {

@@ -3,6 +3,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -248,11 +249,27 @@ func reachDenominator(p Params, key string, m months.Month, dims *facts.Dimensio
 
 // runChaos executes catchment_share: the domestic fraction of CHAOS
 // answers — site country equal to probe country, a single dictionary
-// code comparison per row.
+// code comparison per row. A row is a (probe, answer) code pair, so
+// the filters and group keys are resolved once per probe and once per
+// answer before the rows are scanned, not once per row.
 func (e *Engine) runChaos(p Params, agg *aggregator, res *Result) error {
 	dims := e.lake.Dims()
 	type cell struct{ domestic, total int }
 	counts := map[string]*cell{}
+	cellOf := func(key string) *cell {
+		c, ok := counts[key]
+		if !ok {
+			c = &cell{}
+			counts[key] = c
+			agg.group(key)
+		}
+		return c
+	}
+	// A row counts toward its probe's cell, or its answer's when
+	// grouping by letter; the other code's slot holds kept when its
+	// filter passes. A nil slot drops the row.
+	var kept cell
+	var probeCell, answerCell []*cell
 	for _, m := range e.lake.ChaosMonths() {
 		if m.Before(p.From) || m.After(p.To) {
 			continue
@@ -276,35 +293,50 @@ func (e *Engine) runChaos(p Params, agg *aggregator, res *Result) error {
 				}
 			}
 		}
-		rows := part.Rows()
-		for i := 0; i < rows; i++ {
-			if p.Letter != 0 && part.Letter[i] != p.Letter {
+		probeCell = slices.Grow(probeCell[:0], len(part.Probes))
+		for _, pr := range part.Probes {
+			var c *cell
+			if filterCode == -2 || int(pr.CC) == filterCode {
+				switch p.GroupBy {
+				case GroupASN:
+					asn, _ := dims.ProbeASN(pr.ID)
+					c = cellOf("AS" + strconv.FormatUint(uint64(asn), 10))
+				case GroupLetter:
+					c = &kept
+				case GroupNone:
+					c = cellOf("all")
+				default:
+					c = cellOf(part.Dict[pr.CC])
+				}
+			}
+			probeCell = append(probeCell, c)
+		}
+		answerCell = slices.Grow(answerCell[:0], len(part.Answers))
+		for _, an := range part.Answers {
+			var c *cell
+			if p.Letter == 0 || an.Letter == p.Letter {
+				c = &kept
+				if p.GroupBy == GroupLetter {
+					c = cellOf(string(rune(an.Letter)))
+				}
+			}
+			answerCell = append(answerCell, c)
+		}
+		for i, ac := range part.Answer {
+			ca := answerCell[ac]
+			if ca == nil {
 				continue
 			}
-			cc := part.CC[i]
-			if filterCode != -2 && int(cc) != filterCode {
+			pc := part.Probe[i]
+			c := probeCell[pc]
+			if c == nil {
 				continue
 			}
-			var key string
-			switch p.GroupBy {
-			case GroupASN:
-				asn, _ := dims.ProbeASN(part.ProbeID[i])
-				key = "AS" + strconv.FormatUint(uint64(asn), 10)
-			case GroupLetter:
-				key = string(rune(part.Letter[i]))
-			case GroupNone:
-				key = "all"
-			default:
-				key = part.Dict[cc]
-			}
-			c, ok := counts[key]
-			if !ok {
-				c = &cell{}
-				counts[key] = c
-				agg.group(key)
+			if c == &kept {
+				c = ca
 			}
 			c.total++
-			if part.SiteCC[i] != atlas.DictNone && part.SiteCC[i] == cc {
+			if site := part.Answers[ac].SiteCC; site != atlas.DictNone && site == part.Probes[pc].CC {
 				c.domestic++
 			}
 		}

@@ -11,7 +11,8 @@ import (
 // *rand.Rand draws from. Arenas live in a World-level pool, so columns
 // allocated for one month — or one sweep spec — are reused by the next
 // instead of re-made per shard; steady-state campaign months allocate
-// only their exactly-sized output slice. An arena is owned by one
+// only their output: the exactly-sized sample slice of a traceroute
+// month, the coded partition of a CHAOS month. An arena is owned by one
 // goroutine between acquire and release and carries no cross-month
 // state: every column is fully overwritten per month and the RNG is
 // re-seeded per probe.
@@ -24,6 +25,8 @@ type campaignArena struct {
 	oneWay []float64 // one-way latency per slot
 	access []float64 // access delay per slot
 	hops   []uint8   // catchment AS-path length per slot (the Hops column)
+
+	codes []int32 // CHAOS probe and answer code memos (see memo)
 }
 
 // newCampaignArena builds an empty arena whose Rand permanently wraps
@@ -53,6 +56,20 @@ func (ar *campaignArena) ensure(n int) bool {
 	ar.access = make([]float64, n)
 	ar.hops = make([]uint8, n)
 	return true
+}
+
+// memo returns n code slots set to -1, "not yet coded", for
+// atlas.ChaosBuilder.AddMemo: the CHAOS kernel's per-probe and
+// per-(letter, site) table codes.
+func (ar *campaignArena) memo(n int) []int32 {
+	if cap(ar.codes) < n {
+		ar.codes = make([]int32, n)
+	}
+	ar.codes = ar.codes[:n]
+	for i := range ar.codes {
+		ar.codes[i] = -1
+	}
+	return ar.codes
 }
 
 // acquireArena checks an arena out of the pool (building one when the

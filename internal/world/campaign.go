@@ -307,9 +307,8 @@ func (w *World) chaosCampaign(ctx context.Context, plan *ScenarioPlan) *atlas.Ch
 	forEachIndex(len(ms), w.workers(), func(i int) {
 		t0 := time.Now()
 		ar, acq := w.acquireArena()
-		results := w.chaosMonth(ctx, ms[i], plan, ar)
+		parts[i] = w.chaosPartition(ctx, ms[i], plan, ar)
 		w.releaseArena(ar)
-		parts[i] = atlas.NewChaosPartition(ms[i], results)
 		d := time.Since(t0)
 		busy.Add(int64(d))
 		arenaWait.Add(int64(acq))
@@ -328,22 +327,16 @@ func (w *World) chaosCampaign(ctx context.Context, plan *ScenarioPlan) *atlas.Ch
 	return cc
 }
 
-// chaosMonth simulates one monthly snapshot of the CHAOS sweep into
-// the arena's columns, under plan's overlay when non-nil (a nil arena
-// checks one out for the call). Like traceMonth it factors the fleet
-// into probe classes, but the column space is letters x classes: one
-// catchment per (letter, class), then one exactly-sized emission pass
-// in the letter-major, probe-minor order of the loop this replaced.
-// TXT answers come from the letter's interned per-era name table
-// instead of being re-rendered per probe.
-func (w *World) chaosMonth(ctx context.Context, m months.Month, plan *ScenarioPlan, ar *campaignArena) []atlas.ChaosResult {
-	_, span := obs.StartSpan(ctx, "campaign.month")
-	if ar == nil {
-		var own *campaignArena
-		own, _ = w.acquireArena()
-		defer w.releaseArena(own)
-		ar = own
-	}
+// chaosCells resolves one monthly snapshot of the CHAOS sweep into the
+// arena's columns, under plan's overlay when non-nil. Like traceMonth
+// it factors the fleet into probe classes, but the column space is
+// letters x classes: one catchment per (letter, class), whose selected
+// site index lands in ar.idx. txts receives each letter's interned
+// per-era TXT table, indexed like the letter's site list (nil for a
+// letter with no active instances), so answers need not be rendered
+// per probe. It returns the month's probe classes and the number of
+// rows the month emits.
+func (w *World) chaosCells(m months.Month, plan *ScenarioPlan, ar *campaignArena, txts *[16][]string) (*monthClasses, int) {
 	resolver := w.topologyFor(m, plan)
 	mc := w.classesAt(m)
 	nc := len(mc.keys)
@@ -351,11 +344,8 @@ func (w *World) chaosMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 	if ar.ensure(len(letters) * nc) {
 		w.met.arenaGrows.Inc()
 	}
-	// Per-letter TXT tables, indexed like the letter's site list; nil
-	// for a letter with no active instances.
-	var txtBuf [16][]string
-	txts := txtBuf[:len(letters)]
 	for li, letter := range letters {
+		txts[li] = nil
 		rl := w.rootSiteListAt(letter, m, plan)
 		if len(rl.insts) == 0 {
 			continue
@@ -373,7 +363,7 @@ func (w *World) chaosMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 		}
 	}
 	total := 0
-	for li := range txts {
+	for li := range letters {
 		if txts[li] == nil {
 			continue
 		}
@@ -384,32 +374,58 @@ func (w *World) chaosMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 			}
 		}
 	}
-	out := make([]atlas.ChaosResult, 0, total)
+	return mc, total
+}
+
+// chaosPartition simulates one monthly snapshot of the CHAOS sweep
+// (see chaosCells) and codes it into the month's partition, emitting
+// rows in the letter-major, probe-minor order of the loop the kernel
+// replaced. Rows are coded per site, not per row: the arena memoizes a
+// probe code per fleet probe and an answer code per (letter, site), so
+// only a probe's or a site's first row touches the dictionary, and no
+// row's TXT is hashed. A nil arena checks one out for the call.
+func (w *World) chaosPartition(ctx context.Context, m months.Month, plan *ScenarioPlan, ar *campaignArena) *atlas.ChaosPartition {
+	_, span := obs.StartSpan(ctx, "campaign.month")
+	if ar == nil {
+		var own *campaignArena
+		own, _ = w.acquireArena()
+		defer w.releaseArena(own)
+		ar = own
+	}
+	var txts [16][]string
+	mc, total := w.chaosCells(m, plan, ar, &txts)
+	nc := len(mc.keys)
+	letters := dnsroot.Letters()
+	sites := 0
+	for _, t := range txts {
+		sites += len(t)
+	}
+	memo := ar.memo(len(mc.ids) + sites)
+	probes, answers := memo[:len(mc.ids)], memo[len(mc.ids):]
+	b := atlas.NewChaosBuilder(m, total)
 	for li, letter := range letters {
 		txt := txts[li]
 		if txt == nil {
 			continue
 		}
+		ans := answers[:len(txt)]
+		answers = answers[len(txt):]
 		base := li * nc
 		for i, c := range mc.classOf {
 			if !ar.ok[base+int(c)] {
 				continue
 			}
-			out = append(out, atlas.ChaosResult{
-				Month:   m,
-				ProbeID: int(mc.ids[i]),
-				ProbeCC: mc.keys[c].country,
-				Letter:  letter,
-				TXT:     txt[ar.idx[base+int(c)]],
-			})
+			s := ar.idx[base+int(c)]
+			b.AddMemo(&probes[i], &ans[s], mc.ids[i], mc.keys[c].country, letter, txt[s])
 		}
 	}
+	p := b.Partition()
 	if span != nil {
 		span.SetAttr("campaign", "chaos")
 		span.SetAttr("month", m.String())
 		span.SetAttr("probes", len(mc.ids))
-		span.SetAttr("results", len(out))
+		span.SetAttr("results", p.Rows())
 		span.End()
 	}
-	return out
+	return p
 }

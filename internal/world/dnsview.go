@@ -13,7 +13,7 @@ import (
 // This file is the world's surface for the live DNS data plane
 // (internal/dnsplane): per-query catchment answers that are guaranteed
 // to agree with the CHAOS campaign. DNSAnswerAt runs exactly the
-// per-class steps chaosMonth runs — same interned root lists, same
+// per-class steps chaosCells runs — same interned root lists, same
 // netsim.Resolver.CatchmentInfo call with the client's country, same
 // distance table — so a DNS response and a campaign row for the same
 // (letter, month, client location) can never disagree.
@@ -34,7 +34,7 @@ type DNSAnswer struct {
 
 // DNSAnswerAt resolves which instance of letter serves a client in
 // (cc, asn, city) at month m under plan (nil = baseline). It is the
-// campaign kernel's chaosMonth for a single (letter, class) cell:
+// campaign kernel's chaosCells for a single (letter, class) cell:
 // catchment through the month's (possibly overlaid) topology over the
 // interned site list seen from the client's country, with the TXT
 // identity from the per-era intern table. Unreachable clients return

@@ -85,6 +85,41 @@ func refChaosMonth(t *testing.T, w *World, m months.Month, plan *ScenarioPlan) [
 	return out
 }
 
+// chaosMonth emits one CHAOS month as rows from the kernel's cells, in
+// the letter-major, probe-minor order chaosPartition codes them: the
+// rows the differential tests compare with the pre-kernel loop and with
+// the string-keyed coder. A nil arena checks one out for the call.
+func (w *World) chaosMonth(_ context.Context, m months.Month, plan *ScenarioPlan, ar *campaignArena) []atlas.ChaosResult {
+	if ar == nil {
+		ar, _ = w.acquireArena()
+		defer w.releaseArena(ar)
+	}
+	var txts [16][]string
+	mc, total := w.chaosCells(m, plan, ar, &txts)
+	nc := len(mc.keys)
+	out := make([]atlas.ChaosResult, 0, total)
+	for li, letter := range dnsroot.Letters() {
+		txt := txts[li]
+		if txt == nil {
+			continue
+		}
+		base := li * nc
+		for i, c := range mc.classOf {
+			if !ar.ok[base+int(c)] {
+				continue
+			}
+			out = append(out, atlas.ChaosResult{
+				Month:   m,
+				ProbeID: int(mc.ids[i]),
+				ProbeCC: mc.keys[c].country,
+				Letter:  letter,
+				TXT:     txt[ar.idx[base+int(c)]],
+			})
+		}
+	}
+	return out
+}
+
 // kernelTestPlan exercises every edit family at once against the
 // kernel's overlay-on-overlay path: a depeer (walks the kernel month's
 // effective adjacency), a relocation (drops the shared edge-delay

@@ -156,9 +156,8 @@ func (w *World) ChaosCampaignScenarioWindowed(ctx context.Context, plan *Scenari
 	forEachIndex(len(idx), w.workers(), func(k int) {
 		i := idx[k]
 		ar, _ := w.acquireArena()
-		results := w.chaosMonth(ctx, ms[i], plan, ar)
+		parts[i] = w.chaosPartition(ctx, ms[i], plan, ar)
 		w.releaseArena(ar)
-		parts[i] = atlas.NewChaosPartition(ms[i], results)
 	})
 	cc := atlas.NewChaosCampaignOf(parts)
 	span.SetAttr("months", len(ms))
