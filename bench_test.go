@@ -321,7 +321,7 @@ func BenchmarkAblationOrgAggregation(b *testing.B) {
 	var withOrg, withoutOrg float64
 	for i := 0; i < b.N; i++ {
 		withOrg = offnet.Coverage("VE", hosts, benchW.Pop, benchW.Orgs)
-		withoutOrg = offnet.CoverageNoOrg("VE", hosts, benchW.Pop)
+		withoutOrg = offnet.Coverage("VE", hosts, benchW.Pop, nil)
 	}
 	b.ReportMetric(withOrg*100, "org_coverage_%")
 	b.ReportMetric(withoutOrg*100, "as_coverage_%")

@@ -55,11 +55,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// String renders the event compactly.
-func (e Event) String() string {
-	return fmt.Sprintf("%s %s..%s (%.2f)", e.Kind, e.Start, e.End, e.Magnitude)
-}
-
 // Months returns the event duration in calendar months, inclusive.
 func (e Event) Months() int { return e.End.Sub(e.Start) + 1 }
 

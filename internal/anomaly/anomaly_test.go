@@ -1,7 +1,6 @@
 package anomaly
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -130,13 +129,6 @@ func TestDetectsVenezuelanBandwidthStagnation(t *testing.T) {
 }
 
 func TestKindAndEventStrings(t *testing.T) {
-	e := Event{Kind: Contraction, Start: mm(2013, time.January), End: mm(2020, time.January), Magnitude: 0.72}
-	s := e.String()
-	for _, want := range []string{"contraction", "2013-01", "2020-01", "0.72"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("String() = %q missing %q", s, want)
-		}
-	}
 	if Kind(99).String() == "" {
 		t.Error("unknown kind should still render")
 	}

@@ -45,9 +45,6 @@ func (e *Estimates) Lookup(asn bgp.ASN) (Estimate, bool) {
 	return est, ok
 }
 
-// Users returns the population of asn (0 when unknown).
-func (e *Estimates) Users(asn bgp.ASN) int64 { return e.byASN[asn].Users }
-
 // Len returns the number of ASes with estimates.
 func (e *Estimates) Len() int { return len(e.byASN) }
 

@@ -49,7 +49,7 @@ func TestTable1Shares(t *testing.T) {
 		t.Errorf("top-10 share = %.2f%%, want 77.18%%", got)
 	}
 	// CANTV is nearly double its closest competitor (paper).
-	ratio := float64(e.Users(8048)) / float64(e.Users(21826))
+	ratio := float64(e.byASN[8048].Users) / float64(e.byASN[21826].Users)
 	if ratio < 1.6 || ratio > 2.1 {
 		t.Errorf("CANTV/Telemic ratio = %.2f, want ~1.74", ratio)
 	}
@@ -83,7 +83,7 @@ func TestLookupAndUsers(t *testing.T) {
 	if _, ok := e.Lookup(99999); ok {
 		t.Error("unknown ASN resolved")
 	}
-	if e.Users(99999) != 0 {
+	if e.byASN[99999].Users != 0 {
 		t.Error("unknown users != 0")
 	}
 }
@@ -127,7 +127,7 @@ func TestRoundTrip(t *testing.T) {
 	if parsed.Len() != e.Len() {
 		t.Fatalf("round trip len = %d, want %d", parsed.Len(), e.Len())
 	}
-	if parsed.Users(8048) != e.Users(8048) {
+	if parsed.byASN[8048].Users != e.byASN[8048].Users {
 		t.Error("CANTV users differ after round trip")
 	}
 	// Names with separators survive (SplitN keeps commas in names).

@@ -66,18 +66,6 @@ func (o *OrgMap) ASNsOf(org string) []ASN {
 	return out
 }
 
-// InCountry returns the ASes registered in country cc, sorted.
-func (o *OrgMap) InCountry(cc string) []ASN {
-	var out []ASN
-	for asn, i := range o.byASN {
-		if i.Country == cc {
-			out = append(out, asn)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // All returns every registered ASInfo sorted by ASN.
 func (o *OrgMap) All() []ASInfo {
 	out := make([]ASInfo, 0, len(o.byASN))

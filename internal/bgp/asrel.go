@@ -49,7 +49,6 @@ type Graph struct {
 	providers map[ASN][]ASN // customer -> providers
 	customers map[ASN][]ASN // provider -> customers
 	peers     map[ASN][]ASN
-	edges     int
 }
 
 // NewGraph returns an empty Graph.
@@ -77,7 +76,6 @@ func (g *Graph) AddRel(r Rel) {
 		g.peers[r.A] = append(g.peers[r.A], r.B)
 		g.peers[r.B] = append(g.peers[r.B], r.A)
 	}
-	g.edges++
 }
 
 func containsASN(xs []ASN, a ASN) bool {
@@ -88,9 +86,6 @@ func containsASN(xs []ASN, a ASN) bool {
 	}
 	return false
 }
-
-// Edges returns the number of distinct relationship edges.
-func (g *Graph) Edges() int { return g.edges }
 
 // Providers returns the upstream providers of asn, sorted.
 func (g *Graph) Providers(asn ASN) []ASN { return sortedCopy(g.providers[asn]) }

@@ -104,17 +104,6 @@ func (r *RIB) AnnouncedSpace(asn ASN) int64 {
 	return total
 }
 
-// Visible reports whether the exact (network, origin) announcement is in
-// the table.
-func (r *RIB) Visible(network netip.Prefix, origin ASN) bool {
-	for _, p := range r.prefixes {
-		if p.Network == network && p.Origin == origin {
-			return true
-		}
-	}
-	return false
-}
-
 // ParseRIB reads a RouteViews pfx2as file: whitespace-separated
 // "<addr> <len> <asn>" lines. Multi-origin sets ("8048_6306") take the
 // first origin, matching common practice.

@@ -53,7 +53,7 @@ func TestFig2AddressSpace(t *testing.T) {
 	if r.MinGap > 0.20 {
 		t.Errorf("min pre-2014 gap = %.2f, want narrow", r.MinGap)
 	}
-	if r.CANTVShare.Len() == 0 || r.TelefonicaSpace.Len() == 0 {
+	if len(r.CANTVShare.Points()) == 0 || len(r.TelefonicaSpace.Points()) == 0 {
 		t.Error("series not populated")
 	}
 }

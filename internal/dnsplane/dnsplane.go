@@ -68,8 +68,7 @@ func (s ClientSource) String() string {
 const Zone = "root-servers.vz"
 
 // TTLs: service addresses are cacheable briefly; CHAOS identification
-// answers carry TTL 0 by root-server convention (the existing
-// dnswire.Server does the same).
+// answers carry TTL 0 by root-server convention.
 const (
 	addrTTL  uint32 = 30
 	chaosTTL uint32 = 0

@@ -116,17 +116,6 @@ func (d *Deployment) CountByCountry(m months.Month) map[string]int {
 	return out
 }
 
-// InCountry returns the instances in country cc active at month m.
-func (d *Deployment) InCountry(cc string, m months.Month) []Instance {
-	var out []Instance
-	for _, i := range d.ActiveAt(m) {
-		if i.City.Country == cc {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // countryGrowth drives the synthesized regional build-out: instances at
 // the start of 2016 and at the start of 2024. Additions are spread evenly
 // across the window. Calibrated to Figure 6: region 59 -> 138 replicas,

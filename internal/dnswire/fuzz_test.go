@@ -92,31 +92,3 @@ func FuzzECS(f *testing.F) {
 		}
 	})
 }
-
-// FuzzServerHandle feeds arbitrary datagrams through the server's
-// dispatch: it must never panic and never answer garbage (reflection
-// protection).
-func FuzzServerHandle(f *testing.F) {
-	srv := &Server{responder: func(name string) ([]string, bool) {
-		return []string{"s1.bog"}, name == HostnameBind
-	}}
-	q := Question{Name: HostnameBind, Type: TypeTXT, Class: ClassCH}
-	if pkt, err := EncodeQuery(7, q); err == nil {
-		f.Add(pkt)
-	}
-	f.Add([]byte{1, 2, 3})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		reply := srv.handle(data)
-		if reply == nil {
-			return
-		}
-		msg, err := Decode(reply)
-		if err != nil {
-			t.Fatalf("server emitted undecodable reply: %v", err)
-		}
-		if !msg.IsResponse() {
-			t.Fatal("server emitted a non-response")
-		}
-	})
-}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"sync"
 	"testing"
 )
 
@@ -200,26 +199,5 @@ func TestTruncate(t *testing.T) {
 	}
 	if len(dec.Question) != 1 || dec.Question[0].Name != "big.example" {
 		t.Errorf("question lost: %+v", dec.Question)
-	}
-}
-
-func TestServerConcurrentClose(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", func(name string) ([]string, bool) {
-		return []string{"x"}, true
-	})
-	if err != nil {
-		t.Fatalf("Serve: %v", err)
-	}
-	var wg sync.WaitGroup
-	errs := make([]error, 8)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) { defer wg.Done(); errs[i] = srv.Close() }(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != errs[0] {
-			t.Errorf("closer %d got %v, closer 0 got %v — Close is not sticky", i, err, errs[0])
-		}
 	}
 }

@@ -129,16 +129,6 @@ func GDPPerCapita() *series.Panel {
 	return p
 }
 
-// GDPCountries returns the countries covered by GDPPerCapita, sorted.
-func GDPCountries() []string {
-	out := make([]string, 0, len(gdpAnchors))
-	for cc := range gdpAnchors {
-		out = append(out, cc)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // DropFromPeak returns the percent change from the series' maximum to the
 // minimum value observed at or after the peak month — the statistic
 // annotated on Figure 1's panels. ok is false for series with fewer than

@@ -3,7 +3,6 @@ package facts
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"vzlens/internal/months"
@@ -58,7 +57,6 @@ type Dimensions struct {
 	Eras   []EraRow   `json:"eras"`
 
 	asnByID map[int32]uint32
-	ccByID  map[int32]string
 }
 
 // BuildDimensions derives the dimension tables from a built world: the
@@ -151,10 +149,8 @@ func collapseEras(key string, ms []months.Month, sigAt func(i int) string) []Era
 // index builds the point lookups the query engine joins through.
 func (d *Dimensions) index() {
 	d.asnByID = make(map[int32]uint32, len(d.Probes))
-	d.ccByID = make(map[int32]string, len(d.Probes))
 	for _, p := range d.Probes {
 		d.asnByID[int32(p.ID)] = p.ASN
-		d.ccByID[int32(p.ID)] = p.CC
 	}
 }
 
@@ -162,12 +158,6 @@ func (d *Dimensions) index() {
 func (d *Dimensions) ProbeASN(id int32) (uint32, bool) {
 	asn, ok := d.asnByID[id]
 	return asn, ok
-}
-
-// ProbeCC returns the country of a probe.
-func (d *Dimensions) ProbeCC(id int32) (string, bool) {
-	cc, ok := d.ccByID[id]
-	return cc, ok
 }
 
 // ActiveProbes counts probes whose membership window covers m, filtered
@@ -189,31 +179,4 @@ func (d *Dimensions) ActiveProbes(m months.Month, cc string, asn uint32) int {
 		n++
 	}
 	return n
-}
-
-// EraAt returns the signature of the era covering m for key, or false
-// when m falls outside every recorded window.
-func (d *Dimensions) EraAt(key string, m months.Month) (string, bool) {
-	for i := range d.Eras {
-		e := &d.Eras[i]
-		if e.Key == key && !m.Before(e.ValidFrom) && !e.ValidTo.Before(m) {
-			return e.Sig, true
-		}
-	}
-	return "", false
-}
-
-// Countries lists the distinct probe countries, sorted — the group-key
-// universe for country group-bys.
-func (d *Dimensions) Countries() []string {
-	seen := map[string]bool{}
-	for i := range d.Probes {
-		seen[d.Probes[i].CC] = true
-	}
-	out := make([]string, 0, len(seen))
-	for cc := range seen {
-		out = append(out, cc)
-	}
-	sort.Strings(out)
-	return out
 }

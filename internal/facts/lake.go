@@ -99,10 +99,6 @@ func Open(dir, scope string) (*Lake, error) {
 // Dir returns the lake directory.
 func (l *Lake) Dir() string { return l.dir }
 
-// Scope returns the world-configuration fingerprint the lake is keyed
-// by.
-func (l *Lake) Scope() string { return l.scope }
-
 // Ready reports whether a committed lake generation is loaded.
 func (l *Lake) Ready() bool {
 	st := l.state()

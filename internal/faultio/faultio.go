@@ -1,24 +1,14 @@
-// Package faultio wraps io.Readers and data sources with scripted
-// faults — truncation, bit-flip corruption, stalls, and transient I/O
-// errors — so the ingestion parsers can be exercised against the failure
-// modes real archival mirrors exhibit: cut-off downloads, corrupted
-// dumps, hung connections, and fetches that succeed only on retry.
+// Package faultio wraps io.Readers with scripted faults — truncation
+// and bit-flip corruption — so the ingestion parsers can be exercised
+// against the failure modes real archival mirrors exhibit: cut-off
+// downloads and corrupted dumps.
 //
 // Every wrapper is deterministic: the same script over the same bytes
 // produces the same faulty stream, which keeps the parser robustness
 // tests reproducible.
 package faultio
 
-import (
-	"errors"
-	"fmt"
-	"io"
-	"time"
-)
-
-// ErrInjected is the error surfaced by fault wrappers that terminate a
-// stream abnormally (see Err and Flaky).
-var ErrInjected = errors.New("faultio: injected fault")
+import "io"
 
 // Truncate returns a reader that delivers at most n bytes of r and then
 // reports EOF — a download cut off mid-transfer by a stalled mirror.
@@ -57,79 +47,4 @@ func (c *corruptReader) Read(p []byte) (int, error) {
 	}
 	c.pos += int64(n)
 	return n, err
-}
-
-// stallReader sleeps once when the stream position crosses after.
-type stallReader struct {
-	r       io.Reader
-	after   int64
-	delay   time.Duration
-	pos     int64
-	stalled bool
-}
-
-// Stall returns a reader that pauses for delay the first time the
-// stream position reaches after bytes — a hung connection that
-// eventually resumes. Reads are otherwise passed through unchanged.
-func Stall(r io.Reader, after int64, delay time.Duration) io.Reader {
-	return &stallReader{r: r, after: after, delay: delay}
-}
-
-func (s *stallReader) Read(p []byte) (int, error) {
-	if !s.stalled && s.pos >= s.after {
-		s.stalled = true
-		time.Sleep(s.delay)
-	}
-	n, err := s.r.Read(p)
-	s.pos += int64(n)
-	return n, err
-}
-
-// errReader fails with err once after bytes have been delivered.
-type errReader struct {
-	r     io.Reader
-	after int64
-	err   error
-	pos   int64
-}
-
-// Err returns a reader that delivers the first after bytes of r and then
-// fails every subsequent Read with err (ErrInjected when nil) — a
-// connection reset partway through a transfer.
-func Err(r io.Reader, after int64, err error) io.Reader {
-	if err == nil {
-		err = ErrInjected
-	}
-	return &errReader{r: io.LimitReader(r, after), after: after, err: err}
-}
-
-func (e *errReader) Read(p []byte) (int, error) {
-	n, err := e.r.Read(p)
-	e.pos += int64(n)
-	if err == io.EOF && e.pos >= e.after {
-		return n, e.err
-	}
-	return n, err
-}
-
-// Source opens one attempt at a data stream; retry loops call it once
-// per attempt.
-type Source func() (io.Reader, error)
-
-// Flaky wraps src so the first failures attempts fail with err
-// (ErrInjected when nil) before attempts pass through — the
-// fail-N-times-then-succeed shape transient mirror outages take.
-// The returned Source is not safe for concurrent use.
-func Flaky(src Source, failures int, err error) Source {
-	if err == nil {
-		err = ErrInjected
-	}
-	remaining := failures
-	return func() (io.Reader, error) {
-		if remaining > 0 {
-			remaining--
-			return nil, fmt.Errorf("transient open failure (%d more): %w", remaining, err)
-		}
-		return src()
-	}
 }

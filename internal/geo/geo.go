@@ -5,7 +5,6 @@
 package geo
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strings"
@@ -100,16 +99,6 @@ func LACNICCountries() []string {
 		if c.LACNIC {
 			out = append(out, c.Code)
 		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// AllCountries returns every known ISO code, sorted.
-func AllCountries() []string {
-	out := make([]string, 0, len(countries))
-	for _, c := range countries {
-		out = append(out, c.Code)
 	}
 	sort.Strings(out)
 	return out
@@ -225,19 +214,6 @@ func HaversineKm(lat1, lon1, lat2, lon2 float64) float64 {
 	a := math.Sin(dLat/2)*math.Sin(dLat/2) +
 		math.Cos(lat1*rad)*math.Cos(lat2*rad)*math.Sin(dLon/2)*math.Sin(dLon/2)
 	return 2 * earthRadiusKm * math.Asin(math.Sqrt(a))
-}
-
-// CityDistanceKm returns the distance between two cities by IATA code.
-func CityDistanceKm(a, b string) (float64, error) {
-	ca, ok := LookupIATA(a)
-	if !ok {
-		return 0, fmt.Errorf("geo: unknown airport code %q", a)
-	}
-	cb, ok := LookupIATA(b)
-	if !ok {
-		return 0, fmt.Errorf("geo: unknown airport code %q", b)
-	}
-	return HaversineKm(ca.Lat, ca.Lon, cb.Lat, cb.Lon), nil
 }
 
 // PropagationDelayMs estimates one-way propagation delay in milliseconds

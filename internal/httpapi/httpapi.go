@@ -178,9 +178,6 @@ type Handler struct {
 	lakeBuilding atomic.Bool // a background build is in flight
 }
 
-// New returns a Handler over w with default Options.
-func New(w *world.World) *Handler { return NewWithOptions(w, Options{}) }
-
 // NewWithOptions returns a Handler over w.
 func NewWithOptions(w *world.World, opts Options) *Handler {
 	h := &Handler{w: w, mux: http.NewServeMux(), opts: opts}
@@ -284,10 +281,6 @@ func NewWithOptions(w *world.World, opts Options) *Handler {
 	h.root = recoverMiddleware(backpressureHeaderMiddleware(root))
 	return h
 }
-
-// Metrics returns the handler's registry, so callers (vzserve's debug
-// listener) can expose the same metrics elsewhere or register more.
-func (h *Handler) Metrics() *obs.Registry { return h.reg }
 
 // Gate returns the admission gate (nil when MaxInFlight is unset), so
 // the DNS server can shed against the same concurrency budget as the

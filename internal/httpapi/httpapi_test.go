@@ -18,7 +18,7 @@ func mustBuild(cfg world.Config) *world.World {
 	return w
 }
 
-var testHandler = New(mustBuild(world.Config{Step: 6}))
+var testHandler = NewWithOptions(mustBuild(world.Config{Step: 6}), Options{})
 
 func get(t *testing.T, path string) *httptest.ResponseRecorder {
 	t.Helper()

@@ -223,7 +223,7 @@ func TestLakeHonorsCampaignHooks(t *testing.T) {
 	if want.Code != http.StatusOK {
 		t.Fatalf("fig12 without a lake: %d %s", want.Code, want.Body.String())
 	}
-	unhooked := getFrom(t, New(w), "/api/experiments/fig12")
+	unhooked := getFrom(t, NewWithOptions(w, Options{}), "/api/experiments/fig12")
 	if unhooked.Body.String() == want.Body.String() {
 		t.Fatal("the hook's campaign renders the same fig12 as the world's; the test cannot tell them apart")
 	}

@@ -116,7 +116,7 @@ func TestSweepBadRequestAndNoStore(t *testing.T) {
 	}
 
 	// Without a result store there is no journal, so sweeps are off.
-	bare := New(mustBuild(sweepTestConfig()))
+	bare := NewWithOptions(mustBuild(sweepTestConfig()), Options{})
 	if rec := post(t, bare, "/api/sweeps", `{"id":"s1","family":"root_each"}`); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("store-less POST: %d %s", rec.Code, rec.Body.String())
 	}

@@ -15,7 +15,7 @@ import (
 // dashboard would: list the experiments, fetch one as JSON and CSV, pull
 // a country summary, and read the crisis signatures.
 func TestHTTPServerEndToEnd(t *testing.T) {
-	srv := httptest.NewServer(httpapi.New(testWorld))
+	srv := httptest.NewServer(httpapi.NewWithOptions(testWorld, httpapi.Options{}))
 	defer srv.Close()
 
 	fetch := func(path string) (int, string) {

@@ -16,7 +16,6 @@ import (
 	"vzlens/internal/atlas"
 	"vzlens/internal/httpapi"
 	"vzlens/internal/registry"
-	"vzlens/internal/resilience"
 	"vzlens/internal/world"
 )
 
@@ -191,15 +190,11 @@ func TestWorldBuildWithSourcesServes(t *testing.T) {
 		Registry: func(context.Context) (*registry.Table, error) {
 			return nil, errors.New("registry mirror down")
 		},
-		Retry: resilience.Policy{
-			MaxAttempts: 2,
-			Sleep:       func(ctx context.Context, _ time.Duration) error { return ctx.Err() },
-		},
 	})
 	if err != nil {
 		t.Fatalf("degraded build failed outright: %v", err)
 	}
-	base, _ := bootServer(t, httpapi.New(w), time.Second)
+	base, _ := bootServer(t, httpapi.NewWithOptions(w, httpapi.Options{}), time.Second)
 
 	resp, err := http.Get(base + "/readyz")
 	if err != nil {

@@ -90,9 +90,6 @@ func Collect(countries []string, lo, hi months.Month) *Dataset {
 // Panel exposes the underlying per-country series panel.
 func (d *Dataset) Panel() *series.Panel { return d.panel }
 
-// Countries returns the covered countries, sorted.
-func (d *Dataset) Countries() []string { return d.panel.Countries() }
-
 // At returns adoption for cc at m.
 func (d *Dataset) At(cc string, m months.Month) float64 {
 	return d.panel.Country(cc).At(m)

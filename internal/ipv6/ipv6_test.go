@@ -92,7 +92,7 @@ func TestDatasetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := parsed.Countries(); len(got) != 2 {
+	if got := parsed.Panel().Countries(); len(got) != 2 {
 		t.Fatalf("Countries = %v", got)
 	}
 	want := d.At("BR", m(2020, time.February))

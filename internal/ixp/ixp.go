@@ -98,11 +98,6 @@ func (m *Membership) Members(exchange string) []bgp.ASN {
 	return out
 }
 
-// Present reports whether asn peers at the exchange.
-func (m *Membership) Present(exchange string, asn bgp.ASN) bool {
-	return m.byExchange[exchange][asn]
-}
-
 // Exchanges returns the exchanges with at least one member, sorted.
 func (m *Membership) Exchanges() []string {
 	out := make([]string, 0, len(m.byExchange))

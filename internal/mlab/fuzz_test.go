@@ -43,7 +43,6 @@ func FuzzParseJSON(f *testing.F) {
 		}
 		// An accepted archive must aggregate without panicking.
 		ar.TestCount()
-		ar.CountryCount("VE")
 		ar.Median("VE", m)
 		ar.MedianPanel()
 	})

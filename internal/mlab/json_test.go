@@ -22,8 +22,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed.CountryCount("VE") != 501 {
-		t.Fatalf("count = %d", parsed.CountryCount("VE"))
+	if parsed.TestCount() != 501 {
+		t.Fatalf("count = %d", parsed.TestCount())
 	}
 	direct := NewArchive()
 	direct.Add(tests)

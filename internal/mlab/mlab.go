@@ -217,15 +217,6 @@ func (ar *Archive) Add(tests []Test) {
 // TestCount returns the number of archived tests.
 func (ar *Archive) TestCount() int { return ar.total }
 
-// CountryCount returns the number of archived tests for country cc.
-func (ar *Archive) CountryCount(cc string) int {
-	n := 0
-	for _, xs := range ar.samples[cc] {
-		n += len(xs)
-	}
-	return n
-}
-
 // Median returns the median download speed for (cc, m); ok is false with
 // no samples.
 func (ar *Archive) Median(cc string, m months.Month) (float64, bool) {

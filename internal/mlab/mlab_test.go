@@ -155,8 +155,8 @@ func TestArchiveCountsAndPanel(t *testing.T) {
 	if ar.TestCount() != 300 {
 		t.Errorf("TestCount = %d", ar.TestCount())
 	}
-	if ar.CountryCount("VE") != 100 {
-		t.Errorf("CountryCount = %d", ar.CountryCount("VE"))
+	if n := len(ar.samples["VE"][m]); n != 100 {
+		t.Errorf("VE tests = %d", n)
 	}
 	p := ar.MedianPanel()
 	if len(p.Countries()) != 2 {

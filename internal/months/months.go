@@ -92,16 +92,3 @@ func Range(lo, hi Month) []Month {
 	}
 	return out
 }
-
-// Years returns the January months of every year from loYear to hiYear
-// inclusive; convenient for annual datasets such as the macro indicators.
-func Years(loYear, hiYear int) []Month {
-	if hiYear < loYear {
-		return nil
-	}
-	out := make([]Month, 0, hiYear-loYear+1)
-	for y := loYear; y <= hiYear; y++ {
-		out = append(out, New(y, time.January))
-	}
-	return out
-}

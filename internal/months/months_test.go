@@ -77,18 +77,6 @@ func TestRange(t *testing.T) {
 	}
 }
 
-func TestYears(t *testing.T) {
-	ys := Years(1980, 1982)
-	if len(ys) != 3 || ys[0].Year() != 1980 || ys[2].Year() != 1982 {
-		t.Errorf("Years = %v", ys)
-	}
-	for _, m := range ys {
-		if m.Month() != time.January {
-			t.Errorf("Years month = %v, want January", m.Month())
-		}
-	}
-}
-
 func TestFromTime(t *testing.T) {
 	ts := time.Date(2021, time.July, 31, 23, 59, 0, 0, time.UTC)
 	if m := FromTime(ts); m.String() != "2021-07" {

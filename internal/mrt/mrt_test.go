@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -32,7 +33,7 @@ func TestRIBRoundTrip(t *testing.T) {
 		t.Fatalf("round trip = %d prefixes, want %d", parsed.Len(), rib.Len())
 	}
 	for _, p := range rib.Prefixes() {
-		if !parsed.Visible(p.Network, p.Origin) {
+		if !slices.Contains(parsed.Prefixes(), p) {
 			t.Errorf("lost %v via %d", p.Network, p.Origin)
 		}
 	}

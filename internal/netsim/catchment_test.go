@@ -215,8 +215,8 @@ func naiveCatchment(r *Resolver, srcAS bgp.ASN, srcCity geo.City, sites []Site, 
 // share.
 func siteListVariants(view, foreign *Topology, sites []Site) []*SiteList {
 	base := view
-	for base.Base() != nil {
-		base = base.Base()
+	for base.base != nil {
+		base = base.base
 	}
 	return []*SiteList{
 		{Sites: sites},

@@ -11,7 +11,6 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -28,10 +27,9 @@ type Topology struct {
 	location map[bgp.ASN]geo.City
 	cities   *cityTable // distance table (see InternCities); nil for none
 
-	// Overlay views: the base topology, the edit list that produced the
-	// view, the copy-on-write adjacency deltas, and relocated ASes.
+	// Overlay views: the base topology, the copy-on-write adjacency
+	// deltas, and relocated ASes.
 	base        *Topology
-	edits       []Edit
 	prov        adjDelta // providers-of deltas
 	cust        adjDelta // customers-of deltas
 	peer        adjDelta // peers-of deltas
@@ -55,11 +53,6 @@ type Topology struct {
 // New returns an empty Topology.
 func New() *Topology {
 	return &Topology{graph: bgp.NewGraph(), location: map[bgp.ASN]geo.City{}}
-}
-
-// FromGraph builds a topology over an existing relationship graph.
-func FromGraph(g *bgp.Graph) *Topology {
-	return &Topology{graph: g, location: map[bgp.ASN]geo.City{}}
 }
 
 // AddLink inserts a relationship edge (provider→customer or peer).
@@ -275,62 +268,6 @@ const (
 	// naive baseline the ablation benchmarks compare against.
 	PolicyGeo
 )
-
-// Catchment returns the anycast site that captures traffic from src under
-// the policy, together with the one-way path latency to it.
-func (t *Topology) Catchment(src bgp.ASN, sites []Site, policy CatchmentPolicy) (Site, float64, error) {
-	type candidate struct {
-		site    Site
-		hops    int
-		latency float64
-		distKm  float64
-	}
-	var cands []candidate
-	srcCity, hasSrcCity := t.Location(src)
-	for _, site := range sites {
-		path, ok := t.ASPath(src, site.Host)
-		if !ok {
-			continue
-		}
-		lat := t.PathLatencyMs(path)
-		// The final segment runs from the host AS's recorded city to the
-		// replica city.
-		if hostCity, ok := t.Location(site.Host); ok {
-			lat += geo.PropagationDelayMs(geo.HaversineKm(hostCity.Lat, hostCity.Lon, site.City.Lat, site.City.Lon))
-		}
-		dist := 0.0
-		if hasSrcCity {
-			dist = geo.HaversineKm(srcCity.Lat, srcCity.Lon, site.City.Lat, site.City.Lon)
-		}
-		cands = append(cands, candidate{site, len(path), lat, dist})
-	}
-	if len(cands) == 0 {
-		return Site{}, 0, ErrUnreachable
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		switch policy {
-		case PolicyGeo:
-			if a.distKm != b.distKm {
-				return a.distKm < b.distKm
-			}
-		default:
-			if a.hops != b.hops {
-				return a.hops < b.hops
-			}
-			if a.latency != b.latency {
-				return a.latency < b.latency
-			}
-		}
-		// Stable final tiebreak.
-		if a.site.Host != b.site.Host {
-			return a.site.Host < b.site.Host
-		}
-		return a.site.City.Name < b.site.City.Name
-	})
-	best := cands[0]
-	return best.site, best.latency, nil
-}
 
 // RTT converts a one-way latency into a round-trip sample, adding last-
 // mile access delay and random queueing jitter drawn from rng. accessMs

@@ -125,6 +125,13 @@ func TestPathLatency(t *testing.T) {
 	}
 }
 
+// catchmentAtAS is Resolver.CatchmentFrom for a probe in its AS's own
+// city.
+func catchmentAtAS(top *Topology, src bgp.ASN, sites []Site, policy CatchmentPolicy) (Site, float64, error) {
+	city, _ := top.Location(src)
+	return NewResolver(top).CatchmentFrom(src, city, sites, policy)
+}
+
 func TestCatchmentBGPPrefersLocalSite(t *testing.T) {
 	top := testTopology()
 	bog, _ := geo.LookupIATA("BOG")
@@ -134,7 +141,7 @@ func TestCatchmentBGPPrefersLocalSite(t *testing.T) {
 		{Host: 200, City: bog}, // Colombian replica
 	}
 	// Colombian eyeball: direct provider hosts a replica → 2-hop path wins.
-	site, lat, err := top.Catchment(201, sites, PolicyBGP)
+	site, lat, err := catchmentAtAS(top, 201, sites, PolicyBGP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +152,7 @@ func TestCatchmentBGPPrefersLocalSite(t *testing.T) {
 		t.Errorf("local catchment latency = %.1f ms, want small", lat)
 	}
 	// Venezuelan eyeball: only reaches via TransitUS → US replica, far.
-	siteVE, latVE, err := top.Catchment(401, sites, PolicyBGP)
+	siteVE, latVE, err := catchmentAtAS(top, 401, sites, PolicyBGP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +174,7 @@ func TestCatchmentGeoPolicyDiffers(t *testing.T) {
 	}
 	// Under geographic policy, the Venezuelan eyeball picks Bogota (closer
 	// than Miami) even though BGP would deliver it to the US.
-	site, _, err := top.Catchment(401, sites, PolicyGeo)
+	site, _, err := catchmentAtAS(top, 401, sites, PolicyGeo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,10 +186,10 @@ func TestCatchmentGeoPolicyDiffers(t *testing.T) {
 func TestCatchmentUnreachable(t *testing.T) {
 	top := testTopology()
 	bog, _ := geo.LookupIATA("BOG")
-	if _, _, err := top.Catchment(401, []Site{{Host: 999, City: bog}}, PolicyBGP); err != ErrUnreachable {
+	if _, _, err := catchmentAtAS(top, 401, []Site{{Host: 999, City: bog}}, PolicyBGP); err != ErrUnreachable {
 		t.Errorf("err = %v, want ErrUnreachable", err)
 	}
-	if _, _, err := top.Catchment(401, nil, PolicyBGP); err != ErrUnreachable {
+	if _, _, err := catchmentAtAS(top, 401, nil, PolicyBGP); err != ErrUnreachable {
 		t.Errorf("empty sites err = %v, want ErrUnreachable", err)
 	}
 }
@@ -192,9 +199,9 @@ func TestCatchmentDeterministic(t *testing.T) {
 	bog, _ := geo.LookupIATA("BOG")
 	mia, _ := geo.LookupIATA("MIA")
 	sites := []Site{{Host: 100, City: mia}, {Host: 200, City: bog}}
-	first, _, _ := top.Catchment(201, sites, PolicyBGP)
+	first, _, _ := catchmentAtAS(top, 201, sites, PolicyBGP)
 	for i := 0; i < 10; i++ {
-		got, _, _ := top.Catchment(201, sites, PolicyBGP)
+		got, _, _ := catchmentAtAS(top, 201, sites, PolicyBGP)
 		if got != first {
 			t.Fatal("catchment not deterministic")
 		}

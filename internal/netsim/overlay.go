@@ -68,19 +68,6 @@ func (e Edit) String() string {
 	}
 }
 
-// Inverse returns the edit that undoes e. origCity must be the city A
-// occupied before a relocation (the zero City when A had none).
-func (e Edit) Inverse(origCity geo.City) Edit {
-	switch e.Op {
-	case EditAddLink:
-		return Edit{Op: EditRemoveLink, A: e.A, B: e.B, Kind: e.Kind}
-	case EditRemoveLink:
-		return Edit{Op: EditAddLink, A: e.A, B: e.B, Kind: e.Kind}
-	default:
-		return Edit{Op: EditRelocate, A: e.A, City: origCity}
-	}
-}
-
 // adjDelta is the copy-on-write adjacency delta for one direction
 // (providers-of, customers-of, or peers-of): neighbors added to and
 // removed from the base lists, per AS. Lists stay sorted and disjoint.
@@ -186,17 +173,8 @@ func (t *Topology) Overlay(edits []Edit) (*Topology, error) {
 			return nil, err
 		}
 	}
-	o.edits = append([]Edit(nil), edits...)
 	return o, nil
 }
-
-// Base returns the topology this overlay view derives from, or nil for
-// a base topology.
-func (t *Topology) Base() *Topology { return t.base }
-
-// Edits returns the overlay's edit list (nil for a base topology).
-// Callers must not mutate the returned slice.
-func (t *Topology) Edits() []Edit { return t.edits }
 
 // applyEdit validates e against the current view (base plus earlier
 // edits) and folds it into the deltas.

@@ -16,21 +16,10 @@ type Hop struct {
 	CumulativeMs float64
 }
 
-// Trace expands the valley-free path from a source (AS plus physical
-// city) toward an anycast site into per-hop latencies — the hop list a
-// traceroute from a probe would show. The final hop is the replica city.
-// The path is the plain shortest valley-free path; for the minimum-
-// latency path the campaign RTTs are computed over, use Resolver.Trace.
-func (t *Topology) Trace(srcAS bgp.ASN, srcCity geo.City, site Site) ([]Hop, error) {
-	path, ok := t.ASPath(srcAS, site.Host)
-	if !ok {
-		return nil, ErrUnreachable
-	}
-	return t.traceAlong(path, srcCity, site)
-}
-
-// Trace expands the minimum-latency shortest path (the one catchment
-// latencies follow) into per-hop latencies.
+// Trace expands the minimum-latency shortest path from a source (AS
+// plus physical city) toward an anycast site — the one catchment
+// latencies follow — into per-hop latencies: the hop list a traceroute
+// from a probe would show. The final hop is the replica city.
 func (r *Resolver) Trace(srcAS bgp.ASN, srcCity geo.City, site Site) ([]Hop, error) {
 	path, ok := r.BestPath(srcAS, site.Host)
 	if !ok {

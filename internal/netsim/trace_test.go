@@ -11,7 +11,7 @@ func TestTraceVenezuelanPath(t *testing.T) {
 	top := testTopology()
 	ccs, _ := geo.LookupIATA("CCS")
 	mia, _ := geo.LookupIATA("MIA")
-	hops, err := top.Trace(401, ccs, Site{Host: 100, City: mia})
+	hops, err := NewResolver(top).Trace(401, ccs, Site{Host: 100, City: mia})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestTraceReplicaCityExtension(t *testing.T) {
 	mde, _ := geo.LookupIATA("MDE")
 	// Site hosted by the Colombian transit (located Bogota) but the
 	// replica sits in Medellin: an extra hop appears.
-	hops, err := top.Trace(201, bog, Site{Host: 200, City: mde})
+	hops, err := NewResolver(top).Trace(201, bog, Site{Host: 200, City: mde})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestTraceReplicaCityExtension(t *testing.T) {
 func TestTraceUnreachable(t *testing.T) {
 	top := testTopology()
 	bog, _ := geo.LookupIATA("BOG")
-	if _, err := top.Trace(401, bog, Site{Host: 9999, City: bog}); err != ErrUnreachable {
+	if _, err := NewResolver(top).Trace(401, bog, Site{Host: 9999, City: bog}); err != ErrUnreachable {
 		t.Errorf("err = %v, want ErrUnreachable", err)
 	}
 }

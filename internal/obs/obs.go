@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"sync"
 )
 
@@ -268,20 +267,5 @@ func (r *Registry) snapshot() map[string]any {
 			}
 		}
 	}
-	return out
-}
-
-// Names returns the registered family names, sorted — handy in tests.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.families))
-	for _, f := range r.families {
-		out = append(out, f.name)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -53,7 +53,6 @@ type ctxKey int
 const (
 	ctxKeyTracer ctxKey = iota
 	ctxKeySpan
-	ctxKeyTraceID
 )
 
 // WithTracer returns a context carrying t; StartSpan on that context
@@ -66,24 +65,6 @@ func WithTracer(ctx context.Context, t *Tracer) context.Context {
 func TracerFrom(ctx context.Context) *Tracer {
 	t, _ := ctx.Value(ctxKeyTracer).(*Tracer)
 	return t
-}
-
-// TraceIDFrom returns the trace ID the context's innermost span belongs
-// to, or the ID planted by WithTraceID, or false when untraced.
-func TraceIDFrom(ctx context.Context) (TraceID, bool) {
-	if s, ok := ctx.Value(ctxKeySpan).(*Span); ok && s != nil {
-		return s.trace, true
-	}
-	if id, ok := ctx.Value(ctxKeyTraceID).(TraceID); ok {
-		return id, true
-	}
-	return 0, false
-}
-
-// WithTraceID plants an externally supplied trace ID (e.g. parsed from
-// a request header) for the next StartSpan to adopt.
-func WithTraceID(ctx context.Context, id TraceID) context.Context {
-	return context.WithValue(ctx, ctxKeyTraceID, id)
 }
 
 // Span is one timed operation. Spans nest through the context: a span
@@ -112,8 +93,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	if parent, ok := ctx.Value(ctxKeySpan).(*Span); ok && parent != nil {
 		s.trace = parent.trace
 		s.parent = parent.id
-	} else if id, ok := ctx.Value(ctxKeyTraceID).(TraceID); ok {
-		s.trace = id
 	} else {
 		s.trace = TraceID(t.newID())
 	}

@@ -40,16 +40,6 @@ func Hypergiants() []Hypergiant {
 	}
 }
 
-// HypergiantByName returns the named provider.
-func HypergiantByName(name string) (Hypergiant, bool) {
-	for _, hg := range Hypergiants() {
-		if hg.Name == name {
-			return hg, true
-		}
-	}
-	return Hypergiant{}, false
-}
-
 // CertRecord is one observation from a TLS scan: the certificate names
 // served from an address originated by ASN.
 type CertRecord struct {
@@ -67,9 +57,6 @@ func NewScan() *Scan { return &Scan{} }
 
 // Add appends a record.
 func (s *Scan) Add(r CertRecord) { s.records = append(s.records, r) }
-
-// Len returns the number of records.
-func (s *Scan) Len() int { return len(s.records) }
 
 // matches reports whether a certificate name matches a hypergiant
 // fingerprint. Fingerprints with a "*." prefix match any subdomain;
@@ -151,10 +138,4 @@ func Coverage(cc string, hosts []bgp.ASN, pop *aspop.Estimates, orgs *bgp.OrgMap
 		}
 	}
 	return pop.ShareOf(cc, expanded)
-}
-
-// CoverageNoOrg is Coverage without the organization expansion — the
-// ablation estimator showing raw per-AS fluctuation.
-func CoverageNoOrg(cc string, hosts []bgp.ASN, pop *aspop.Estimates) float64 {
-	return Coverage(cc, hosts, pop, nil)
 }

@@ -73,11 +73,11 @@ func popTable() *aspop.Estimates {
 
 func TestCoveragePerAS(t *testing.T) {
 	pop := popTable()
-	cov := CoverageNoOrg("VE", []bgp.ASN{8048}, pop)
+	cov := Coverage("VE", []bgp.ASN{8048}, pop, nil)
 	if cov != 0.4 {
 		t.Errorf("coverage = %v, want 0.4", cov)
 	}
-	if got := CoverageNoOrg("VE", nil, pop); got != 0 {
+	if got := Coverage("VE", nil, pop, nil); got != 0 {
 		t.Errorf("empty hosts coverage = %v", got)
 	}
 }
@@ -98,7 +98,7 @@ func TestCoverageOrgExpansion(t *testing.T) {
 		t.Errorf("unmapped coverage = %v, want 0.25", cov2)
 	}
 	// Org expansion never yields less than per-AS accounting.
-	if cov < CoverageNoOrg("VE", []bgp.ASN{8048}, pop) {
+	if cov < Coverage("VE", []bgp.ASN{8048}, pop, nil) {
 		t.Error("org expansion reduced coverage")
 	}
 }
@@ -119,12 +119,5 @@ func TestHypergiantDirectory(t *testing.T) {
 		if !seen[want] {
 			t.Errorf("missing hypergiant %s", want)
 		}
-	}
-	g, ok := HypergiantByName("Google")
-	if !ok || g.ASN != 15169 {
-		t.Errorf("HypergiantByName = %+v %v", g, ok)
-	}
-	if _, ok := HypergiantByName("NotAProvider"); ok {
-		t.Error("unknown hypergiant resolved")
 	}
 }

@@ -65,18 +65,3 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (v V, err error, shared bo
 	}()
 	return c.val, c.err, false
 }
-
-// Stats reports cumulative leaders (calls that executed fn) and
-// followers (calls served by another caller's execution) — the
-// coalescing ratio the /metrics endpoint exposes.
-func (g *Group[K, V]) Stats() (leaders, followers uint64) {
-	return g.leaders.Load(), g.followers.Load()
-}
-
-// InFlight reports whether a call for key is currently executing.
-func (g *Group[K, V]) InFlight(key K) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	_, ok := g.calls[key]
-	return ok
-}

@@ -45,7 +45,6 @@ func FuzzRead(f *testing.F) {
 		// An accepted snapshot must support the read paths the world
 		// exercises without panicking.
 		s.FacilityCount()
-		s.FacilitiesIn("VE")
 		for _, n := range s.Networks {
 			s.NetworksAt(n.ID)
 		}

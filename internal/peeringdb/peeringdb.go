@@ -115,18 +115,6 @@ func Read(r io.Reader) (*Snapshot, error) {
 	return &s, nil
 }
 
-// FacilitiesIn returns the facilities located in country cc, sorted by ID.
-func (s *Snapshot) FacilitiesIn(cc string) []Facility {
-	var out []Facility
-	for _, f := range s.Facilities {
-		if f.Country == cc {
-			out = append(out, f)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
 // FacilityCount returns the number of facilities per country.
 func (s *Snapshot) FacilityCount() map[string]int {
 	out := map[string]int{}
@@ -154,35 +142,6 @@ func (s *Snapshot) NetworksAt(facID int) []Network {
 	return out
 }
 
-// NetworksAtIX returns the networks present at exchange ixID, sorted by
-// ASN.
-func (s *Snapshot) NetworksAtIX(ixID int) []Network {
-	present := map[int]bool{}
-	for _, nl := range s.NetIXLans {
-		if nl.IXID == ixID {
-			present[nl.NetID] = true
-		}
-	}
-	var out []Network
-	for _, n := range s.Networks {
-		if present[n.ID] {
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ASN < out[j].ASN })
-	return out
-}
-
-// NetworkByASN returns the network object for asn.
-func (s *Snapshot) NetworkByASN(asn uint32) (Network, bool) {
-	for _, n := range s.Networks {
-		if n.ASN == asn {
-			return n, true
-		}
-	}
-	return Network{}, false
-}
-
 // FacilityByName returns the facility whose name matches exactly.
 func (s *Snapshot) FacilityByName(name string) (Facility, bool) {
 	for _, f := range s.Facilities {
@@ -191,28 +150,6 @@ func (s *Snapshot) FacilityByName(name string) (Facility, bool) {
 		}
 	}
 	return Facility{}, false
-}
-
-// IXByName returns the exchange whose name matches exactly.
-func (s *Snapshot) IXByName(name string) (IX, bool) {
-	for _, ix := range s.IXs {
-		if ix.Name == name {
-			return ix, true
-		}
-	}
-	return IX{}, false
-}
-
-// IXsIn returns the exchanges located in country cc, sorted by ID.
-func (s *Snapshot) IXsIn(cc string) []IX {
-	var out []IX
-	for _, ix := range s.IXs {
-		if ix.Country == cc {
-			out = append(out, ix)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // Archive holds monthly snapshots.
@@ -241,16 +178,6 @@ func (a *Archive) Months() []months.Month {
 		out = append(out, m)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// FacilitySeries returns per month the number of facilities in country cc
-// (Figure 3 panels).
-func (a *Archive) FacilitySeries(cc string) map[months.Month]int {
-	out := make(map[months.Month]int, len(a.byMonth))
-	for m, s := range a.byMonth {
-		out[m] = len(s.FacilitiesIn(cc))
-	}
 	return out
 }
 

@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"os"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -320,7 +321,14 @@ func TestQueryProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xFAC75))
 	lo, hi := months.MustParse("2017-06"), months.MustParse("2020-06")
 	span := hi.Sub(lo)
-	countries := append([]string{""}, fix.lake.Dims().Countries()...)
+	var countries []string
+	for _, p := range fix.lake.Dims().Probes {
+		if !slices.Contains(countries, p.CC) {
+			countries = append(countries, p.CC)
+		}
+	}
+	slices.Sort(countries)
+	countries = append([]string{""}, countries...)
 	metrics := []string{MetricMedianRTT, MetricHopCount, MetricReachability, MetricCatchmentShare}
 	percentiles := []float64{5, 25, 50, 75, 90, 95, 99, 100}
 

@@ -185,66 +185,3 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	}
 	return n, nil
 }
-
-// IPv4CountryTotal returns the number of IPv4 addresses delegated to
-// country cc at or before month m.
-func (t *Table) IPv4CountryTotal(cc string, m months.Month) int64 {
-	var total int64
-	for _, r := range t.records {
-		if r.Type == "ipv4" && r.Country == cc && !r.Date.After(m) {
-			total += r.Value
-		}
-	}
-	return total
-}
-
-// IPv4HolderTotal returns the number of IPv4 addresses delegated to the
-// given holder ID at or before month m.
-func (t *Table) IPv4HolderTotal(holder string, m months.Month) int64 {
-	var total int64
-	for _, r := range t.records {
-		if r.Type == "ipv4" && r.Holder == holder && !r.Date.After(m) {
-			total += r.Value
-		}
-	}
-	return total
-}
-
-// HolderShare returns the holder's fraction of the country's delegated
-// IPv4 space at month m (0 when the country has none).
-func (t *Table) HolderShare(holder, cc string, m months.Month) float64 {
-	country := t.IPv4CountryTotal(cc, m)
-	if country == 0 {
-		return 0
-	}
-	return float64(t.IPv4HolderTotal(holder, m)) / float64(country)
-}
-
-// CountByType returns the number of delegations of the given type
-// ("ipv4", "ipv6", "asn") to country cc at or before month m.
-func (t *Table) CountByType(cc, typ string, m months.Month) int {
-	n := 0
-	for _, r := range t.records {
-		if r.Type == typ && r.Country == cc && !r.Date.After(m) {
-			n++
-		}
-	}
-	return n
-}
-
-// Holders returns the distinct holder IDs with ipv4 space in country cc,
-// sorted.
-func (t *Table) Holders(cc string) []string {
-	seen := map[string]bool{}
-	for _, r := range t.records {
-		if r.Type == "ipv4" && r.Country == cc && r.Holder != "" {
-			seen[r.Holder] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for h := range seen {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
-}

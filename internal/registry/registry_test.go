@@ -2,9 +2,9 @@ package registry
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"vzlens/internal/months"
@@ -79,46 +79,6 @@ func sample() *Table {
 	return t
 }
 
-func TestIPv4CountryTotal(t *testing.T) {
-	tab := sample()
-	if got := tab.IPv4CountryTotal("VE", months.New(2005, time.January)); got != 1<<16 {
-		t.Errorf("VE@2005 = %d, want %d", got, 1<<16)
-	}
-	if got := tab.IPv4CountryTotal("VE", months.New(2011, time.January)); got != 1<<16+1<<17+1<<16 {
-		t.Errorf("VE@2011 = %d", got)
-	}
-	if got := tab.IPv4CountryTotal("VE", months.New(1999, time.January)); got != 0 {
-		t.Errorf("VE@1999 = %d, want 0", got)
-	}
-	// ASN records never count toward IPv4 totals.
-	if got := tab.IPv4CountryTotal("BR", months.New(2024, time.January)); got != 1<<18 {
-		t.Errorf("BR = %d", got)
-	}
-}
-
-func TestHolderShare(t *testing.T) {
-	tab := sample()
-	m := months.New(2011, time.January)
-	canv := tab.HolderShare("ORG-CANV", "VE", m)
-	want := float64(1<<16+1<<17) / float64(1<<16+1<<17+1<<16)
-	if canv != want {
-		t.Errorf("CANV share = %v, want %v", canv, want)
-	}
-	if got := tab.HolderShare("ORG-NONE", "VE", m); got != 0 {
-		t.Errorf("missing holder share = %v", got)
-	}
-	if got := tab.HolderShare("ORG-CANV", "ZZ", m); got != 0 {
-		t.Errorf("empty country share = %v", got)
-	}
-}
-
-func TestHolders(t *testing.T) {
-	hs := sample().Holders("VE")
-	if len(hs) != 2 || hs[0] != "ORG-CANV" || hs[1] != "ORG-TELF" {
-		t.Errorf("Holders = %v", hs)
-	}
-}
-
 func TestWriteParseRoundTrip(t *testing.T) {
 	tab := sample()
 	var buf bytes.Buffer
@@ -135,9 +95,8 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if parsed.Len() != tab.Len() {
 		t.Fatalf("round trip len = %d, want %d", parsed.Len(), tab.Len())
 	}
-	m := months.New(2024, time.January)
-	if parsed.IPv4CountryTotal("VE", m) != tab.IPv4CountryTotal("VE", m) {
-		t.Error("totals differ after round trip")
+	if !reflect.DeepEqual(parsed.Records(), tab.Records()) {
+		t.Error("records differ after round trip")
 	}
 }
 
@@ -157,35 +116,5 @@ func TestRecordsSorted(t *testing.T) {
 		if recs[i].Date < recs[i-1].Date {
 			t.Fatalf("records not date-sorted: %v before %v", recs[i-1].Date, recs[i])
 		}
-	}
-}
-
-// Property: country total is monotone non-decreasing in time.
-func TestQuickTotalMonotone(t *testing.T) {
-	tab := sample()
-	f := func(a, b uint8) bool {
-		m1 := months.New(1995+int(a)%30, time.January)
-		m2 := m1.Add(int(b) % 120)
-		return tab.IPv4CountryTotal("VE", m1) <= tab.IPv4CountryTotal("VE", m2)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCountByType(t *testing.T) {
-	tab := sample()
-	m := months.New(2024, time.January)
-	if got := tab.CountByType("VE", "ipv4", m); got != 3 {
-		t.Errorf("ipv4 count = %d, want 3", got)
-	}
-	if got := tab.CountByType("VE", "asn", m); got != 1 {
-		t.Errorf("asn count = %d, want 1", got)
-	}
-	if got := tab.CountByType("VE", "ipv6", m); got != 0 {
-		t.Errorf("ipv6 count = %d, want 0", got)
-	}
-	if got := tab.CountByType("VE", "asn", months.New(1997, time.January)); got != 0 {
-		t.Errorf("early asn count = %d, want 0", got)
 	}
 }

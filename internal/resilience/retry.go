@@ -1,9 +1,8 @@
-// Package resilience supplies the fault-handling primitives the pipeline
-// uses to survive the realities of decade-scale archival data: mirrors
-// stall, dumps truncate, and APIs rate-limit. It provides retry with
-// exponential backoff and deterministic jitter, deadline-wrapped
-// execution, and an error-aware lazy cache that — unlike sync.Once —
-// does not poison itself on a transient first failure.
+// Package resilience supplies two fault-handling primitives: RetryValue,
+// the context-aware retry with exponential backoff and deterministic
+// jitter that the sweep workers run each spec under, and LazyResult, an
+// error-aware lazy cache that — unlike sync.Once — does not poison
+// itself on a transient first failure.
 //
 // Everything is deterministic under test: jitter draws from a seedable
 // RNG and sleeping is injectable.
@@ -11,14 +10,14 @@ package resilience
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"time"
 )
 
-// Policy parameterizes Retry. The zero value is not useful; start from
-// DefaultPolicy and override fields.
+// Policy parameterizes RetryValue. Zero fields take defaults: one
+// attempt, a 250 ms base delay growing ×2 up to 5 s, no jitter, a fixed
+// seed and a real timer.
 type Policy struct {
 	// MaxAttempts is the total number of tries (first call included).
 	MaxAttempts int
@@ -36,18 +35,6 @@ type Policy struct {
 	// Sleep replaces the context-aware wait between attempts; tests
 	// inject a recorder here. Nil uses a real timer.
 	Sleep func(ctx context.Context, d time.Duration) error
-}
-
-// DefaultPolicy is the retry policy the ingestion loaders use: four
-// attempts spanning roughly seven seconds of backoff.
-func DefaultPolicy() Policy {
-	return Policy{
-		MaxAttempts: 4,
-		BaseDelay:   250 * time.Millisecond,
-		MaxDelay:    5 * time.Second,
-		Multiplier:  2,
-		Jitter:      0.2,
-	}
 }
 
 func (p Policy) withDefaults() Policy {
@@ -93,44 +80,13 @@ func (p Policy) Delay(n int, rng *rand.Rand) time.Duration {
 	return time.Duration(d)
 }
 
-// permanentError marks an error that must not be retried.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
-// Permanent wraps err so Retry stops immediately instead of burning the
-// remaining attempts; parse errors on corrupt archives are permanent,
-// short reads from a stalled mirror are not.
-func Permanent(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &permanentError{err}
-}
-
-// IsPermanent reports whether err was marked with Permanent.
-func IsPermanent(err error) bool {
-	var pe *permanentError
-	return errors.As(err, &pe)
-}
-
-// Retry runs fn until it succeeds, returns a Permanent error, the
-// context is done, or MaxAttempts is exhausted. The returned error wraps
-// the last failure and records the attempt count.
-func Retry(ctx context.Context, p Policy, fn func(ctx context.Context) error) error {
-	_, err := RetryValue(ctx, p, func(ctx context.Context) (struct{}, error) {
-		return struct{}{}, fn(ctx)
-	})
-	return err
-}
-
-// RetryValue is Retry for functions that return a value; the sweep
-// workers use it. fn runs under the caller's context, every backoff
-// sleep aborts immediately on context cancellation or deadline expiry
-// (the abort error wraps ctx.Err, so callers can distinguish a
-// canceled retry from an exhausted one), and the zero T accompanies
-// every failure. Permanent errors stop the loop on the spot.
+// RetryValue runs fn until it succeeds, the context is done, or
+// MaxAttempts is exhausted; the sweep workers use it. fn runs under the
+// caller's context, every backoff sleep aborts immediately on context
+// cancellation or deadline expiry (the abort error wraps ctx.Err, so
+// callers can distinguish a canceled retry from an exhausted one), and
+// the zero T accompanies every failure. The exhausted error wraps the
+// last failure and records the attempt count.
 func RetryValue[T any](ctx context.Context, p Policy, fn func(ctx context.Context) (T, error)) (T, error) {
 	p = p.withDefaults()
 	rng := rand.New(rand.NewSource(p.Seed))
@@ -145,10 +101,6 @@ func RetryValue[T any](ctx context.Context, p Policy, fn func(ctx context.Contex
 			return v, nil
 		}
 		last = err
-		var pe *permanentError
-		if errors.As(last, &pe) {
-			return zero, fmt.Errorf("resilience: permanent failure on attempt %d: %w", attempt, pe.err)
-		}
 		if attempt == p.MaxAttempts {
 			break
 		}

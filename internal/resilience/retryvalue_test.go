@@ -22,9 +22,8 @@ func TestRetryValue(t *testing.T) {
 		// ctx builds the context (and optionally schedules its demise).
 		ctx func(t *testing.T) (context.Context, context.CancelFunc)
 		// failures before fn succeeds; -1 means fn always fails.
-		failures  int
-		permanent bool
-		policy    Policy
+		failures int
+		policy   Policy
 
 		wantVal      int
 		wantErr      error  // errors.Is target; nil means success
@@ -55,16 +54,6 @@ func TestRetryValue(t *testing.T) {
 			wantErr:      transient,
 			wantErrPart:  "3 attempts exhausted",
 			wantAttempts: 3,
-		},
-		{
-			name:         "permanent_stops_immediately",
-			ctx:          background,
-			failures:     -1,
-			permanent:    true,
-			policy:       Policy{MaxAttempts: 5, Sleep: noSleep},
-			wantErr:      transient,
-			wantErrPart:  "permanent failure on attempt 1",
-			wantAttempts: 1,
 		},
 		{
 			name: "cancel_during_sleep",
@@ -118,9 +107,6 @@ func TestRetryValue(t *testing.T) {
 			val, err := RetryValue(ctx, tc.policy, func(context.Context) (int, error) {
 				attempts++
 				if tc.failures < 0 || attempts <= tc.failures {
-					if tc.permanent {
-						return 0, Permanent(transient)
-					}
 					return 0, fmt.Errorf("attempt %d: %w", attempts, transient)
 				}
 				return 42, nil

@@ -68,7 +68,7 @@ func TestDelayJitterBounds(t *testing.T) {
 // TestDelayIdenticalSeedsIdenticalSchedules pins reproducibility: two
 // RNGs from the same seed must produce the same jittered schedule.
 func TestDelayIdenticalSeedsIdenticalSchedules(t *testing.T) {
-	p := DefaultPolicy()
+	p := Policy{MaxAttempts: 4, BaseDelay: 250 * time.Millisecond, MaxDelay: 5 * time.Second, Multiplier: 2, Jitter: 0.2}
 	a, b := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7))
 	for attempt := 1; attempt <= 8; attempt++ {
 		if da, db := p.Delay(attempt, a), p.Delay(attempt, b); da != db {

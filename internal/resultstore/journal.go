@@ -1,7 +1,6 @@
 package resultstore
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -140,9 +139,6 @@ func (j *Journal) Append(payload []byte) error {
 	return nil
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
 // Close releases the file handle. Appends after Close fail.
 func (j *Journal) Close() error {
 	j.mu.Lock()
@@ -180,19 +176,4 @@ func (s *Store) Journals() ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// RemoveJournal deletes a journal by file name (as returned by
-// Journals). Missing files are not an error.
-func (s *Store) RemoveJournal(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if filepath.Base(name) != name || !strings.HasSuffix(name, journalExt) {
-		return fmt.Errorf("resultstore: remove journal: invalid name %q", name)
-	}
-	err := os.Remove(filepath.Join(s.dir, name))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("resultstore: remove journal %s: %w", name, err)
-	}
-	return nil
 }

@@ -86,48 +86,14 @@ func ParseSpec(data []byte) (*Spec, error) {
 	return &s, nil
 }
 
-// LoadSpecs reads one or more scenario specs from a file: either a
-// single spec object or a JSON array of them (the -scenario-file
-// format).
-func LoadSpecs(path string) ([]*Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %w", err)
-	}
-	trimmed := bytes.TrimSpace(data)
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		dec := json.NewDecoder(bytes.NewReader(trimmed))
-		dec.DisallowUnknownFields()
-		var specs []*Spec
-		if err := dec.Decode(&specs); err != nil {
-			return nil, fmt.Errorf("scenario: decode %s: %w", path, err)
-		}
-		seen := map[string]bool{}
-		for _, s := range specs {
-			if err := s.Validate(); err != nil {
-				return nil, fmt.Errorf("scenario: %s: %w", path, err)
-			}
-			if seen[s.ID] {
-				return nil, fmt.Errorf("scenario: %s: duplicate scenario id %q", path, s.ID)
-			}
-			seen[s.ID] = true
-		}
-		return specs, nil
-	}
-	s, err := ParseSpec(data)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: %s: %w", path, err)
-	}
-	return []*Spec{s}, nil
-}
-
-// LoadSpecsLenient reads the same file format as LoadSpecs but keeps
-// going past bad entries: it returns every spec that validates plus one
-// error per entry that does not, each error carrying the entry's
-// position and (when recoverable) its declared id. A duplicate id —
-// even of an invalid earlier entry — is itself an error, so the valid
-// subset is always directly servable. len(errs) == 0 iff LoadSpecs
-// would have succeeded.
+// LoadSpecsLenient reads one or more scenario specs from a file: either
+// a single spec object or a JSON array of them (the -scenario-file
+// format). It keeps going past bad entries: it returns every spec that
+// validates plus one error per entry that does not, each error carrying
+// the entry's position and (when recoverable) its declared id. A
+// duplicate id — even of an invalid earlier entry — is itself an error,
+// so the valid subset is always directly servable, and a caller that
+// wants the whole file fails on len(errs) > 0.
 func LoadSpecsLenient(path string) (specs []*Spec, errs []error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -126,40 +126,44 @@ func TestCannedSpecsParse(t *testing.T) {
 	}
 }
 
+// TestLoadSpecs: a clean file — one object or an array — comes back
+// whole and without errors; a duplicate id or a missing file is an
+// error.
 func TestLoadSpecs(t *testing.T) {
 	dir := t.TempDir()
+
 	single := filepath.Join(dir, "one.json")
 	os.WriteFile(single, []byte(`{"id":"solo","ops":[{"op":"depeer","asn":8048}]}`), 0o644)
-	specs, err := LoadSpecs(single)
-	if err != nil || len(specs) != 1 || specs[0].ID != "solo" {
-		t.Fatalf("single: specs=%v err=%v", specs, err)
+	specs, errs := LoadSpecsLenient(single)
+	if len(errs) != 0 || len(specs) != 1 || specs[0].ID != "solo" {
+		t.Fatalf("single object: specs=%v errs=%v", specs, errs)
 	}
 
 	multi := filepath.Join(dir, "many.json")
 	os.WriteFile(multi, []byte(`[
 		{"id":"one","ops":[{"op":"depeer","asn":8048}]},
 		{"id":"two","ops":[{"op":"depeer","asn":6306}]}]`), 0o644)
-	specs, err = LoadSpecs(multi)
-	if err != nil || len(specs) != 2 {
-		t.Fatalf("multi: specs=%v err=%v", specs, err)
+	specs, errs = LoadSpecsLenient(multi)
+	if len(errs) != 0 || len(specs) != 2 {
+		t.Fatalf("multi: specs=%v errs=%v", specs, errs)
 	}
 
 	dup := filepath.Join(dir, "dup.json")
 	os.WriteFile(dup, []byte(`[
 		{"id":"one","ops":[{"op":"depeer","asn":8048}]},
 		{"id":"one","ops":[{"op":"depeer","asn":6306}]}]`), 0o644)
-	if _, err = LoadSpecs(dup); err == nil || !strings.Contains(err.Error(), "duplicate scenario id") {
-		t.Fatalf("duplicate ids accepted: %v", err)
+	specs, errs = LoadSpecsLenient(dup)
+	if len(specs) != 1 || len(errs) != 1 || !strings.Contains(errs[0].Error(), "duplicate scenario id") {
+		t.Fatalf("duplicate ids: specs=%v errs=%v", specs, errs)
 	}
 
-	if _, err = LoadSpecs(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
+	if _, errs = LoadSpecsLenient(filepath.Join(dir, "missing.json")); len(errs) != 1 {
+		t.Fatalf("missing file errs = %v", errs)
 	}
 }
 
-// TestLoadSpecsLenient: the lenient loader must return every valid
-// spec, one error per bad entry naming its position and id, and agree
-// with LoadSpecs when the file is clean.
+// TestLoadSpecsLenient: the loader must return every valid spec and
+// one error per bad entry naming its position and id.
 func TestLoadSpecsLenient(t *testing.T) {
 	dir := t.TempDir()
 
@@ -187,22 +191,6 @@ func TestLoadSpecsLenient(t *testing.T) {
 		}
 	}
 
-	clean := filepath.Join(dir, "clean.json")
-	os.WriteFile(clean, []byte(`[
-		{"id":"one","ops":[{"op":"depeer","asn":8048}]},
-		{"id":"two","ops":[{"op":"depeer","asn":6306}]}]`), 0o644)
-	specs, errs = LoadSpecsLenient(clean)
-	if len(errs) != 0 || len(specs) != 2 {
-		t.Fatalf("clean file: specs=%v errs=%v", specs, errs)
-	}
-
-	single := filepath.Join(dir, "one.json")
-	os.WriteFile(single, []byte(`{"id":"solo","ops":[{"op":"depeer","asn":8048}]}`), 0o644)
-	specs, errs = LoadSpecsLenient(single)
-	if len(errs) != 0 || len(specs) != 1 || specs[0].ID != "solo" {
-		t.Fatalf("single object: specs=%v errs=%v", specs, errs)
-	}
-
 	// A later valid spec reusing an invalid entry's id is still a
 	// duplicate: serving it would silently shadow the entry the operator
 	// meant to fix.
@@ -222,10 +210,6 @@ func TestLoadSpecsLenient(t *testing.T) {
 	os.WriteFile(broken, []byte(`[{"id":"one"`), 0o644)
 	if specs, errs = LoadSpecsLenient(broken); len(specs) != 0 || len(errs) != 1 {
 		t.Fatalf("malformed array: specs=%v errs=%v", specs, errs)
-	}
-
-	if _, errs = LoadSpecsLenient(filepath.Join(dir, "missing.json")); len(errs) != 1 {
-		t.Fatalf("missing file errs = %v", errs)
 	}
 }
 

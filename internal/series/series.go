@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"vzlens/internal/months"
-	"vzlens/internal/stats"
 )
 
 // Point is one (month, value) observation.
@@ -53,9 +52,6 @@ func (s *Series) Get(m months.Month) (float64, bool) {
 
 // At returns the value at m, or 0 when absent.
 func (s *Series) At(m months.Month) float64 { return s.points[m] }
-
-// Len returns the number of recorded months.
-func (s *Series) Len() int { return len(s.points) }
 
 // Points returns all observations ordered by month.
 func (s *Series) Points() []Point {
@@ -116,50 +112,6 @@ func (s *Series) MaxPoint() (Point, bool) {
 	return best, found
 }
 
-// Window returns the values recorded in [lo, hi], ordered by month.
-func (s *Series) Window(lo, hi months.Month) []float64 {
-	var out []float64
-	for _, p := range s.Points() {
-		if p.Month >= lo && p.Month <= hi {
-			out = append(out, p.Value)
-		}
-	}
-	return out
-}
-
-// MeanOver returns the mean value over [lo, hi]; ok is false when the
-// window holds no observations.
-func (s *Series) MeanOver(lo, hi months.Month) (float64, bool) {
-	w := s.Window(lo, hi)
-	m, err := stats.Mean(w)
-	return m, err == nil
-}
-
-// Normalize returns a new series of s's values divided by its maximum
-// value. An empty or all-zero series normalizes to an empty series.
-func (s *Series) Normalize() *Series {
-	max, found := s.MaxPoint()
-	out := New()
-	if !found || max.Value == 0 {
-		return out
-	}
-	for m, v := range s.points {
-		out.Set(m, v/max.Value)
-	}
-	return out
-}
-
-// PercentChange returns (last-first)/first*100; ok is false when the series
-// has fewer than two points or starts at zero.
-func (s *Series) PercentChange() (float64, bool) {
-	f, ok1 := s.First()
-	l, ok2 := s.Last()
-	if !ok1 || !ok2 || f.Month == l.Month || f.Value == 0 {
-		return 0, false
-	}
-	return (l.Value - f.Value) / f.Value * 100, true
-}
-
 // Panel is a set of per-country series, as drawn in the paper's
 // country-comparison panels.
 type Panel struct {
@@ -180,12 +132,6 @@ func (p *Panel) Country(cc string) *Series {
 		p.byCountry[cc] = s
 	}
 	return s
-}
-
-// Has reports whether a series exists for cc.
-func (p *Panel) Has(cc string) bool {
-	_, ok := p.byCountry[cc]
-	return ok
 }
 
 // Countries returns the country codes present, sorted.
@@ -224,25 +170,6 @@ func (p *Panel) RegionalMean() *Series {
 	out := New()
 	for m, sum := range sums {
 		out.Set(m, sum/float64(counts[m]))
-	}
-	return out
-}
-
-// RegionalMedian returns, per month, the median over countries with a
-// recorded value.
-func (p *Panel) RegionalMedian() *Series {
-	vals := map[months.Month][]float64{}
-	for _, s := range p.byCountry {
-		for m, v := range s.points {
-			vals[m] = append(vals[m], v)
-		}
-	}
-	out := New()
-	for m, xs := range vals {
-		med, err := stats.Median(xs)
-		if err == nil {
-			out.Set(m, med)
-		}
 	}
 	return out
 }

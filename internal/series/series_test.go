@@ -23,8 +23,8 @@ func TestSetGetAdd(t *testing.T) {
 	if v := s.At(m("2020-02")); v != 0 {
 		t.Errorf("At missing = %v", v)
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d", s.Len())
+	if len(s.points) != 1 {
+		t.Errorf("Len = %d", len(s.points))
 	}
 }
 
@@ -32,8 +32,8 @@ func TestZeroValueUsable(t *testing.T) {
 	var s Series
 	s.Set(m("2020-01"), 1)
 	s.Add(m("2020-02"), 2)
-	if s.Len() != 2 {
-		t.Errorf("zero-value Series unusable: len=%d", s.Len())
+	if len(s.points) != 2 {
+		t.Errorf("zero-value Series unusable: len=%d", len(s.points))
 	}
 	var s2 Series
 	s2.Add(m("2020-01"), 3)
@@ -82,47 +82,6 @@ func TestMaxPointAndNormalize(t *testing.T) {
 	if !ok || mp.Value != 8 || mp.Month != m("2012-01") {
 		t.Errorf("MaxPoint = %v %v", mp, ok)
 	}
-	n := s.Normalize()
-	if !almost(n.At(m("2012-01")), 1) || !almost(n.At(m("2010-01")), 0.25) {
-		t.Errorf("Normalize = %v", n.Points())
-	}
-	empty := New().Normalize()
-	if empty.Len() != 0 {
-		t.Error("Normalize of empty should be empty")
-	}
-}
-
-func TestPercentChange(t *testing.T) {
-	s := New()
-	s.Set(m("2013-01"), 100)
-	s.Set(m("2020-01"), 30)
-	pc, ok := s.PercentChange()
-	if !ok || !almost(pc, -70) {
-		t.Errorf("PercentChange = %v %v", pc, ok)
-	}
-	one := New()
-	one.Set(m("2013-01"), 5)
-	if _, ok := one.PercentChange(); ok {
-		t.Error("single-point PercentChange should not be ok")
-	}
-}
-
-func TestWindowMeanOver(t *testing.T) {
-	s := New()
-	for i, v := range []float64{1, 2, 3, 4} {
-		s.Set(m("2020-01").Add(i), v)
-	}
-	w := s.Window(m("2020-02"), m("2020-03"))
-	if len(w) != 2 || w[0] != 2 || w[1] != 3 {
-		t.Errorf("Window = %v", w)
-	}
-	mean, ok := s.MeanOver(m("2020-02"), m("2020-03"))
-	if !ok || !almost(mean, 2.5) {
-		t.Errorf("MeanOver = %v %v", mean, ok)
-	}
-	if _, ok := s.MeanOver(m("2025-01"), m("2025-02")); ok {
-		t.Error("MeanOver empty window should not be ok")
-	}
 }
 
 func TestPanelRegionalAggregates(t *testing.T) {
@@ -143,10 +102,6 @@ func TestPanelRegionalAggregates(t *testing.T) {
 	if !almost(mean.At(m("2020-02")), 5) {
 		t.Errorf("mean single-country month = %v", mean.At(m("2020-02")))
 	}
-	med := p.RegionalMedian()
-	if !almost(med.At(m("2020-01")), 2) {
-		t.Errorf("median = %v", med.At(m("2020-01")))
-	}
 }
 
 func TestPanelNormalizeAgainst(t *testing.T) {
@@ -163,7 +118,7 @@ func TestPanelNormalizeAgainst(t *testing.T) {
 	if _, ok := n.Get(m("2020-02")); ok {
 		t.Error("month without ref should be skipped")
 	}
-	if p.NormalizeAgainst("XX", ref).Len() != 0 {
+	if len(p.NormalizeAgainst("XX", ref).points) != 0 {
 		t.Error("missing country should normalize to empty")
 	}
 }
@@ -202,26 +157,6 @@ func TestPanelCSV(t *testing.T) {
 	}
 	if lines[2] != "2020-02,2," {
 		t.Errorf("row2 = %q", lines[2])
-	}
-}
-
-// Property: Normalize bounds values to (0, 1] for positive series.
-func TestQuickNormalizeBounds(t *testing.T) {
-	f := func(vals []uint16) bool {
-		s := New()
-		for i, v := range vals {
-			s.Set(m("2000-01").Add(i), float64(v)+1)
-		}
-		n := s.Normalize()
-		for _, p := range n.Points() {
-			if p.Value <= 0 || p.Value > 1+1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package stats provides the small set of robust estimators the paper's
 // analyses rely on: medians and percentiles over heavy-tailed measurement
-// distributions, plus simple aggregates.
+// distributions, plus the mean.
 //
 // The paper uses medians almost exclusively (median download speed, median
 // RTT of per-probe minimums) because crowdsourced measurement data is
-// heavy-tailed; means are provided for the regional-average panels and for
-// ablation benchmarks.
+// heavy-tailed; the mean serves the naive references and the ablation
+// benchmarks.
 package stats
 
 import (
@@ -41,21 +41,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return percentileSorted(s, p), nil
 }
 
-// PercentileSorted is Percentile for an already ascending-sorted slice;
-// it performs no allocation.
-func PercentileSorted(sorted []float64, p float64) (float64, error) {
-	if len(sorted) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 {
-		p = 0
-	}
-	if p > 100 {
-		p = 100
-	}
-	return percentileSorted(sorted, p), nil
-}
-
 func percentileSorted(s []float64, p float64) float64 {
 	if len(s) == 1 {
 		return s[0]
@@ -80,69 +65,4 @@ func Mean(xs []float64) (float64, error) {
 		sum += x
 	}
 	return sum / float64(len(xs)), nil
-}
-
-// Min returns the minimum of xs, or ErrEmpty.
-func Min(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Max returns the maximum of xs, or ErrEmpty.
-func Max(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m, nil
-}
-
-// Sum returns the sum of xs (0 for empty input).
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// CDF returns the empirical CDF evaluation points of xs as parallel
-// (value, cumulative fraction) slices, sorted ascending.
-func CDF(xs []float64) (values, fractions []float64) {
-	if len(xs) == 0 {
-		return nil, nil
-	}
-	values = make([]float64, len(xs))
-	copy(values, xs)
-	sort.Float64s(values)
-	fractions = make([]float64, len(values))
-	n := float64(len(values))
-	for i := range values {
-		fractions[i] = float64(i+1) / n
-	}
-	return values, fractions
-}
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -3,7 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -38,17 +38,8 @@ func TestEmptyErrors(t *testing.T) {
 	if _, err := Mean(nil); err != ErrEmpty {
 		t.Error("Mean(nil): want ErrEmpty")
 	}
-	if _, err := Min(nil); err != ErrEmpty {
-		t.Error("Min(nil): want ErrEmpty")
-	}
-	if _, err := Max(nil); err != ErrEmpty {
-		t.Error("Max(nil): want ErrEmpty")
-	}
 	if _, err := Percentile(nil, 50); err != ErrEmpty {
 		t.Error("Percentile(nil): want ErrEmpty")
-	}
-	if _, err := PercentileSorted(nil, 50); err != ErrEmpty {
-		t.Error("PercentileSorted(nil): want ErrEmpty")
 	}
 }
 
@@ -91,37 +82,6 @@ func TestMeanMinMaxSum(t *testing.T) {
 	if m, _ := Mean(xs); !almost(m, 4) {
 		t.Errorf("Mean = %v", m)
 	}
-	if m, _ := Min(xs); !almost(m, 2) {
-		t.Errorf("Min = %v", m)
-	}
-	if m, _ := Max(xs); !almost(m, 6) {
-		t.Errorf("Max = %v", m)
-	}
-	if s := Sum(xs); !almost(s, 12) {
-		t.Errorf("Sum = %v", s)
-	}
-	if s := Sum(nil); s != 0 {
-		t.Errorf("Sum(nil) = %v", s)
-	}
-}
-
-func TestCDF(t *testing.T) {
-	v, f := CDF([]float64{3, 1, 2})
-	if len(v) != 3 || !sort.Float64sAreSorted(v) {
-		t.Fatalf("values = %v", v)
-	}
-	if !almost(f[2], 1) {
-		t.Errorf("last fraction = %v, want 1", f[2])
-	}
-	if v2, f2 := CDF(nil); v2 != nil || f2 != nil {
-		t.Error("CDF(nil) should be nil,nil")
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 3) != 3 || Clamp(-1, 0, 3) != 0 || Clamp(2, 0, 3) != 2 {
-		t.Error("Clamp broken")
-	}
 }
 
 // Property: median lies between min and max.
@@ -134,8 +94,7 @@ func TestQuickMedianBounded(t *testing.T) {
 			xs[i] = r.NormFloat64() * 100
 		}
 		med, _ := Median(xs)
-		lo, _ := Min(xs)
-		hi, _ := Max(xs)
+		lo, hi := slices.Min(xs), slices.Max(xs)
 		return med >= lo-1e-9 && med <= hi+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -1,14 +1,7 @@
 package webdeps
 
-import (
-	"fmt"
-	"sort"
-)
-
 // This file adds provider attribution on top of the adoption flags:
-// which third party actually serves each dependent site, and how
-// concentrated each market is — the centralization measurements of
-// Kumar et al. that Appendix H builds on.
+// which third party actually serves each dependent site.
 
 // Dimension selects a third-party service market.
 type Dimension int
@@ -19,19 +12,6 @@ const (
 	DimCA
 	DimCDN
 )
-
-// String names the dimension.
-func (d Dimension) String() string {
-	switch d {
-	case DimDNS:
-		return "DNS"
-	case DimCA:
-		return "CA"
-	case DimCDN:
-		return "CDN"
-	}
-	return fmt.Sprintf("dimension(%d)", int(d))
-}
 
 // providerPalettes gives each market its major players with global
 // popularity weights; assignment cycles deterministically so the
@@ -70,60 +50,4 @@ func assignProvider(d Dimension, i int) string {
 		slot -= p.weight
 	}
 	return palette[len(palette)-1].name
-}
-
-// ProviderShare is one provider's slice of a country's third-party
-// market.
-type ProviderShare struct {
-	Provider string
-	Share    float64 // fraction of the country's dependent unique sites
-}
-
-// ProviderConcentration returns, over cc's unique sites that outsource
-// the given dimension, each provider's share (descending) and the
-// Herfindahl-Hirschman index of the market (1 = fully centralized).
-// ok is false when no unique site outsources the dimension.
-func (s *Snapshot) ProviderConcentration(cc string, d Dimension) (shares []ProviderShare, hhi float64, ok bool) {
-	counts := map[string]int{}
-	total := 0
-	for _, site := range s.UniqueSites(cc) {
-		var provider string
-		switch d {
-		case DimDNS:
-			provider = site.DNSProvider
-		case DimCA:
-			provider = site.CAProvider
-		case DimCDN:
-			provider = site.CDNProvider
-		}
-		if provider == "" {
-			continue
-		}
-		counts[provider]++
-		total++
-	}
-	if total == 0 {
-		return nil, 0, false
-	}
-	for provider, n := range counts {
-		share := float64(n) / float64(total)
-		shares = append(shares, ProviderShare{provider, share})
-		hhi += share * share
-	}
-	sort.Slice(shares, func(i, j int) bool {
-		if shares[i].Share != shares[j].Share {
-			return shares[i].Share > shares[j].Share
-		}
-		return shares[i].Provider < shares[j].Provider
-	})
-	return shares, hhi, true
-}
-
-// TopProvider returns the dominant provider of a market in cc.
-func (s *Snapshot) TopProvider(cc string, d Dimension) (ProviderShare, bool) {
-	shares, _, ok := s.ProviderConcentration(cc, d)
-	if !ok {
-		return ProviderShare{}, false
-	}
-	return shares[0], true
 }

@@ -1,7 +1,6 @@
 package webdeps
 
 import (
-	"math"
 	"testing"
 )
 
@@ -14,70 +13,5 @@ func TestAssignProviderFollowsWeights(t *testing.T) {
 	}
 	if counts["Cloudflare DNS"] != 35 || counts["Amazon Route 53"] != 25 || counts["NS1"] != 6 {
 		t.Errorf("counts = %v", counts)
-	}
-}
-
-func TestProviderConcentration(t *testing.T) {
-	s := GenerateSnapshot(1000)
-	shares, hhi, ok := s.ProviderConcentration("VE", DimDNS)
-	if !ok || len(shares) == 0 {
-		t.Fatal("no DNS concentration for VE")
-	}
-	// Shares are descending and sum to 1.
-	total := 0.0
-	for i, sh := range shares {
-		total += sh.Share
-		if i > 0 && sh.Share > shares[i-1].Share {
-			t.Fatal("shares not descending")
-		}
-	}
-	if math.Abs(total-1) > 1e-9 {
-		t.Errorf("shares sum = %v", total)
-	}
-	// Cloudflare dominates the DNS market (35% palette weight).
-	if shares[0].Provider != "Cloudflare DNS" {
-		t.Errorf("top DNS provider = %s", shares[0].Provider)
-	}
-	// HHI bounded by (1/n, 1].
-	if hhi <= 0 || hhi > 1 {
-		t.Errorf("hhi = %v", hhi)
-	}
-}
-
-func TestCAMoreConcentratedThanDNS(t *testing.T) {
-	// Let's Encrypt's 52% makes the CA market the most concentrated —
-	// the centralization finding of Kumar et al.
-	s := GenerateSnapshot(1000)
-	_, hhiDNS, _ := s.ProviderConcentration("BR", DimDNS)
-	_, hhiCA, _ := s.ProviderConcentration("BR", DimCA)
-	if hhiCA <= hhiDNS {
-		t.Errorf("CA HHI %.3f should exceed DNS HHI %.3f", hhiCA, hhiDNS)
-	}
-	top, ok := s.TopProvider("BR", DimCA)
-	if !ok || top.Provider != "Let's Encrypt" {
-		t.Errorf("top CA = %+v", top)
-	}
-	if top.Share < 0.4 {
-		t.Errorf("Let's Encrypt share = %.2f, want ~0.52", top.Share)
-	}
-}
-
-func TestConcentrationNoData(t *testing.T) {
-	s := NewSnapshot()
-	s.SetList("VE", []Site{{Host: "a.ve"}}) // no third-party anything
-	if _, _, ok := s.ProviderConcentration("VE", DimCDN); ok {
-		t.Error("no outsourced sites should report no concentration")
-	}
-	if _, ok := s.TopProvider("VE", DimCDN); ok {
-		t.Error("TopProvider should fail with no data")
-	}
-}
-
-func TestDimensionString(t *testing.T) {
-	if DimDNS.String() != "DNS" || DimCA.String() != "CA" || DimCDN.String() != "CDN" {
-		t.Error("dimension names broken")
-	}
-	if Dimension(9).String() == "" {
-		t.Error("unknown dimension should still render")
 	}
 }

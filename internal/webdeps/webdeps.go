@@ -56,9 +56,6 @@ func (s *Snapshot) Countries() []string {
 	return out
 }
 
-// List returns country cc's ranked site list.
-func (s *Snapshot) List(cc string) []Site { return s.lists[cc] }
-
 // UniqueSites returns the sites appearing only in cc's list and no
 // other's — the paper's uniqueness filter.
 func (s *Snapshot) UniqueSites(cc string) []Site {
@@ -155,17 +152,6 @@ var calibratedRates = map[string]Rates{
 	"CO": {DNS: 0.34, CA: 0.32, CDN: 0.42, HTTPS: 0.56},
 	"MX": {DNS: 0.36, CA: 0.35, CDN: 0.50, HTTPS: 0.62},
 	"UY": {DNS: 0.38, CA: 0.24, CDN: 0.46, HTTPS: 0.64},
-}
-
-// CalibratedCountries returns the countries in the Figure 19 panel,
-// sorted.
-func CalibratedCountries() []string {
-	out := make([]string, 0, len(calibratedRates))
-	for cc := range calibratedRates {
-		out = append(out, cc)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // GenerateSnapshot synthesizes a scraping campaign whose unique-site

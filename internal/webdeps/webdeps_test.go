@@ -81,7 +81,7 @@ func TestGeneratedSnapshotMatchesFigure19(t *testing.T) {
 func TestVenezuelaOnlyAheadOfBolivia(t *testing.T) {
 	s := GenerateSnapshot(1000)
 	ve, _ := s.Adoption("VE")
-	for _, cc := range CalibratedCountries() {
+	for cc := range calibratedRates {
 		if cc == "VE" || cc == "BO" {
 			continue
 		}

@@ -2,14 +2,12 @@ package world
 
 import (
 	"context"
-	"time"
 
 	"vzlens/internal/atlas"
 	"vzlens/internal/bgp"
 	"vzlens/internal/mlab"
 	"vzlens/internal/peeringdb"
 	"vzlens/internal/registry"
-	"vzlens/internal/resilience"
 )
 
 // Axis names one of the five independent archival inputs the paper's
@@ -30,50 +28,30 @@ type AxisStatus struct {
 	Axis Axis `json:"axis"`
 	// External reports whether a loader was configured for the axis.
 	External bool `json:"external"`
-	// Degraded is set when the loader failed persistently and the
-	// synthetic substitute is serving in its place.
+	// Degraded is set when the loader failed and the synthetic
+	// substitute is serving in its place.
 	Degraded bool   `json:"degraded"`
 	Error    string `json:"error,omitempty"`
 }
 
 // SourceSet wires external archival loaders into world construction.
 // Every field is optional: a nil loader means the axis is synthetic by
-// design and never counts as degraded. Loaders are retried per Retry
-// and bounded per attempt by Timeout; a loader that still fails leaves
-// its axis on the synthetic substitute and marks it Degraded instead of
-// failing the build — ten years of archives should not be hostage to
-// one stalled mirror.
+// design and never counts as degraded. Each configured loader runs once
+// under the build's context; a loader that fails leaves its axis on the
+// synthetic substitute and marks it Degraded instead of failing the
+// build — ten years of archives should not be hostage to one bad dump.
 type SourceSet struct {
 	PeeringDB  func(ctx context.Context) (*peeringdb.Archive, error)
 	Atlas      func(ctx context.Context) (*atlas.ChaosCampaign, *atlas.TraceCampaign, error)
 	MLab       func(ctx context.Context) (*mlab.Archive, error)
 	RouteViews func(ctx context.Context) (*bgp.RIBArchive, error)
 	Registry   func(ctx context.Context) (*registry.Table, error)
-
-	// Retry is the per-axis retry policy (zero value: DefaultPolicy).
-	Retry resilience.Policy
-	// Timeout bounds each attempt (0: no per-attempt deadline).
-	Timeout time.Duration
-}
-
-func (s SourceSet) retryPolicy() resilience.Policy {
-	if s.Retry.MaxAttempts == 0 && s.Retry.BaseDelay == 0 {
-		return resilience.DefaultPolicy()
-	}
-	return s.Retry
-}
-
-// loadAxis retries fn under the source policy and per-attempt deadline.
-func loadAxis(ctx context.Context, src SourceSet, fn func(ctx context.Context) error) error {
-	return resilience.Retry(ctx, src.retryPolicy(), func(ctx context.Context) error {
-		return resilience.WithDeadline(ctx, src.Timeout, fn)
-	})
 }
 
 // BuildWithSources assembles a World, ingesting each configured external
-// source with retry and falling back to the synthetic substitute — with
-// a Degraded axis status — when a source keeps failing. Only an invalid
-// configuration or a cancelled context fails the build outright.
+// source and falling back to the synthetic substitute — with a Degraded
+// axis status — when a source fails. Only an invalid configuration or
+// a cancelled context fails the build outright.
 func BuildWithSources(ctx context.Context, cfg Config, src SourceSet) (*World, error) {
 	w, err := Build(cfg)
 	if err != nil {
@@ -83,7 +61,7 @@ func BuildWithSources(ctx context.Context, cfg Config, src SourceSet) (*World, e
 	load := func(axis Axis, configured bool, fn func(ctx context.Context) error) error {
 		st := AxisStatus{Axis: axis, External: configured}
 		if configured {
-			if err := loadAxis(ctx, src, fn); err != nil {
+			if err := fn(ctx); err != nil {
 				st.Degraded = true
 				st.Error = err.Error()
 			}

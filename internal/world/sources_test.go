@@ -9,14 +9,7 @@ import (
 
 	"vzlens/internal/mlab"
 	"vzlens/internal/registry"
-	"vzlens/internal/resilience"
 )
-
-// fastRetry keeps source-loading tests instantaneous.
-var fastRetry = resilience.Policy{
-	MaxAttempts: 3,
-	Sleep:       func(ctx context.Context, _ time.Duration) error { return ctx.Err() },
-}
 
 func TestBuildValidatesConfig(t *testing.T) {
 	cases := []Config{
@@ -44,13 +37,12 @@ func TestBuildWithSourcesFallsBackAndReportsDegraded(t *testing.T) {
 			attempts++
 			return nil, boom
 		},
-		Retry: fastRetry,
 	})
 	if err != nil {
 		t.Fatalf("BuildWithSources = %v (persistent source failure must not fail the build)", err)
 	}
-	if attempts != 3 {
-		t.Errorf("loader attempts = %d, want 3", attempts)
+	if attempts != 1 {
+		t.Errorf("loader attempts = %d, want 1", attempts)
 	}
 	if !w.Degraded() {
 		t.Fatal("Degraded = false after persistent registry failure")
@@ -72,30 +64,6 @@ func TestBuildWithSourcesFallsBackAndReportsDegraded(t *testing.T) {
 	}
 }
 
-func TestBuildWithSourcesRecoversViaRetry(t *testing.T) {
-	attempts := 0
-	ext := registry.NewTable()
-	w, err := BuildWithSources(context.Background(), Config{Step: 6}, SourceSet{
-		Registry: func(context.Context) (*registry.Table, error) {
-			attempts++
-			if attempts < 3 {
-				return nil, errors.New("transient")
-			}
-			return ext, nil
-		},
-		Retry: fastRetry,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Degraded() {
-		t.Error("Degraded = true after successful retry")
-	}
-	if w.Registry() != ext {
-		t.Error("external registry not wired in")
-	}
-}
-
 func TestBuildWithSourcesServesExternalMLab(t *testing.T) {
 	ar := mlab.NewArchive()
 	m := mm(2023, time.July)
@@ -105,8 +73,7 @@ func TestBuildWithSourcesServesExternalMLab(t *testing.T) {
 		{Month: m, Country: "VE", DownloadMbps: 5.0},
 	})
 	w, err := BuildWithSources(context.Background(), Config{Step: 6}, SourceSet{
-		MLab:  func(context.Context) (*mlab.Archive, error) { return ar, nil },
-		Retry: fastRetry,
+		MLab: func(context.Context) (*mlab.Archive, error) { return ar, nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +92,6 @@ func TestBuildWithSourcesHonorsContext(t *testing.T) {
 	cancel()
 	_, err := BuildWithSources(ctx, Config{Step: 6}, SourceSet{
 		Registry: func(context.Context) (*registry.Table, error) { return registry.NewTable(), nil },
-		Retry:    fastRetry,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

@@ -1,12 +1,14 @@
 package world
 
 import (
+	"slices"
 	"testing"
 	"time"
 
 	"vzlens/internal/bgp"
 	"vzlens/internal/geo"
 	"vzlens/internal/months"
+	"vzlens/internal/peeringdb"
 )
 
 // mustBuild is the test-only panicking form of Build.
@@ -184,17 +186,28 @@ func TestPrefixVisibilityFigure14(t *testing.T) {
 }
 
 func TestRegistryConsistentWithRIB(t *testing.T) {
-	reg := testWorld.Registry()
 	// CANTV's delegated space at 2024 matches its long-held announcements.
-	canv := reg.IPv4HolderTotal("ORG-CANV", mm(2024, time.January))
+	var canv int64
+	holders := map[string]bool{}
+	for _, r := range testWorld.Registry().Records() {
+		if r.Type != "ipv4" {
+			continue
+		}
+		if r.Holder == "ORG-CANV" && !r.Date.After(mm(2024, time.January)) {
+			canv += r.Value
+		}
+		if r.Country == "VE" && r.Holder != "" {
+			holders[r.Holder] = true
+		}
+	}
 	rib := buildVERIB(mm(2024, time.January))
 	announcedCANTV := rib.AnnouncedSpace(ASCANTV) + rib.AnnouncedSpace(ASMovilnet)
 	ratio := float64(announcedCANTV) / float64(canv)
 	if ratio < 0.8 || ratio > 1.2 {
 		t.Errorf("announced/delegated = %.2f, want ~1", ratio)
 	}
-	if got := reg.Holders("VE"); len(got) < 5 {
-		t.Errorf("VE holders = %v", got)
+	if len(holders) < 5 {
+		t.Errorf("VE holders = %v", holders)
 	}
 }
 
@@ -319,7 +332,7 @@ func TestFleetMatchesAppendixF(t *testing.T) {
 func TestIXPHeatmapFigure10(t *testing.T) {
 	// Computed over the membership and population tables.
 	members := testWorld.IXPMembership()
-	if members.Present("AR-IX", testWorld.Nets["VE"].Transit) {
+	if slices.Contains(members.Members("AR-IX"), testWorld.Nets["VE"].Transit) {
 		t.Error("CANTV must not peer at AR-IX")
 	}
 	// Domestic coverage shares.
@@ -352,7 +365,7 @@ func TestIXPHeatmapFigure10(t *testing.T) {
 	// Uruguay present at four foreign exchanges.
 	uy := testWorld.Nets["UY"].Eyeballs[0]
 	for _, ex := range []string{"AR-IX", "IX.br (SP)", "IXpy", "PIT Chile (SCL)"} {
-		if !members.Present(ex, uy) {
+		if !slices.Contains(members.Members(ex), uy) {
 			t.Errorf("UY should peer at %s", ex)
 		}
 	}
@@ -441,26 +454,40 @@ func TestOffnetScanDetection(t *testing.T) {
 
 func TestPeeringDBSnapshotCarriesIXData(t *testing.T) {
 	snap := testWorld.PeeringDBSnapshot(mm(2024, time.January))
-	ix, ok := snap.IXByName("AR-IX")
+	// The Fig 10 story is visible from the dump alone: no Venezuelan
+	// exchange, and VE networks appear only at Equinix Bogota.
+	ixID := map[string]int{}
+	for _, ix := range snap.IXs {
+		ixID[ix.Name] = ix.ID
+		if ix.Country == "VE" {
+			t.Errorf("VE exchange in dump: %v", ix)
+		}
+	}
+	nets := map[int]peeringdb.Network{}
+	for _, n := range snap.Networks {
+		nets[n.ID] = n
+	}
+	members := map[int]map[int]bool{} // IX ID -> member network IDs
+	for _, nl := range snap.NetIXLans {
+		if members[nl.IXID] == nil {
+			members[nl.IXID] = map[int]bool{}
+		}
+		members[nl.IXID][nl.NetID] = true
+	}
+	ar, ok := ixID["AR-IX"]
 	if !ok {
 		t.Fatal("AR-IX missing from the dump")
 	}
-	members := snap.NetworksAtIX(ix.ID)
-	if len(members) < 3 {
-		t.Errorf("AR-IX members = %d", len(members))
+	if len(members[ar]) < 3 {
+		t.Errorf("AR-IX members = %d", len(members[ar]))
 	}
-	// The Fig 10 story is visible from the dump alone: no Venezuelan
-	// exchange, and VE networks appear only at Equinix Bogota.
-	if got := snap.IXsIn("VE"); len(got) != 0 {
-		t.Errorf("VE exchanges in dump = %v", got)
-	}
-	bog, ok := snap.IXByName("Equinix Bogota")
+	bog, ok := ixID["Equinix Bogota"]
 	if !ok {
 		t.Fatal("Equinix Bogota missing")
 	}
 	veNets := 0
-	for _, n := range snap.NetworksAtIX(bog.ID) {
-		if n.Country == "VE" {
+	for id := range members[bog] {
+		if nets[id].Country == "VE" {
 			veNets++
 		}
 	}
@@ -475,17 +502,25 @@ func TestPeeringDBSnapshotCarriesIXData(t *testing.T) {
 }
 
 func TestRegistryCarriesASNAndIPv6(t *testing.T) {
-	reg := testWorld.Registry()
 	m := mm(2024, time.January)
+	count := func(typ string, m months.Month) int {
+		n := 0
+		for _, r := range testWorld.Registry().Records() {
+			if r.Type == typ && r.Country == "VE" && !r.Date.After(m) {
+				n++
+			}
+		}
+		return n
+	}
 	// One ASN delegation per prefix-originating network.
-	if got := reg.CountByType("VE", "asn", m); got < 9 {
+	if got := count("asn", m); got < 9 {
 		t.Errorf("VE ASN delegations = %d, want >= 9", got)
 	}
 	// CANTV's single IPv6 block, delegated 2019.
-	if got := reg.CountByType("VE", "ipv6", m); got != 1 {
+	if got := count("ipv6", m); got != 1 {
 		t.Errorf("VE IPv6 delegations = %d, want 1", got)
 	}
-	if got := reg.CountByType("VE", "ipv6", mm(2018, time.January)); got != 0 {
+	if got := count("ipv6", mm(2018, time.January)); got != 0 {
 		t.Errorf("VE IPv6 before 2019 = %d, want 0", got)
 	}
 }
