@@ -127,6 +127,8 @@ type Resolver struct {
 	// Queries take the read lock for a map probe; a swap takes the
 	// write lock, installs the plan, and drops the whole cache — the
 	// next query for each class recomputes through the new overlay.
+	// The plan memoizes its overlay resolver, so that resolver lives
+	// while the plan is installed and goes with the next swap.
 	mu    sync.RWMutex
 	plan  *world.ScenarioPlan
 	cache map[ansKey]answer

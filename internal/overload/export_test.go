@@ -1,10 +1,14 @@
 package overload
 
-// Stats reports cumulative leaders (calls that executed fn) and
-// followers (calls served by another caller's execution) — the
-// coalescing ratio the /metrics endpoint exposes.
-func (g *Group[K, V]) Stats() (leaders, followers uint64) {
-	return g.leaders.Load(), g.followers.Load()
+// Followers reports how many callers are waiting on the in-flight call
+// for key (0 when none is in flight).
+func (g *Group[K, V]) Followers(key K) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.calls[key]; ok {
+		return c.dups
+	}
+	return 0
 }
 
 // InFlight reports whether a call for key is currently executing.

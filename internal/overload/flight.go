@@ -3,7 +3,6 @@ package overload
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 )
 
 // Group collapses concurrent calls with the same key into one
@@ -17,16 +16,13 @@ import (
 type Group[K comparable, V any] struct {
 	mu    sync.Mutex
 	calls map[K]*flightCall[V]
-
-	leaders   atomic.Uint64
-	followers atomic.Uint64
 }
 
 type flightCall[V any] struct {
 	done chan struct{}
 	val  V
 	err  error
-	dups int
+	dups int // callers coalesced onto this call
 }
 
 // Do executes fn for key, coalescing with any in-flight call for the
@@ -40,14 +36,12 @@ func (g *Group[K, V]) Do(key K, fn func() (V, error)) (v V, err error, shared bo
 	if c, ok := g.calls[key]; ok {
 		c.dups++
 		g.mu.Unlock()
-		g.followers.Add(1)
 		<-c.done
 		return c.val, c.err, true
 	}
 	c := &flightCall[V]{done: make(chan struct{})}
 	g.calls[key] = c
 	g.mu.Unlock()
-	g.leaders.Add(1)
 
 	func() {
 		// A leader panic must not strand followers on a closed-over

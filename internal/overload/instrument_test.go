@@ -83,67 +83,63 @@ func TestTokenBucketRetryAfter(t *testing.T) {
 	}
 }
 
-// TestFlightStats pins the leader/follower accounting the /metrics
-// endpoint exposes: sequential calls are all leaders; calls that arrive
-// while a computation is in flight are followers.
+// TestFlightStats pins the leader/follower split each call reports
+// (httpapi counts vz_flight_leaders_total/vz_flight_followers_total
+// from it): sequential calls are all leaders; calls that arrive while a
+// computation is in flight are followers and get the leader's value.
 func TestFlightStats(t *testing.T) {
 	var g Group[string, int]
+	leaders := 0
 	for i := 0; i < 3; i++ {
-		if _, err, shared := g.Do("seq", func() (int, error) { return i, nil }); err != nil || shared {
-			t.Fatalf("sequential Do: err=%v shared=%v", err, shared)
+		_, err, shared := g.Do("seq", func() (int, error) { return i, nil })
+		if err != nil {
+			t.Fatalf("sequential Do: %v", err)
+		}
+		if !shared {
+			leaders++
 		}
 	}
-	if l, f := g.Stats(); l != 3 || f != 0 {
-		t.Fatalf("after sequential calls: leaders=%d followers=%d, want 3/0", l, f)
+	if leaders != 3 {
+		t.Fatalf("sequential calls: %d leaders, want 3", leaders)
 	}
 
 	const followers = 4
+	type result struct {
+		v      int
+		err    error
+		shared bool
+	}
 	gateIn, gateOut := make(chan struct{}), make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	lead := make(chan result, 1)
 	go func() {
-		defer wg.Done()
-		g.Do("key", func() (int, error) {
+		v, err, shared := g.Do("key", func() (int, error) {
 			close(gateIn) // leader is in flight
 			<-gateOut
 			return 42, nil
 		})
+		lead <- result{v, err, shared}
 	}()
 	<-gateIn
-	results := make(chan bool, followers)
+	results := make(chan result, followers)
 	for i := 0; i < followers; i++ {
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
 			v, err, shared := g.Do("key", func() (int, error) { return -1, nil })
-			if v != 42 || err != nil {
-				t.Errorf("follower got %d, %v", v, err)
-			}
-			results <- shared
+			results <- result{v, err, shared}
 		}()
 	}
-	// Followers must be registered before the leader finishes; poll the
-	// stats until all four are counted (the counter increments before
-	// the follower blocks on the leader's completion).
-	for {
-		if _, f := g.Stats(); f == followers {
-			break
-		}
+	// Followers must be registered before the leader finishes; poll
+	// until all four wait on the in-flight call.
+	for g.Followers("key") != followers {
 		time.Sleep(time.Millisecond)
 	}
 	close(gateOut)
-	wg.Wait()
+	if r := <-lead; r.v != 42 || r.err != nil || r.shared {
+		t.Errorf("coalesced leader got %d, %v, shared=%v; want 42, nil, false", r.v, r.err, r.shared)
+	}
 	for i := 0; i < followers; i++ {
-		if !<-results {
-			t.Error("a coalesced caller reported shared=false")
+		if r := <-results; r.v != 42 || r.err != nil || !r.shared {
+			t.Errorf("follower got %d, %v, shared=%v; want 42, nil, true", r.v, r.err, r.shared)
 		}
-	}
-	l, f := g.Stats()
-	if l != 4 { // 3 sequential + 1 coalesced leader
-		t.Errorf("leaders = %d, want 4", l)
-	}
-	if f != followers {
-		t.Errorf("followers = %d, want %d", f, followers)
 	}
 }
 

@@ -24,8 +24,9 @@ type Options struct {
 
 // Engine runs counterfactual scenarios: it compiles a spec, replays
 // both campaigns under the overlay, and emits the baseline-vs-scenario
-// Diff. Engines are safe for concurrent use — the world's scenario
-// caches are locked, and the engine itself holds no per-run state.
+// Diff. Engines are safe for concurrent use — each run compiles its
+// own plan, which holds that run's overlay resolvers, and the engine
+// itself holds no per-run state.
 type Engine struct {
 	w         *world.World
 	baseTrace func(ctx context.Context) (*atlas.TraceCampaign, error)

@@ -16,17 +16,13 @@ import (
 	"sort"
 )
 
-// Site is one scraped website with its serving-infrastructure flags and
-// the attributed third-party providers (empty when served first-party).
+// Site is one scraped website with its serving-infrastructure flags.
 type Site struct {
-	Host        string
-	ThirdDNS    bool // authoritative DNS outsourced to a third party
-	ThirdCA     bool // certificate from a third-party-managed CA
-	ThirdCDN    bool // content served through a third-party CDN
-	HTTPS       bool
-	DNSProvider string
-	CAProvider  string
-	CDNProvider string
+	Host     string
+	ThirdDNS bool // authoritative DNS outsourced to a third party
+	ThirdCA  bool // certificate from a third-party-managed CA
+	ThirdCDN bool // content served through a third-party CDN
+	HTTPS    bool
 }
 
 // Snapshot is one scraping campaign: per country, the ranked site list a
@@ -171,23 +167,13 @@ func GenerateSnapshot(uniquePerCC int) *Snapshot {
 	for cc, rates := range calibratedRates {
 		sites := make([]Site, 0, uniquePerCC+len(shared))
 		for i := 0; i < uniquePerCC; i++ {
-			site := Site{
+			sites = append(sites, Site{
 				Host:     fmt.Sprintf("site-%d.%s.example", i, cc),
 				ThirdDNS: i < int(rates.DNS*float64(uniquePerCC)+0.5),
 				ThirdCA:  i < int(rates.CA*float64(uniquePerCC)+0.5),
 				ThirdCDN: i < int(rates.CDN*float64(uniquePerCC)+0.5),
 				HTTPS:    i < int(rates.HTTPS*float64(uniquePerCC)+0.5),
-			}
-			if site.ThirdDNS {
-				site.DNSProvider = assignProvider(DimDNS, i)
-			}
-			if site.ThirdCA {
-				site.CAProvider = assignProvider(DimCA, i)
-			}
-			if site.ThirdCDN {
-				site.CDNProvider = assignProvider(DimCDN, i)
-			}
-			sites = append(sites, site)
+			})
 		}
 		sites = append(sites, shared...)
 		s.SetList(cc, sites)

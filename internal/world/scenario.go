@@ -2,6 +2,7 @@ package world
 
 import (
 	"fmt"
+	"sync"
 
 	"vzlens/internal/bgp"
 	"vzlens/internal/dnsroot"
@@ -74,9 +75,15 @@ type ScenarioRootReplica struct {
 // edits that are no-ops in a given month (a removal of a link the
 // month doesn't have, an addition that already exists), because AS and
 // link presence is month-dependent.
+//
+// A plan memoizes its own per-month overlay resolvers (see
+// topologyFor), so they and their path trees live exactly as long as
+// the plan: a scenario run's compiled plan takes them along when the
+// run returns, and the DNS plane's installed plan when it is swapped
+// out. Plans are used by pointer and never copied.
 type ScenarioPlan struct {
-	// Key identifies the plan for caching and persistence. Two plans
-	// with the same Key are assumed identical.
+	// Key identifies the plan for persistence and for coalescing runs
+	// of the same spec.
 	Key string
 
 	AddLinks    []ScenarioLink
@@ -91,6 +98,38 @@ type ScenarioPlan struct {
 	// m−EventShiftMonths. Positive delays the paper's events, negative
 	// advances them.
 	EventShiftMonths int
+
+	memo planMemo
+}
+
+// planMemo holds a plan's overlay resolver cells by month. It is bound
+// to the World that first fills it: the overlays stack on that World's
+// kernel cells, so another World gets unmemoized resolvers of its own.
+type planMemo struct {
+	mu    sync.Mutex
+	w     *World
+	cells map[months.Month]*topoCell
+}
+
+// cell returns w's resolver cell for month m, creating it empty. The
+// map is lock-protected; each cell builds its resolver exactly once,
+// outside the lock, as the World's own cells do.
+func (p *planMemo) cell(w *World, m months.Month) *topoCell {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.w == nil {
+		p.w = w
+		p.cells = map[months.Month]*topoCell{}
+	}
+	if p.w != w {
+		return &topoCell{}
+	}
+	c, ok := p.cells[m]
+	if !ok {
+		c = &topoCell{}
+		p.cells[m] = c
+	}
+	return c
 }
 
 // windowActive reports whether [from, until) covers m.
@@ -193,19 +232,13 @@ func hasASN(xs []bgp.ASN, a bgp.ASN) bool {
 	return false
 }
 
-// maxScenarioCacheKeys bounds how many distinct scenarios keep their
-// per-month resolver caches alive; beyond it the oldest key is evicted
-// wholesale. Scenario resolvers are cheap to rebuild (the overlays are
-// O(edits)), so eviction costs latency, not correctness.
-const maxScenarioCacheKeys = 8
-
 // topologyFor returns the resolver for month m under plan; a nil plan
 // is the baseline, served from the campaign kernel's per-signature
 // cells (bit-identical to TopologyAt for every campaign observable —
-// see kernel.go). Scenario resolvers are cached per (plan key, month)
-// like baseline ones, because the trace and chaos campaigns — and every
-// experiment table re-run — visit the same months. The overlay stacks
-// on the kernel's monthly cell, so a scenario month shares the
+// see kernel.go). Scenario resolvers are memoized per month on the
+// plan itself, because a run's trace and chaos replays — and every DNS
+// answer under an installed plan — visit the same months. The overlay
+// stacks on the kernel's monthly cell, so a scenario month shares the
 // signature resolver's base arrays and pays only O(edits) on top; an
 // invalid compiled edit list is a programming error and panics (the
 // serving layer converts campaign panics into retryable errors).
@@ -213,26 +246,7 @@ func (w *World) topologyFor(m months.Month, plan *ScenarioPlan) *netsim.Resolver
 	if plan == nil {
 		return w.kernelTopologyAt(m)
 	}
-	w.scenMu.Lock()
-	byMonth, ok := w.scenCache[plan.Key]
-	if !ok {
-		if w.scenCache == nil {
-			w.scenCache = map[string]map[months.Month]*topoCell{}
-		}
-		if len(w.scenOrder) >= maxScenarioCacheKeys {
-			delete(w.scenCache, w.scenOrder[0])
-			w.scenOrder = w.scenOrder[1:]
-		}
-		byMonth = map[months.Month]*topoCell{}
-		w.scenCache[plan.Key] = byMonth
-		w.scenOrder = append(w.scenOrder, plan.Key)
-	}
-	cell, ok := byMonth[m]
-	if !ok {
-		cell = &topoCell{}
-		byMonth[m] = cell
-	}
-	w.scenMu.Unlock()
+	cell := plan.memo.cell(w, m)
 	cell.once.Do(func() {
 		base := w.kernelTopologyAt(m).Topology()
 		ov, err := base.Overlay(plan.editsAt(m, base))

@@ -100,7 +100,8 @@ type World struct {
 
 	// topoCache holds one TopologyAt resolver cell per month, for the
 	// callers that need a faithful month's resolver (scenario compiles,
-	// collector paths); campaigns run on kernel cells and the
+	// collector paths); campaigns run on kernel cells, scenario
+	// overlays on their plan's own memo (see ScenarioPlan), and the
 	// relationship archive on relGraphs instead. The map itself is
 	// lock-protected; each cell builds its resolver exactly once, outside
 	// the map lock, so concurrent callers never serialize on another
@@ -114,13 +115,6 @@ type World struct {
 	// topoCache's do.
 	relMu     sync.Mutex
 	relGraphs map[kernelSig]*graphCell
-
-	// scenCache holds per-scenario resolver cells, keyed by plan key
-	// then month, capped at maxScenarioCacheKeys keys (FIFO eviction).
-	// Scenario overlays share the baseline topoCache cells underneath.
-	scenMu    sync.Mutex
-	scenCache map[string]map[months.Month]*topoCell
-	scenOrder []string
 
 	// Campaign-kernel state (see kernel.go and views.go): the static
 	// base topology (with the distance table) plus per-signature overlay
