@@ -333,7 +333,7 @@ func BenchmarkAblationOrgAggregation(b *testing.B) {
 func BenchmarkAblationCatchmentPolicy(b *testing.B) {
 	setup()
 	m := months.New(2023, time.June)
-	resolver := benchW.TopologyAt(m)
+	resolver := netsim.NewResolver(benchW.MonthTopology(m))
 	sites := benchW.GPDNSSitesAt(m)
 	probe := atlas.Probe{ASN: world.ASCANTV, Country: "VE"}
 	if veProbes := benchW.Fleet.ActiveIn("VE", m); len(veProbes) > 0 {
@@ -477,7 +477,7 @@ func BenchmarkChaosCampaignWarm(b *testing.B) {
 func BenchmarkValleyFreeTree(b *testing.B) {
 	setup()
 	m := months.New(2023, time.July)
-	topo := benchW.TopologyAt(m).Topology()
+	topo := benchW.MonthTopology(m)
 	srcs := benchW.Nets["VE"].Eyeballs
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -541,12 +541,13 @@ func BenchmarkAblationReplicaDetection(b *testing.B) {
 // can replay whole campaigns without per-month graph rebuilds.
 func BenchmarkScenarioOverlayDense(b *testing.B) {
 	setup()
-	topo := benchW.TopologyAt(months.New(2023, time.July)).Topology()
+	topo := benchW.MonthTopology(months.New(2023, time.July))
 	edits := []netsim.Edit{
 		{Op: netsim.EditRemoveLink, A: 6762, B: 8048, Kind: bgp.ProviderCustomer},
 		{Op: netsim.EditAddLink, A: 8048, B: 3816, Kind: bgp.PeerPeer},
 	}
 	src := benchW.Nets["VE"].Eyeballs[0]
+	topo.HasAS(src) // warm the base's dense build
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -565,7 +566,7 @@ func BenchmarkScenarioOverlayDense(b *testing.B) {
 // every link and location into a fresh topology before resolving.
 func BenchmarkScenarioDenseRebuild(b *testing.B) {
 	setup()
-	topo := benchW.TopologyAt(months.New(2023, time.July)).Topology()
+	topo := benchW.MonthTopology(months.New(2023, time.July))
 	g := topo.Graph()
 	ases := g.ASes()
 	type link struct{ a, b bgp.ASN }

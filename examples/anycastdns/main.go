@@ -43,7 +43,7 @@ func main() {
 		months.New(2017, time.March),
 		months.New(2023, time.June),
 	} {
-		resolver := w.TopologyAt(snapshot)
+		resolver := netsim.NewResolver(w.MonthTopology(snapshot))
 		sites, insts := w.RootSitesAt('L', snapshot)
 		idx, latency, err := resolver.CatchmentIndex(world.ASCANTV, ccs, sites, netsim.PolicyBGP)
 		if err != nil {

@@ -38,7 +38,7 @@ func main() {
 	} {
 		paths := w.CollectorPaths(m, collectors, origins)
 		inferred := bgp.InferRelationships(paths, bgp.InferConfig{})
-		truthGraph := w.TopologyAt(m).Topology().Graph()
+		truthGraph := w.MonthTopology(m).Graph()
 
 		truth := truthGraph.Providers(world.ASCANTV)
 		got := inferred.Providers(world.ASCANTV)

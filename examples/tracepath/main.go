@@ -25,7 +25,7 @@ func main() {
 		log.Fatal(err)
 	}
 	m := months.New(2023, time.December)
-	resolver := w.TopologyAt(m)
+	resolver := netsim.NewResolver(w.MonthTopology(m))
 	sites := w.GPDNSSitesAt(m)
 
 	vantage := []struct {

@@ -71,7 +71,7 @@ func TestDelegationFileRoundTrip(t *testing.T) {
 
 func TestASRelFileRoundTrip(t *testing.T) {
 	m := mm(2013, time.January)
-	g := testWorld.TopologyAt(m).Topology().Graph()
+	g := testWorld.MonthTopology(m).Graph()
 	var buf bytes.Buffer
 	if _, err := g.WriteTo(&buf); err != nil {
 		t.Fatal(err)

@@ -12,10 +12,11 @@ import (
 
 // Compile resolves a validated spec against a world into an executable
 // plan: IATA codes become cities, windows become month values, and
-// every referenced ASN is checked against the topology of the
-// campaign's final month (the month where the modeled AS set is
-// largest — every AS the world ever knows exists by then). A dangling
-// ASN or unknown city is a compile error, not a silent no-op.
+// every referenced ASN is checked against the relationship graph of
+// the campaign's final month (the month where the modeled AS set is
+// largest; CANTV customers activated later, such as AS270120 under the
+// default 2024-01 end, are unknown). A dangling ASN or unknown city is
+// a compile error, not a silent no-op.
 func (s *Spec) Compile(w *world.World) (*world.ScenarioPlan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -24,9 +25,9 @@ func (s *Spec) Compile(w *world.World) (*world.ScenarioPlan, error) {
 	if w.Config.ChaosEnd.After(end) {
 		end = w.Config.ChaosEnd
 	}
-	topo := w.TopologyAt(end).Topology()
+	g := w.ASRelArchive(end, end).Get(end)
 	checkAS := func(op string, asn uint32) error {
-		if !topo.HasAS(bgp.ASN(asn)) {
+		if p, c, peer := g.Degree(bgp.ASN(asn)); p+c+peer == 0 {
 			return fmt.Errorf("scenario %q: %s references AS%d, unknown to the world", s.ID, op, asn)
 		}
 		return nil

@@ -131,6 +131,9 @@ func TestCompileRejects(t *testing.T) {
 		name, json, wantErr string
 	}{
 		{"dangling asn", `{"id":"x1","ops":[{"op":"depeer","asn":424242}]}`, "unknown to the world"},
+		// CANTV customer 16: wired in the kernel base, but only 16
+		// customers are active at the test world's final month (2021-01).
+		{"asn not yet active", `{"id":"x1","ops":[{"op":"depeer","asn":270116}]}`, "unknown to the world"},
 		{"dangling link end", `{"id":"x1","ops":[{"op":"add_link","a":8048,"b":424242,"kind":"p2p"}]}`, "unknown to the world"},
 		{"unknown city", `{"id":"x1","ops":[{"op":"move_as","asn":8048,"iata":"XXQ"}]}`, "unknown city"},
 		{"dangling site host", `{"id":"x1","ops":[{"op":"add_gpdns","host":424242,"iata":"CCS"}]}`, "unknown to the world"},

@@ -34,10 +34,10 @@ func TestWorldDeterministic(t *testing.T) {
 
 	// AS relationship bytes for a probe month.
 	var g1, g2 bytes.Buffer
-	if _, err := w1.TopologyAt(mm(2013, time.January)).Topology().Graph().WriteTo(&g1); err != nil {
+	if _, err := w1.MonthTopology(mm(2013, time.January)).Graph().WriteTo(&g1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w2.TopologyAt(mm(2013, time.January)).Topology().Graph().WriteTo(&g2); err != nil {
+	if _, err := w2.MonthTopology(mm(2013, time.January)).Graph().WriteTo(&g2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(g1.Bytes(), g2.Bytes()) {

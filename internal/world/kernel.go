@@ -3,6 +3,7 @@ package world
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"vzlens/internal/bgp"
 	"vzlens/internal/geo"
@@ -15,17 +16,17 @@ import (
 // maps, sorted copies, the dense CSR), and the only thing that varies
 // between months is Venezuela: CANTV's transit providers per the
 // documented timeline and the size of its domestic customer cone.
-// Campaigns therefore run off ONE statically assembled base (built by
-// assembleTopology + wireVenezuelaKernel: no CANTV providers, every
-// eventual customer wired) plus an O(edits) overlay per distinct
-// monthly signature — the (provider set, customer count) pair. A
-// ten-year campaign sees ~20 distinct signatures, and every month with
-// the same signature shares one resolver. Its path trees live only
-// while a baseline campaign pass runs: concurrent passes (the trace and
-// CHAOS campaigns of a cold start) share every tree, and when the last
-// pass in flight returns every signature resolver drops its trees.
-// Any later caller (the DNS plane, a direct month kernel) rebuilds the
-// trees it needs on a miss, with the same bits.
+// Campaigns therefore run off ONE statically assembled base
+// (buildTopology with no CANTV providers and every eventual customer
+// wired) plus an O(edits) overlay per distinct monthly signature — the
+// (provider set, customer count) pair. A ten-year campaign sees ~20
+// distinct signatures, and every month with the same signature shares
+// one resolver. Its path trees live only while a baseline campaign
+// pass runs: concurrent passes (the trace and CHAOS campaigns of a
+// cold start) share every tree, and when the last pass in flight
+// returns every signature resolver drops its trees. Any later caller
+// (the DNS plane, a direct month kernel) rebuilds the trees it needs
+// on a miss, with the same bits.
 //
 // Exactness: the overlay's effective adjacency equals the fresh
 // month's exactly — providers are added back verbatim, inactive
@@ -33,11 +34,10 @@ import (
 // exist as fully isolated, located leaves. An isolated AS is never
 // expanded by the valley-free BFS (it has no edges), never hosts an
 // anycast site, and never originates a probe, so path trees, latencies
-// and catchments over the real ASes are bit-identical. TopologyAt
-// keeps building faithful per-month topologies for its remaining
-// callers (scenario compiles, collector paths); the relationship
-// archive keys faithful graphs by this same signature (relGraphAt in
-// world.go); only the campaign hot path uses kernel cells.
+// and catchments over the real ASes are bit-identical. The same
+// per-signature cell also holds the signature's faithful relationship
+// graph (MonthTopology's), which ASRelArchive serves and scenario
+// compiles check ASNs against; MonthTopology itself is uncached.
 
 // kernelSig identifies a month's Venezuelan wiring: a bitmask of
 // active CANTV providers over cantvTransitOrder plus the active
@@ -80,19 +80,12 @@ func kernelSigAt(m months.Month) kernelSig {
 // kernelBaseTopology returns the static base, built once per World
 // with its distance table interned (see kernelCities).
 func (w *World) kernelBaseTopology() *netsim.Topology {
-	w.kernelMu.Lock()
-	cell := w.kernelBase
-	if cell == nil {
-		cell = &baseCell{}
-		w.kernelBase = cell
-	}
-	w.kernelMu.Unlock()
-	cell.once.Do(func() {
-		t := w.assembleTopology(w.wireVenezuelaKernel)
+	w.kernelBaseOnce.Do(func() {
+		t := w.buildTopology(nil, maxCANTVCustomers)
 		t.InternCities(w.kernelCities())
-		cell.t = t
+		w.kernelBase = t
 	})
-	return cell.t
+	return w.kernelBase
 }
 
 // kernelCities lists the cities the catchment loop measures from or
@@ -129,21 +122,37 @@ func kernelEditsAt(m months.Month) []netsim.Edit {
 	return edits
 }
 
+// sigCell is one wiring signature's memo: the campaign resolver (the
+// kernel base under the signature's overlay) and the faithful
+// relationship graph. Each fills under its own once, outside kernelMu.
+type sigCell struct {
+	once      sync.Once
+	r         *netsim.Resolver
+	graphOnce sync.Once
+	g         *bgp.Graph
+}
+
+// sigCellAt returns month m's signature cell, creating it empty.
+func (w *World) sigCellAt(m months.Month) *sigCell {
+	sig := kernelSigAt(m)
+	w.kernelMu.Lock()
+	defer w.kernelMu.Unlock()
+	if w.sigCells == nil {
+		w.sigCells = map[kernelSig]*sigCell{}
+	}
+	cell, ok := w.sigCells[sig]
+	if !ok {
+		cell = &sigCell{}
+		w.sigCells[sig] = cell
+	}
+	return cell
+}
+
 // kernelTopologyAt returns the campaign resolver for month m: the
 // kernel base under the month's signature overlay, interned per
 // signature so same-wiring months share path trees.
 func (w *World) kernelTopologyAt(m months.Month) *netsim.Resolver {
-	sig := kernelSigAt(m)
-	w.kernelMu.Lock()
-	if w.kernelCells == nil {
-		w.kernelCells = map[kernelSig]*topoCell{}
-	}
-	cell, ok := w.kernelCells[sig]
-	if !ok {
-		cell = &topoCell{}
-		w.kernelCells[sig] = cell
-	}
-	w.kernelMu.Unlock()
+	cell := w.sigCellAt(m)
 	cell.once.Do(func() {
 		ov, err := w.kernelBaseTopology().Overlay(kernelEditsAt(m))
 		if err != nil {
@@ -157,6 +166,14 @@ func (w *World) kernelTopologyAt(m months.Month) *netsim.Resolver {
 		w.kernelMu.Unlock()
 	})
 	return cell.r
+}
+
+// relGraphAt returns month m's faithful relationship graph, one per
+// signature.
+func (w *World) relGraphAt(m months.Month) *bgp.Graph {
+	cell := w.sigCellAt(m)
+	cell.graphOnce.Do(func() { cell.g = w.MonthTopology(m).Graph() })
+	return cell.g
 }
 
 // beginBaselinePass counts a baseline campaign pass in flight; pair it

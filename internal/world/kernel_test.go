@@ -22,10 +22,10 @@ import (
 // must be observationally identical to this.
 func refTopologyFor(t *testing.T, w *World, m months.Month, plan *ScenarioPlan) *netsim.Resolver {
 	t.Helper()
+	base := w.MonthTopology(m)
 	if plan == nil {
-		return w.TopologyAt(m)
+		return netsim.NewResolver(base)
 	}
-	base := w.TopologyAt(m).Topology()
 	ov, err := base.Overlay(plan.editsAt(m, base))
 	if err != nil {
 		t.Fatalf("reference overlay %s: %v", m, err)

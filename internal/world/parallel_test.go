@@ -67,9 +67,11 @@ func TestCampaignRerunIdentical(t *testing.T) {
 	}
 }
 
-// TestConcurrentCampaignsRace exercises the shared per-month caches the
-// way concurrent API requests do: both campaigns, direct TopologyAt
-// probes and relationship archives (Fig 8/9) on one World, all racing.
+// TestConcurrentCampaignsRace exercises the shared per-month and
+// per-signature caches the way concurrent API requests do: both
+// campaigns, relationship archives (Fig 8/9) and direct kernel
+// resolvers for the archived months on one World, all racing, so each
+// signature cell fills its resolver and its graph from both halves.
 // Every archive must hand out the same shared graphs. Run under -race
 // in CI.
 func TestConcurrentCampaignsRace(t *testing.T) {
@@ -107,8 +109,8 @@ func TestConcurrentCampaignsRace(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
-			for _, m := range w.campaignMonths(mm(2023, time.January), mm(2023, time.December)) {
-				if w.TopologyAt(m) == nil {
+			for _, m := range w.campaignMonths(lo, hi) {
+				if w.kernelTopologyAt(m) == nil {
 					t.Error("nil resolver")
 				}
 			}

@@ -11,7 +11,7 @@ import (
 // the paths from which the serial-1 relationship files the paper
 // consumes are inferred.
 func (w *World) CollectorPaths(m months.Month, collectors, origins []bgp.ASN) [][]bgp.ASN {
-	topo := w.TopologyAt(m).Topology()
+	topo := w.MonthTopology(m)
 	var paths [][]bgp.ASN
 	for _, c := range collectors {
 		for _, o := range origins {

@@ -61,7 +61,7 @@ func TestCollectorPathsValleyFree(t *testing.T) {
 	if len(paths) == 0 {
 		t.Fatal("no paths")
 	}
-	g := testWorld.TopologyAt(m).Topology().Graph()
+	g := testWorld.MonthTopology(m).Graph()
 	for _, path := range paths {
 		descended := false
 		for i := 1; i < len(path); i++ {

@@ -15,10 +15,10 @@ import (
 // a compiled ScenarioPlan describes windowed, declarative changes to
 // the monthly topology and the anycast deployments, and the campaign
 // runs (campaign.go, windowed.go) replay the paper's measurements under
-// them. Per month the
-// plan compiles to a netsim overlay — a copy-on-write view over the
-// cached baseline topology — so a scenario run shares every baseline
-// resolver and pays only O(edits) per month on top. Scenario runs use
+// them. Per month the plan compiles to a netsim overlay — a
+// copy-on-write view over the month's kernel topology, memoized per
+// wiring signature — so a scenario run shares every baseline resolver's
+// base arrays and pays only O(edits) per month on top. Scenario runs use
 // the same per-probe-month RNG streams as the baseline (sampleSeed is
 // scenario-blind), so an RTT delta between baseline and scenario
 // isolates the topology change: the jitter draws cancel exactly.
@@ -102,6 +102,12 @@ type ScenarioPlan struct {
 	memo planMemo
 }
 
+// topoCell is a once-cell for one month's resolver.
+type topoCell struct {
+	once sync.Once
+	r    *netsim.Resolver
+}
+
 // planMemo holds a plan's overlay resolver cells by month. It is bound
 // to the World that first fills it: the overlays stack on that World's
 // kernel cells, so another World gets unmemoized resolvers of its own.
@@ -141,7 +147,7 @@ func windowActive(from, until, m months.Month) bool {
 }
 
 // editsAt compiles the plan's topology changes for month m into
-// overlay edits against base (the cached baseline topology of m).
+// overlay edits against base (month m's baseline topology).
 // Edits that cannot apply this month — an endpoint that doesn't exist
 // yet, a removal of a link the month doesn't carry — are skipped, so
 // the returned list always builds a valid overlay.
@@ -234,11 +240,11 @@ func hasASN(xs []bgp.ASN, a bgp.ASN) bool {
 
 // topologyFor returns the resolver for month m under plan; a nil plan
 // is the baseline, served from the campaign kernel's per-signature
-// cells (bit-identical to TopologyAt for every campaign observable —
-// see kernel.go). Scenario resolvers are memoized per month on the
+// cells (bit-identical to MonthTopology for every campaign observable
+// — see kernel.go). Scenario resolvers are memoized per month on the
 // plan itself, because a run's trace and chaos replays — and every DNS
 // answer under an installed plan — visit the same months. The overlay
-// stacks on the kernel's monthly cell, so a scenario month shares the
+// stacks on the kernel's signature cell, so a scenario month shares the
 // signature resolver's base arrays and pays only O(edits) on top; an
 // invalid compiled edit list is a programming error and panics (the
 // serving layer converts campaign panics into retryable errors).

@@ -73,42 +73,23 @@ func cityAt(iata string) geo.City {
 	return c
 }
 
-// TopologyAt assembles the faithful interdomain topology for month m:
-// the relationship graph, AS locations and a resolver over them.
-// Results are cached on the World, one resolver (and therefore one set
-// of memoized path trees) per month, for the callers that need a whole
-// month's topology: scenario compiles, CollectorPaths and the
-// examples. Campaigns run on the kernel's per-signature resolvers
-// (kernel.go) and ASRelArchive on its per-signature graphs, so neither
-// fills this cache. Only the cell lookup holds the cache lock;
-// construction runs under the cell's own once, so concurrent callers
-// build distinct months concurrently.
-func (w *World) TopologyAt(m months.Month) *netsim.Resolver {
-	w.topoMu.Lock()
-	cell, ok := w.topoCache[m]
-	if !ok {
-		cell = &topoCell{}
-		w.topoCache[m] = cell
-	}
-	w.topoMu.Unlock()
-	cell.once.Do(func() { cell.r = netsim.NewResolver(w.monthTopology(m)) })
-	return cell.r
+// MonthTopology builds month m's faithful interdomain topology: the
+// relationship graph and AS locations, with CANTV wired per the
+// documented timeline. It is not cached; campaigns run on the kernel's
+// per-signature resolvers and ASRelArchive on its per-signature graphs
+// (kernel.go).
+func (w *World) MonthTopology(m months.Month) *netsim.Topology {
+	return w.buildTopology(CANTVProvidersAt(m), cantvCustomerCount(m))
 }
 
-// monthTopology constructs month m's faithful topology.
-func (w *World) monthTopology(m months.Month) *netsim.Topology {
-	return w.assembleTopology(func(t *netsim.Topology) {
-		w.wireVenezuela(t, m)
-	})
-}
-
-// assembleTopology constructs the month-independent part of the
-// interdomain topology — the tier-1 mesh, foreign nationals, and every
-// non-Venezuelan country fleet — delegating the Venezuelan wiring
-// (the only month-dependent piece) to wireVE. monthTopology passes
-// the documented monthly timeline; the campaign kernel passes a
-// superset variant whose months are carved out by overlay edits.
-func (w *World) assembleTopology(wireVE func(*netsim.Topology)) *netsim.Topology {
+// buildTopology constructs an interdomain topology: the tier-1 mesh,
+// the foreign national networks, every country fleet, and Venezuela
+// with provs as CANTV's transit providers and its first customers
+// domestic customers wired. Venezuela is the only month-dependent
+// piece: MonthTopology passes a month's timeline, and the campaign
+// kernel passes no providers and every customer that will ever exist,
+// carving months out by overlay edits.
+func (w *World) buildTopology(provs []bgp.ASN, customers int) *netsim.Topology {
 	t := netsim.New()
 
 	// Global transit core: full peer mesh among tier-1s plus Google.
@@ -149,7 +130,35 @@ func (w *World) assembleTopology(wireVE func(*netsim.Topology)) *netsim.Topology
 		capital := capitalOf(cc)
 		t.Locate(net.Transit, capital)
 		if cc == "VE" {
-			wireVE(t)
+			// CANTV's transit providers and domestic customer cone, the
+			// independent internationally-connected networks, and the
+			// border ASes homed to Colombia.
+			ccs := cityAt("CCS")
+			t.Locate(ASCANTV, ccs)
+			for _, p := range provs {
+				t.AddLink(p, ASCANTV, bgp.ProviderCustomer)
+			}
+			for i := 0; i < customers; i++ {
+				cust := cantvCustomerASN(i)
+				t.Locate(cust, ccs)
+				t.AddLink(ASCANTV, cust, bgp.ProviderCustomer)
+			}
+			for _, eb := range net.Eyeballs {
+				if eb == ASCANTV {
+					continue
+				}
+				if iata, ok := veBorderASes[eb]; ok {
+					t.Locate(eb, cityAt(iata))
+					t.AddLink(w.Nets["CO"].Transit, eb, bgp.ProviderCustomer)
+					continue
+				}
+				t.Locate(eb, ccs)
+				if upstream, ok := veOwnTransitASes[eb]; ok {
+					t.AddLink(upstream, eb, bgp.ProviderCustomer)
+					continue
+				}
+				t.AddLink(ASCANTV, eb, bgp.ProviderCustomer)
+			}
 			continue
 		}
 		if via, ok := regionalUpstreams[cc]; ok {
@@ -167,72 +176,6 @@ func (w *World) assembleTopology(wireVE func(*netsim.Topology)) *netsim.Topology
 	}
 
 	return t
-}
-
-// wireVenezuela adds the Venezuelan edges for month m: CANTV's transit
-// providers per the documented timeline, its domestic customer cone, the
-// independent internationally-connected networks, and the border ASes
-// homed to Colombia.
-func (w *World) wireVenezuela(t *netsim.Topology, m months.Month) {
-	ccs := cityAt("CCS")
-	t.Locate(ASCANTV, ccs)
-	for _, p := range CANTVProvidersAt(m) {
-		t.AddLink(p, ASCANTV, bgp.ProviderCustomer)
-	}
-	for i := 0; i < cantvCustomerCount(m); i++ {
-		cust := cantvCustomerASN(i)
-		t.Locate(cust, ccs)
-		t.AddLink(ASCANTV, cust, bgp.ProviderCustomer)
-	}
-	for _, eb := range w.Nets["VE"].Eyeballs {
-		if eb == ASCANTV {
-			continue
-		}
-		if iata, ok := veBorderASes[eb]; ok {
-			t.Locate(eb, cityAt(iata))
-			t.AddLink(w.Nets["CO"].Transit, eb, bgp.ProviderCustomer)
-			continue
-		}
-		t.Locate(eb, ccs)
-		if upstream, ok := veOwnTransitASes[eb]; ok {
-			t.AddLink(upstream, eb, bgp.ProviderCustomer)
-			continue
-		}
-		t.AddLink(ASCANTV, eb, bgp.ProviderCustomer)
-	}
-}
-
-// wireVenezuelaKernel is the campaign kernel's variant of
-// wireVenezuela: a month-independent superset. CANTV carries no
-// transit providers (each month's overlay adds the documented ones)
-// and every domestic customer that will ever exist is wired (overlays
-// remove the not-yet-active tail). The eyeball, border, and
-// own-transit edges are identical to wireVenezuela — they never vary
-// by month.
-func (w *World) wireVenezuelaKernel(t *netsim.Topology) {
-	ccs := cityAt("CCS")
-	t.Locate(ASCANTV, ccs)
-	for i := 0; i < maxCANTVCustomers; i++ {
-		cust := cantvCustomerASN(i)
-		t.Locate(cust, ccs)
-		t.AddLink(ASCANTV, cust, bgp.ProviderCustomer)
-	}
-	for _, eb := range w.Nets["VE"].Eyeballs {
-		if eb == ASCANTV {
-			continue
-		}
-		if iata, ok := veBorderASes[eb]; ok {
-			t.Locate(eb, cityAt(iata))
-			t.AddLink(w.Nets["CO"].Transit, eb, bgp.ProviderCustomer)
-			continue
-		}
-		t.Locate(eb, ccs)
-		if upstream, ok := veOwnTransitASes[eb]; ok {
-			t.AddLink(upstream, eb, bgp.ProviderCustomer)
-			continue
-		}
-		t.AddLink(ASCANTV, eb, bgp.ProviderCustomer)
-	}
 }
 
 // capitalOf returns a country's primary city (first city-table entry).

@@ -104,30 +104,23 @@ func TestLocalizeSites(t *testing.T) {
 	}
 }
 
-func TestTopologyCacheReuse(t *testing.T) {
-	w := mustBuild(Config{})
-	a := w.TopologyAt(mm(2020, time.June))
-	b := w.TopologyAt(mm(2020, time.June))
-	if a != b {
-		t.Error("monthly topology not cached")
-	}
-	c := w.TopologyAt(mm(2020, time.July))
-	if a == c {
-		t.Error("distinct months share a topology")
-	}
-}
-
 // TestASRelArchiveMatchesMonthlyTopologies pins the relationship
 // archive's per-signature memo against faithful monthly topologies:
 // for every month of 1998-01..2024-01 the archive's graph serializes to
-// the same bytes as a fresh world's TopologyAt(m) graph, months share a
-// graph exactly when their kernelSigAt is equal, and the archive leaves
-// the TopologyAt cache empty.
+// the same bytes as a fresh world's MonthTopology(m) graph, its AS set
+// (an AS with any edge) is exactly the faithful topology's HasAS set
+// over the kernel base's ASes — the set scenario.Compile checks ASNs
+// against — and months share a graph exactly when their kernelSigAt is
+// equal.
 func TestASRelArchiveMatchesMonthlyTopologies(t *testing.T) {
 	w := mustBuild(Config{})
 	ref := mustBuild(Config{})
 	lo, hi := mm(1998, time.January), mm(2024, time.January)
 	arch := w.ASRelArchive(lo, hi)
+	baseASes := w.kernelBaseTopology().Graph().ASes()
+	if len(baseASes) != 241 {
+		t.Fatalf("kernel base holds %d ASes, want 241", len(baseASes))
+	}
 
 	bySig := map[kernelSig]*bgp.Graph{}
 	graphs := map[*bgp.Graph]bool{}
@@ -142,11 +135,18 @@ func TestASRelArchiveMatchesMonthlyTopologies(t *testing.T) {
 		if _, err := g.WriteTo(&got); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ref.TopologyAt(m).Topology().Graph().WriteTo(&want); err != nil {
+		topo := ref.MonthTopology(m)
+		if _, err := topo.Graph().WriteTo(&want); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Errorf("%s: archive graph differs from TopologyAt's (%d vs %d bytes)", m, got.Len(), want.Len())
+			t.Errorf("%s: archive graph differs from MonthTopology's (%d vs %d bytes)", m, got.Len(), want.Len())
+		}
+		for _, asn := range baseASes {
+			p, c, peer := g.Degree(asn)
+			if inGraph := p+c+peer > 0; inGraph != topo.HasAS(asn) {
+				t.Errorf("%s: AS%d in archive graph %v, in faithful topology %v", m, asn, inGraph, !inGraph)
+			}
 		}
 		sig := kernelSigAt(m)
 		if prev, ok := bySig[sig]; ok && prev != g {
@@ -161,17 +161,11 @@ func TestASRelArchiveMatchesMonthlyTopologies(t *testing.T) {
 	if len(graphs) != len(bySig) || len(graphs) != 45 {
 		t.Errorf("archive holds %d graphs for %d signatures, want 45 of each", len(graphs), len(bySig))
 	}
-	w.topoMu.Lock()
-	cached := len(w.topoCache)
-	w.topoMu.Unlock()
-	if cached != 0 {
-		t.Errorf("ASRelArchive filled %d TopologyAt cells, want 0", cached)
-	}
 }
 
 func TestRootSitesEveryLetterResolvable(t *testing.T) {
 	m := mm(2023, time.June)
-	resolver := testWorld.TopologyAt(m)
+	resolver := netsim.NewResolver(testWorld.MonthTopology(m))
 	probe := testWorld.Fleet.ActiveIn("VE", m)[0]
 	for _, letter := range dnsroot.Letters() {
 		sites, _ := testWorld.RootSitesAt(letter, m)

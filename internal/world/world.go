@@ -98,48 +98,34 @@ type World struct {
 	}
 	axes []AxisStatus
 
-	// topoCache holds one TopologyAt resolver cell per month, for the
-	// callers that need a faithful month's resolver (scenario compiles,
-	// collector paths); campaigns run on kernel cells, scenario
-	// overlays on their plan's own memo (see ScenarioPlan), and the
-	// relationship archive on relGraphs instead. The map itself is
-	// lock-protected; each cell builds its resolver exactly once, outside
-	// the map lock, so concurrent callers never serialize on another
-	// month's topology construction.
-	topoMu    sync.Mutex
-	topoCache map[months.Month]*topoCell
-
-	// relGraphs holds ASRelArchive's relationship graphs, one per
-	// Venezuelan wiring signature (kernelSigAt): months that wire CANTV
-	// alike share one read-only graph. Cells fill outside relMu, as
-	// topoCache's do.
-	relMu     sync.Mutex
-	relGraphs map[kernelSig]*graphCell
-
 	// Campaign-kernel state (see kernel.go and views.go): the static
-	// base topology (with the distance table) plus per-signature overlay
-	// resolvers, the per-month probe-class factorings (probe ids and
-	// pointers into the world's interned class keys; no fleet copy),
-	// the interned GPDNS/root site lists (root lists by (letter, month)
-	// in front of the per-letter distinct active sets; no deployment
-	// copy), and the interned CHAOS TXT strings. All of it memoizes
-	// pure functions of the month (or list identity), so concurrent
-	// fills are idempotent. Lock ordering: siteMu may take kernelMu
-	// (lists are prepared against the kernel base), and kernelMu takes a
-	// resolver's own lock to drop its trees; nothing else nests.
-	kernelMu    sync.Mutex
-	kernelBase  *baseCell
-	kernelCells map[kernelSig]*topoCell
-	classMu     sync.Mutex
-	classCache  map[months.Month]*monthClasses
-	classKeys   map[probeClassKey]*probeClassKey
-	keySlab     []probeClassKey // backs classKeys, 64 keys per allocation
-	siteMu      sync.Mutex
-	gpdnsLists  map[uint32]*netsim.SiteList
-	rootLists   map[rootListKey]*rootList
-	rootSets    map[dnsroot.Letter][]*rootList
-	txtMu       sync.Mutex
-	txtIntern   map[txtKey]string
+	// base topology (with the distance table, built once under
+	// kernelBaseOnce), one cell per Venezuelan wiring signature holding
+	// its overlay resolver and its faithful relationship graph (the
+	// Fig 8/9 archive's), the per-month probe-class factorings (probe
+	// ids and pointers into the world's interned class keys; no fleet
+	// copy), the interned GPDNS/root site lists (root lists by (letter,
+	// month) in front of the per-letter distinct active sets; no
+	// deployment copy), and the interned CHAOS TXT strings. All of it
+	// memoizes pure functions of the month (or list identity), so
+	// concurrent fills are idempotent. Lock ordering: siteMu may wait
+	// on kernelBaseOnce (lists are prepared against the kernel base),
+	// and kernelMu takes a resolver's own lock to drop its trees;
+	// nothing else nests.
+	kernelBaseOnce sync.Once
+	kernelBase     *netsim.Topology
+	kernelMu       sync.Mutex
+	sigCells       map[kernelSig]*sigCell
+	classMu        sync.Mutex
+	classCache     map[months.Month]*monthClasses
+	classKeys      map[probeClassKey]*probeClassKey
+	keySlab        []probeClassKey // backs classKeys, 64 keys per allocation
+	siteMu         sync.Mutex
+	gpdnsLists     map[uint32]*netsim.SiteList
+	rootLists      map[rootListKey]*rootList
+	rootSets       map[dnsroot.Letter][]*rootList
+	txtMu          sync.Mutex
+	txtIntern      map[txtKey]string
 
 	// kernelResolvers lists every signature resolver once built, and
 	// kernelPasses counts the baseline campaign passes in flight; the
@@ -156,25 +142,6 @@ type World struct {
 	// met is the campaign engine's observability surface (see
 	// Instrument); the zero value records nothing.
 	met worldMetrics
-}
-
-// topoCell is a once-cell for one month's resolver.
-type topoCell struct {
-	once sync.Once
-	r    *netsim.Resolver
-}
-
-// graphCell is a once-cell for one wiring signature's relationship
-// graph.
-type graphCell struct {
-	once sync.Once
-	g    *bgp.Graph
-}
-
-// baseCell is a once-cell for the kernel's static base topology.
-type baseCell struct {
-	once sync.Once
-	t    *netsim.Topology
 }
 
 // validate rejects configurations the pipeline cannot honor. It runs on
@@ -206,7 +173,7 @@ func (c Config) validate() error {
 // validateTables checks every static placement table against the geo
 // database, so the topology code below can assume all IATA codes and
 // country references resolve — the errors earlier versions deferred to
-// panics deep inside TopologyAt surface here, at build time.
+// panics deep inside the topology builder surface here, at build time.
 func validateTables(nets map[string]CountryNet) error {
 	check := func(table, iata string) error {
 		if _, err := lookupCity(iata); err != nil {
@@ -273,13 +240,12 @@ func Build(cfg Config) (*World, error) {
 	}
 	pop := buildPopulations(nets)
 	w := &World{
-		Config:    cfg,
-		Nets:      nets,
-		Pop:       pop,
-		Orgs:      buildOrgs(nets, pop),
-		Roots:     dnsroot.DefaultDeployment(),
-		Cables:    telegeo.LatinAmerica(),
-		topoCache: map[months.Month]*topoCell{},
+		Config: cfg,
+		Nets:   nets,
+		Pop:    pop,
+		Orgs:   buildOrgs(nets, pop),
+		Roots:  dnsroot.DefaultDeployment(),
+		Cables: telegeo.LatinAmerica(),
 	}
 	w.Fleet = buildFleet(nets, cfg.FleetScale)
 	return w, nil
@@ -402,35 +368,17 @@ func (w *World) campaignMonths(lo, hi months.Month) []months.Month {
 
 // ASRelArchive exports the monthly AS relationship files over [lo, hi]
 // (stepped), mirroring the CAIDA serial-1 archive back to 1998. Each
-// month's graph equals TopologyAt(m)'s, but it comes from a memo with
-// one graph per Venezuelan wiring signature, so months that wire CANTV
-// alike share one *bgp.Graph, across archives too, and no month keeps
-// a resolver or AS locations. The graphs are shared and read-only:
-// callers must not add relationships to them.
+// month's graph equals MonthTopology(m)'s, but it comes from the
+// kernel's per-signature cells, so months that wire CANTV alike share
+// one *bgp.Graph, across archives too, and no month keeps AS
+// locations. The graphs are shared and read-only: callers must not add
+// relationships to them.
 func (w *World) ASRelArchive(lo, hi months.Month) *bgp.Archive {
 	a := bgp.NewArchive()
 	for m := lo; !m.After(hi); m = m.Add(w.Config.Step) {
 		a.Put(m, w.relGraphAt(m))
 	}
 	return a
-}
-
-// relGraphAt returns month m's relationship graph from the
-// per-signature memo.
-func (w *World) relGraphAt(m months.Month) *bgp.Graph {
-	sig := kernelSigAt(m)
-	w.relMu.Lock()
-	if w.relGraphs == nil {
-		w.relGraphs = map[kernelSig]*graphCell{}
-	}
-	cell, ok := w.relGraphs[sig]
-	if !ok {
-		cell = &graphCell{}
-		w.relGraphs[sig] = cell
-	}
-	w.relMu.Unlock()
-	cell.once.Do(func() { cell.g = w.monthTopology(m).Graph() })
-	return cell.g
 }
 
 // RIBArchive exports monthly Venezuelan prefix-to-AS snapshots over
