@@ -745,8 +745,8 @@ func setupLake() (*facts.Lake, error) {
 // BenchmarkQueryWindow is the ad-hoc query layer's headline perf pin: a
 // warm two-year median-RTT window grouped by country. Warm means every
 // in-window partition is already decoded and cached, so the run is pure
-// columnar aggregation — run-length minimums over contiguous probe
-// runs, one percentile per country-month — with allocations bounded by
+// columnar aggregation — each partition reduced to per-probe minima,
+// one percentile per country-month — with allocations bounded by
 // groups × months, never by row count.
 func BenchmarkQueryWindow(b *testing.B) {
 	lake, err := setupLake()

@@ -126,13 +126,13 @@ func (p *ChaosPartition) sitesByCountry(onlyProbeCC string) map[string]int {
 	out := map[string]int{}
 	var heard []bool // per answer: a probe in onlyProbeCC received it
 	if onlyProbeCC != "" {
-		code, ok := dictCode(p.Dict, onlyProbeCC)
-		if !ok {
+		code := slices.Index(p.Dict, onlyProbeCC)
+		if code < 0 {
 			return out
 		}
 		heard = make([]bool, len(p.Answers))
 		for i, pc := range p.Probe {
-			if p.Probes[pc].CC == code {
+			if int(p.Probes[pc].CC) == code {
 				heard[p.Answer[i]] = true
 			}
 		}

@@ -28,8 +28,8 @@ const DictNone = 0xFFFF
 
 // TracePartition is one month of traceroute facts. Rows are in
 // insertion order; the kernel emits active probes ascending by ID,
-// SamplesPerProbe consecutive rows per probe, so per-probe aggregation
-// is a linear scan over runs of equal ProbeID.
+// SamplesPerProbe consecutive rows per probe. ProbeMinima is the one
+// per-probe reduction over them, for rows in any order.
 type TracePartition struct {
 	Month   months.Month
 	RTT     []float64 // RTT sample in milliseconds
@@ -312,15 +312,4 @@ func siteCountry(l dnsroot.Letter, txt string) string {
 		siteCountries.cc[key] = cc
 	}
 	return cc
-}
-
-// dictCode returns s's code in a partition dictionary, whose entries
-// are distinct.
-func dictCode(dict []string, s string) (uint16, bool) {
-	for c, d := range dict {
-		if d == s {
-			return uint16(c), true
-		}
-	}
-	return 0, false
 }

@@ -3,6 +3,7 @@ package atlas
 import (
 	"cmp"
 	"slices"
+	"strings"
 
 	"vzlens/internal/months"
 	"vzlens/internal/series"
@@ -114,43 +115,124 @@ func (t *TraceCampaign) Months() []months.Month {
 	return out
 }
 
+// ProbeMinimum is one (probe, country) pair's minima over a trace
+// partition's rows.
+type ProbeMinimum struct {
+	ProbeID int32
+	CC      uint16  // probe country, dictionary code
+	Hops    uint8   // minimum hop count
+	RTT     float64 // minimum RTT sample in milliseconds
+}
+
+// ProbeMinima calls fn once per (probe, country) pair with rows in the
+// partition, with that pair's minimum RTT and hop count: the per-probe
+// step of the paper's estimator, which every trace analysis and the
+// query engine take from here. Rows sorted by (probe, country), as the
+// kernel emits them, reduce in one scan over runs that allocates
+// nothing; rows in any other order (Add, an external ingest) are
+// reduced over a sorted copy. The visiting order is unspecified.
+func (p *TracePartition) ProbeMinima(fn func(ProbeMinimum)) {
+	if !p.probeSorted() {
+		p = p.sortedByProbe()
+	}
+	for i, n := 0, p.Rows(); i < n; {
+		e := ProbeMinimum{ProbeID: p.ProbeID[i], CC: p.CC[i], Hops: p.Hops[i], RTT: p.RTT[i]}
+		for i++; i < n && p.ProbeID[i] == e.ProbeID && p.CC[i] == e.CC; i++ {
+			e.RTT = min(e.RTT, p.RTT[i])
+			e.Hops = min(e.Hops, p.Hops[i])
+		}
+		fn(e)
+	}
+}
+
+// probeSorted reports whether the rows ascend by (probe, country).
+func (p *TracePartition) probeSorted() bool {
+	for i := 1; i < len(p.ProbeID); i++ {
+		if id, prev := p.ProbeID[i], p.ProbeID[i-1]; id < prev || id == prev && p.CC[i] < p.CC[i-1] {
+			return false
+		}
+	}
+	return true
+}
+
+// sortedByProbe returns a copy of the partition, sharing its
+// dictionary, with the rows stably sorted by (probe, country).
+func (p *TracePartition) sortedByProbe() *TracePartition {
+	rows := make([]int, p.Rows())
+	for i := range rows {
+		rows[i] = i
+	}
+	slices.SortStableFunc(rows, func(a, b int) int {
+		return cmp.Or(cmp.Compare(p.ProbeID[a], p.ProbeID[b]), cmp.Compare(p.CC[a], p.CC[b]))
+	})
+	q := &TracePartition{Month: p.Month, Dict: p.Dict}
+	for _, r := range rows {
+		q.RTT, q.ProbeID = append(q.RTT, p.RTT[r]), append(q.ProbeID, p.ProbeID[r])
+		q.CC, q.Hops = append(q.CC, p.CC[r]), append(q.Hops, p.Hops[r])
+	}
+	return q
+}
+
+// CountryRTT is one probe country's aggregate over a trace partition:
+// how many probes reported from it, and the median of their minimum
+// RTTs — the paper's estimator for one (country, month).
+type CountryRTT struct {
+	CC        string
+	Probes    int
+	MedianRTT float64
+}
+
+// CountryRTTs returns the partition's per-country aggregates, sorted by
+// country, from one ProbeMinima pass.
+func (p *TracePartition) CountryRTTs() []CountryRTT {
+	var mins []ProbeMinimum
+	p.ProbeMinima(func(e ProbeMinimum) { mins = append(mins, e) })
+	slices.SortFunc(mins, func(a, b ProbeMinimum) int { return cmp.Compare(a.CC, b.CC) })
+	rtts := make([]float64, len(mins))
+	var out []CountryRTT
+	for i := 0; i < len(mins); {
+		j := i
+		for ; j < len(mins) && mins[j].CC == mins[i].CC; j++ {
+			rtts[j] = mins[j].RTT
+		}
+		slices.Sort(rtts[i:j])
+		med, _ := stats.MedianSorted(rtts[i:j]) // a run is never empty
+		out = append(out, CountryRTT{CC: p.Dict[mins[i].CC], Probes: j - i, MedianRTT: med})
+		i = j
+	}
+	slices.SortFunc(out, func(a, b CountryRTT) int { return strings.Compare(a.CC, b.CC) })
+	return out
+}
+
 // ProbeMin returns, for each probe with samples in (m, cc), the minimum
 // RTT across its samples that month. Taking the per-probe minimum first
 // removes transient congestion noise — the paper's estimator.
 func (t *TraceCampaign) ProbeMin(cc string, m months.Month) map[int]float64 {
 	mins := map[int]float64{}
-	p := t.part(m)
-	if p == nil {
-		return mins
-	}
-	code, ok := dictCode(p.Dict, cc)
-	if !ok {
-		return mins
-	}
-	for i, c := range p.CC {
-		if c != code {
-			continue
-		}
-		id, rtt := int(p.ProbeID[i]), p.RTT[i]
-		if cur, ok := mins[id]; !ok || rtt < cur {
-			mins[id] = rtt
-		}
-	}
+	t.countryMinima(cc, m, func(e ProbeMinimum) { mins[int(e.ProbeID)] = e.RTT })
 	return mins
+}
+
+// countryMinima calls fn with the ProbeMinima entries of probes in
+// (m, cc).
+func (t *TraceCampaign) countryMinima(cc string, m months.Month, fn func(ProbeMinimum)) {
+	if p := t.part(m); p != nil {
+		if code := slices.Index(p.Dict, cc); code >= 0 {
+			p.ProbeMinima(func(e ProbeMinimum) {
+				if int(e.CC) == code {
+					fn(e)
+				}
+			})
+		}
+	}
 }
 
 // CountryMedian returns the median of per-probe minimum RTTs for country
 // cc in month m; ok is false when the country has no samples.
 func (t *TraceCampaign) CountryMedian(cc string, m months.Month) (float64, bool) {
-	mins := t.ProbeMin(cc, m)
-	if len(mins) == 0 {
-		return 0, false
-	}
-	vals := make([]float64, 0, len(mins))
-	for _, v := range mins {
-		vals = append(vals, v)
-	}
-	med, err := stats.Median(vals)
+	var rtts []float64
+	t.countryMinima(cc, m, func(e ProbeMinimum) { rtts = append(rtts, e.RTT) })
+	med, err := stats.Median(rtts)
 	return med, err == nil
 }
 
@@ -160,9 +242,9 @@ func (t *TraceCampaign) CountryMedian(cc string, m months.Month) (float64, bool)
 func (t *TraceCampaign) CountryMeanNaive(cc string, m months.Month) (float64, bool) {
 	var vals []float64
 	if p := t.part(m); p != nil {
-		if code, ok := dictCode(p.Dict, cc); ok {
+		if code := slices.Index(p.Dict, cc); code >= 0 {
 			for i, c := range p.CC {
-				if c == code {
+				if int(c) == code {
 					vals = append(vals, p.RTT[i])
 				}
 			}
@@ -177,10 +259,8 @@ func (t *TraceCampaign) CountryMeanNaive(cc string, m months.Month) (float64, bo
 func (t *TraceCampaign) MedianPanel() *series.Panel {
 	panel := series.NewPanel()
 	for _, p := range t.parts {
-		for _, cc := range p.Dict {
-			if med, ok := t.CountryMedian(cc, p.Month); ok {
-				panel.Country(cc).Set(p.Month, med)
-			}
+		for _, c := range p.CountryRTTs() {
+			panel.Country(c.CC).Set(p.Month, c.MedianRTT)
 		}
 	}
 	return panel

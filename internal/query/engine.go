@@ -131,10 +131,8 @@ func (a *aggregator) finish() []Group {
 	return out
 }
 
-// runTrace executes the traceroute-backed metrics. Rows arrive in
-// probe order with each probe's samples contiguous (the kernel's
-// emission contract), so per-probe aggregation is a run-length scan —
-// no per-probe maps.
+// runTrace executes the traceroute-backed metrics over each
+// partition's per-probe minima.
 func (e *Engine) runTrace(p Params, agg *aggregator, res *Result) error {
 	dims := e.lake.Dims()
 	for _, m := range e.lake.TraceMonths() {
@@ -149,55 +147,40 @@ func (e *Engine) runTrace(p Params, agg *aggregator, res *Result) error {
 			continue
 		}
 		res.Partitions++
-		// filterCode is the dictionary code of the country filter in
-		// this partition, or -1 when the filter matches no rows.
-		filterCode := -1
-		if p.Country == "" {
-			filterCode = -2 // no filter
-		} else {
-			for c, s := range part.Dict {
-				if s == p.Country {
-					filterCode = c
-					break
-				}
+		filterCode := countryFilter(p.Country, part.Dict)
+		part.ProbeMinima(func(pm atlas.ProbeMinimum) {
+			if filterCode != -2 && int(pm.CC) != filterCode {
+				return
 			}
-		}
-		rows := part.Rows()
-		for i := 0; i < rows; {
-			probe := part.ProbeID[i]
-			cc := part.CC[i]
-			minRTT := part.RTT[i]
-			minHops := part.Hops[i]
-			j := i + 1
-			for ; j < rows && part.ProbeID[j] == probe; j++ {
-				if part.RTT[j] < minRTT {
-					minRTT = part.RTT[j]
-				}
-				if part.Hops[j] < minHops {
-					minHops = part.Hops[j]
-				}
+			key := traceGroupKey(p.GroupBy, part.Dict[pm.CC], pm.ProbeID, dims)
+			vals, seen := agg.vals[key]
+			if !seen {
+				agg.group(key) // preserve first-appearance discovery
 			}
-			i = j
-			if filterCode != -2 && int(cc) != filterCode {
-				continue
-			}
-			key := traceGroupKey(p.GroupBy, part.Dict[cc], probe, dims)
+			v := pm.RTT // MetricMedianRTT
 			switch p.Metric {
-			case MetricMedianRTT:
-				agg.vals[key] = append(agg.vals[key], minRTT)
 			case MetricHopCount:
-				agg.vals[key] = append(agg.vals[key], float64(minHops))
+				v = float64(pm.Hops)
 			case MetricReachability:
-				agg.vals[key] = append(agg.vals[key], 1)
+				v = 1
 			}
-			agg.group(key) // preserve first-appearance discovery
-		}
+			agg.vals[key] = append(vals, v)
+		})
 		e.flushTraceMonth(p, agg, m, dims)
 	}
 	return nil
 }
 
-// traceGroupKey resolves one probe run's group key.
+// countryFilter returns the country filter's code in a partition
+// dictionary: -2 when there is no filter, -1 when it matches no rows.
+func countryFilter(country string, dict []string) int {
+	if country == "" {
+		return -2
+	}
+	return slices.Index(dict, country)
+}
+
+// traceGroupKey resolves one probe's group key.
 func traceGroupKey(groupBy, cc string, probe int32, dims *facts.Dimensions) string {
 	switch groupBy {
 	case GroupASN:
@@ -282,17 +265,7 @@ func (e *Engine) runChaos(p Params, agg *aggregator, res *Result) error {
 			continue
 		}
 		res.Partitions++
-		filterCode := -1
-		if p.Country == "" {
-			filterCode = -2
-		} else {
-			for c, s := range part.Dict {
-				if s == p.Country {
-					filterCode = c
-					break
-				}
-			}
-		}
+		filterCode := countryFilter(p.Country, part.Dict)
 		probeCell = slices.Grow(probeCell[:0], len(part.Probes))
 		for _, pr := range part.Probes {
 			var c *cell

@@ -13,9 +13,9 @@ import (
 
 // naiveRun is the property test's oracle: a deliberately simple
 // full-scan implementation over the reconstructed row-oriented
-// campaigns — maps instead of run-length scans, per-row month filters
-// instead of partition pruning, string keys instead of dictionary
-// codes. Any divergence from Engine.Run is a bug in one of them.
+// campaigns — maps instead of the partition reduction, per-row month
+// filters instead of partition pruning, string keys instead of
+// dictionary codes. Any divergence from Engine.Run is a bug in one of them.
 // hops is the per-sample hop count aligned with tc.Samples() (a
 // TraceSample carries no hop field; the fixture reads the column back
 // out of the lake's partitions in month order).
@@ -46,8 +46,10 @@ func naiveTrace(tc *atlas.TraceCampaign, dims *facts.Dimensions, hops []uint8, p
 	type probeKey struct {
 		m     months.Month
 		probe int
+		cc    string
 	}
-	// Pass 1: per-probe minimums per month, full scan with row filters.
+	// Pass 1: per-probe minimums per month and probe country, full scan
+	// with row filters.
 	minRTT := map[probeKey]float64{}
 	minHops := map[probeKey]uint8{}
 	meta := map[probeKey]string{} // group key per probe-month
@@ -58,7 +60,7 @@ func naiveTrace(tc *atlas.TraceCampaign, dims *facts.Dimensions, hops []uint8, p
 		if p.Country != "" && s.ProbeCC != p.Country {
 			continue
 		}
-		k := probeKey{s.Month, s.ProbeID}
+		k := probeKey{s.Month, s.ProbeID, s.ProbeCC}
 		if cur, ok := minRTT[k]; !ok || s.RTTms < cur {
 			minRTT[k] = s.RTTms
 		}

@@ -232,6 +232,80 @@ func TestEngineMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestQueryMatchesAtlasOnIngestedRows pins the query engine to the
+// campaign analysis on rows outside kernel order: a lake built from an
+// Add-built campaign whose probes interleave, one probe reporting from
+// two countries in a month. For every (country, month), median_rtt is
+// CountryMedian, and median_rtt and reachability count len(ProbeMin)
+// probes.
+func TestQueryMatchesAtlasOnIngestedRows(t *testing.T) {
+	if err := fixtureErr(); err != nil {
+		t.Fatal(err)
+	}
+	jan, feb, mar, apr := months.MustParse("2020-01"), months.MustParse("2020-02"), months.MustParse("2020-03"), months.MustParse("2020-04")
+	rows := []atlas.TraceSample{
+		{Month: mar, ProbeID: 1, ProbeCC: "VE", RTTms: 40},
+		{Month: jan, ProbeID: 1, ProbeCC: "VE", RTTms: 30},
+		{Month: jan, ProbeID: 2, ProbeCC: "CO", RTTms: 12},
+		{Month: mar, ProbeID: 1, ProbeCC: "VE", RTTms: 35},
+		{Month: jan, ProbeID: 1, ProbeCC: "CO", RTTms: 9}, // probe 1 seen in two countries
+		{Month: feb, ProbeID: 3, ProbeCC: "BR", RTTms: 20},
+		{Month: jan, ProbeID: 1, ProbeCC: "VE", RTTms: 25},
+		{Month: mar, ProbeID: 4, ProbeCC: "VE", RTTms: 70},
+		{Month: feb, ProbeID: 3, ProbeCC: "BR", RTTms: 0.1},
+		// Probe 1's rows interleave with probe 2's: two probes, median 30.
+		{Month: apr, ProbeID: 1, ProbeCC: "VE", RTTms: 10},
+		{Month: apr, ProbeID: 2, ProbeCC: "VE", RTTms: 50},
+		{Month: apr, ProbeID: 1, ProbeCC: "VE", RTTms: 90},
+	}
+	tc := atlas.NewTraceCampaign()
+	for _, r := range rows {
+		tc.Add(r)
+	}
+	lake, err := facts.Open(t.TempDir(), fix.w.Config.Scope())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lake.BuildFrom(fix.w, tc, atlas.NewChaosCampaign()); err != nil {
+		t.Fatal(err)
+	}
+	eng := New(lake)
+	type cell struct {
+		cc string
+		m  months.Month
+	}
+	seen := map[cell]bool{}
+	for _, r := range rows {
+		c := cell{r.ProbeCC, r.Month}
+		if seen[c] {
+			continue
+		}
+		seen[c] = true
+		point := func(metric string) Point {
+			t.Helper()
+			res, err := eng.Run(mustParams(t, fmt.Sprintf("metric=%s&country=%s&from=%s&to=%s", metric, c.cc, c.m, c.m)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Groups) != 1 || len(res.Groups[0].Points) != 1 {
+				t.Fatalf("%s %s %s: groups %+v, want one point", metric, c.cc, c.m, res.Groups)
+			}
+			return res.Groups[0].Points[0]
+		}
+		wantMed, ok := tc.CountryMedian(c.cc, c.m)
+		if !ok {
+			t.Fatalf("CountryMedian(%s, %s) has no value", c.cc, c.m)
+		}
+		wantN := len(tc.ProbeMin(c.cc, c.m))
+		if got := point(MetricMedianRTT); got.Value != wantMed || got.N != wantN {
+			t.Errorf("median_rtt %s %s = %v over %d probes, atlas says %v over %d", c.cc, c.m, got.Value, got.N, wantMed, wantN)
+		}
+		if got := point(MetricReachability); got.N != wantN {
+			t.Errorf("reachability %s %s counts %d probes, atlas says %d", c.cc, c.m, got.N, wantN)
+		}
+	}
+}
+
 // TestResultEnvelope pins the response metadata the HTTP layer serves.
 func TestResultEnvelope(t *testing.T) {
 	eng := fixture(t)

@@ -1,8 +1,9 @@
 package scenario
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"vzlens/internal/atlas"
 	"vzlens/internal/core"
@@ -94,72 +95,77 @@ func round2(v float64) float64 { return math.Round(v*100) / 100 }
 // subjectCC is the country always included in trace diffs.
 const subjectCC = "VE"
 
-// diffTrace compares country RTT medians month by month. Months and
-// countries come from the union of both campaigns, visited in sorted
-// order.
-func diffTrace(base, scen *atlas.TraceCampaign) []TraceDelta {
-	ms := unionMonths(base.Months(), scen.Months())
-	byMonth := countriesByMonth(base, scen)
-	var out []TraceDelta
-	for _, m := range ms {
-		for _, cc := range byMonth[m] {
-			bv, bok := base.CountryMedian(cc, m)
-			sv, sok := scen.CountryMedian(cc, m)
-			if !bok && !sok {
-				continue
-			}
-			changed := bok != sok || round2(bv) != round2(sv)
-			if !changed && cc != subjectCC {
-				continue
-			}
-			out = append(out, TraceDelta{
-				Month:      m.String(),
-				CC:         cc,
-				BaselineMs: round2(bv),
-				ScenarioMs: round2(sv),
-				DeltaMs:    round2(sv - bv),
-			})
+// diffTrace compares the two trace campaigns month by month: country
+// RTT medians (the Trace rows) and probes per country (the Reach rows,
+// changed counts only), both from one CountryRTTs pass over each
+// side's month partition. A month whose partition both campaigns share
+// (one a windowed replay left untouched) is aggregated once and can
+// change nothing, so it yields only the subject country's row.
+func diffTrace(base, scen *atlas.TraceCampaign) (trace []TraceDelta, reach []ReachDelta) {
+	month := func(p *atlas.TracePartition) months.Month { return p.Month }
+	zip(base.Partitions(), scen.Partitions(), month, func(b, s *atlas.TracePartition) {
+		var bs, ss []atlas.CountryRTT
+		if b != nil {
+			bs = b.CountryRTTs()
 		}
-	}
-	return out
-}
-
-// diffReach compares per-country probe counts (probes with at least one
-// sample) month by month, keeping only changed rows.
-func diffReach(base, scen *atlas.TraceCampaign) []ReachDelta {
-	ms := unionMonths(base.Months(), scen.Months())
-	byMonth := countriesByMonth(base, scen)
-	var out []ReachDelta
-	for _, m := range ms {
-		for _, cc := range byMonth[m] {
-			b := len(base.ProbeMin(cc, m))
-			s := len(scen.ProbeMin(cc, m))
-			if b != s {
-				out = append(out, ReachDelta{
-					Month: m.String(), CC: cc,
-					BaselineProbes: b, ScenarioProbes: s,
-				})
-			}
+		if s == b {
+			ss = bs
+		} else if s != nil {
+			ss = s.CountryRTTs()
 		}
-	}
-	return out
+		m := cmp.Or(b, s).Month.String()
+		country := func(c atlas.CountryRTT) string { return c.CC }
+		zip(bs, ss, country, func(bc, sc atlas.CountryRTT) {
+			cc := cmp.Or(bc.CC, sc.CC)
+			bv, sv := round2(bc.MedianRTT), round2(sc.MedianRTT)
+			if cc == subjectCC || bc.Probes == 0 || sc.Probes == 0 || bv != sv {
+				trace = append(trace, TraceDelta{Month: m, CC: cc, BaselineMs: bv, ScenarioMs: sv,
+					DeltaMs: round2(sc.MedianRTT - bc.MedianRTT)})
+			}
+			if bc.Probes != sc.Probes {
+				reach = append(reach, ReachDelta{Month: m, CC: cc, BaselineProbes: bc.Probes, ScenarioProbes: sc.Probes})
+			}
+		})
+	})
+	return trace, reach
 }
 
 // diffCatchment compares the distinct root sites Venezuelan probes
-// reach per month, keeping only changed months.
+// reach per month, keeping only changed months; a month whose
+// partition both campaigns share is skipped.
 func diffCatchment(base, scen *atlas.ChaosCampaign) []CatchmentDelta {
-	ms := unionMonths(base.Months(), scen.Months())
 	var out []CatchmentDelta
-	for _, m := range ms {
+	month := func(p *atlas.ChaosPartition) months.Month { return p.Month }
+	zip(base.Partitions(), scen.Partitions(), month, func(bp, sp *atlas.ChaosPartition) {
+		if bp == sp {
+			return
+		}
+		m := cmp.Or(bp, sp).Month
 		b := len(base.SitesByCountry(m, subjectCC))
 		s := len(scen.SitesByCountry(m, subjectCC))
 		if b != s {
-			out = append(out, CatchmentDelta{
-				Month: m.String(), BaselineSites: b, ScenarioSites: s,
-			})
+			out = append(out, CatchmentDelta{Month: m.String(), BaselineSites: b, ScenarioSites: s})
 		}
-	}
+	})
 	return out
+}
+
+// zip walks two lists ascending by key in step, calling fn once per key
+// with each list's element under it, or the zero value where a list
+// lacks the key.
+func zip[T any, K cmp.Ordered](a, b []T, key func(T) K, fn func(a, b T)) {
+	for len(a) > 0 || len(b) > 0 {
+		var x, y T
+		switch {
+		case len(b) == 0 || len(a) > 0 && key(a[0]) < key(b[0]):
+			x, a = a[0], a[1:]
+		case len(a) == 0 || key(b[0]) < key(a[0]):
+			y, b = b[0], b[1:]
+		default:
+			x, y, a, b = a[0], b[0], a[1:], b[1:]
+		}
+		fn(x, y)
+	}
 }
 
 // diffTable compares two renderings of one experiment table row by row,
@@ -190,14 +196,10 @@ func diffTable(id string, base, scen *core.Table) TableDelta {
 			order = append(order, k) // scenario-only row, after base order
 		}
 	}
-	if len(base.Rows) > len(scen.Rows) {
-		d.TotalRows = len(base.Rows)
-	} else {
-		d.TotalRows = len(scen.Rows)
-	}
+	d.TotalRows = max(len(base.Rows), len(scen.Rows))
 	for _, k := range order {
 		b, s := baseBy[k], scenBy[k]
-		if equalRow(b, s) {
+		if slices.Equal(b, s) {
 			continue
 		}
 		d.ChangedRows++
@@ -206,71 +208,4 @@ func diffTable(id string, base, scen *core.Table) TableDelta {
 		}
 	}
 	return d
-}
-
-func equalRow(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// unionMonths merges two sorted month lists.
-func unionMonths(a, b []months.Month) []months.Month {
-	seen := map[months.Month]bool{}
-	var out []months.Month
-	for _, m := range a {
-		if !seen[m] {
-			seen[m] = true
-			out = append(out, m)
-		}
-	}
-	for _, m := range b {
-		if !seen[m] {
-			seen[m] = true
-			out = append(out, m)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// countriesByMonth indexes the union of both campaigns' probe
-// countries into sorted per-month country sets, reading each month
-// partition's CC column and dictionary rather than copying rows.
-func countriesByMonth(base, scen *atlas.TraceCampaign) map[months.Month][]string {
-	seen := map[months.Month]map[string]bool{}
-	for _, tc := range []*atlas.TraceCampaign{base, scen} {
-		for _, p := range tc.Partitions() {
-			set, ok := seen[p.Month]
-			if !ok {
-				set = map[string]bool{}
-				seen[p.Month] = set
-			}
-			used := make([]bool, len(p.Dict))
-			for _, c := range p.CC {
-				used[c] = true
-			}
-			for c, cc := range p.Dict {
-				if used[c] {
-					set[cc] = true
-				}
-			}
-		}
-	}
-	out := make(map[months.Month][]string, len(seen))
-	for m, set := range seen {
-		ccs := make([]string, 0, len(set))
-		for cc := range set {
-			ccs = append(ccs, cc)
-		}
-		sort.Strings(ccs)
-		out[m] = ccs
-	}
-	return out
 }

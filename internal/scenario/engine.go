@@ -151,10 +151,9 @@ func (e *Engine) RunWith(ctx context.Context, spec *Spec, cfg RunConfig) (diff *
 		Key:         plan.Key,
 		Name:        spec.Name,
 		Description: spec.Description,
-		Trace:       diffTrace(baseTC, scenTC),
-		Reach:       diffReach(baseTC, scenTC),
 		Catchment:   diffCatchment(baseCC, scenCC),
 	}
+	diff.Trace, diff.Reach = diffTrace(baseTC, scenTC)
 	// Diff only the campaign-backed experiment tables: the rest render
 	// from baseline world state a scenario cannot move.
 	if !cfg.SkipTables {

@@ -23,6 +23,15 @@ func Median(xs []float64) (float64, error) {
 	return Percentile(xs, 50)
 }
 
+// MedianSorted is Median for xs already sorted ascending: it neither
+// copies nor sorts.
+func MedianSorted(xs []float64) (float64, error) {
+	if len(xs) == 0 {
+		return 0, ErrEmpty
+	}
+	return percentileSorted(xs, 50), nil
+}
+
 // Percentile returns the p-th percentile (0-100) of xs using linear
 // interpolation between closest ranks. xs is not modified.
 func Percentile(xs []float64, p float64) (float64, error) {
