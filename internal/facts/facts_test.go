@@ -285,7 +285,7 @@ func TestPartitionEncodingPinned(t *testing.T) {
 }
 
 // TestBuildReconstructsCampaigns is the lake's core contract: campaigns
-// rebuilt from the partition files are byte-identical to the campaigns
+// rebuilt from the segments are byte-identical to the campaigns
 // the lake was built from.
 func TestBuildReconstructsCampaigns(t *testing.T) {
 	w := testWorld(t)
@@ -345,21 +345,28 @@ func TestPartitionPruning(t *testing.T) {
 	}
 }
 
-// TestQuarantineCorruptPartition flips bytes in a committed partition
-// and expects ErrCorrupt plus a quarantined file.
+// corruptFrame XORs mask into the middle byte of cell's frame in its
+// segment and returns the segment's path.
+func corruptFrame(t *testing.T, cell *partCell, mask byte) string {
+	t.Helper()
+	raw, err := os.ReadFile(cell.path)
+	if err != nil {
+		t.Fatalf("read segment: %v", err)
+	}
+	raw[cell.off+cell.n/2] ^= mask
+	if err := os.WriteFile(cell.path, raw, 0o644); err != nil {
+		t.Fatalf("write corrupt segment: %v", err)
+	}
+	return cell.path
+}
+
+// TestQuarantineCorruptPartition flips bytes in a committed partition's
+// frame and expects ErrCorrupt plus a quarantined segment.
 func TestQuarantineCorruptPartition(t *testing.T) {
 	w := testWorld(t)
 	l := builtLake(t, w)
 	m := l.TraceMonths()[0]
-	path := filepath.Join(l.Dir(), "trace-"+m.String()+".vzfp")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read partition: %v", err)
-	}
-	raw[len(raw)/2] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatalf("write corrupt partition: %v", err)
-	}
+	path := corruptFrame(t, l.state().trace[m], 0xFF)
 	l2, err := Open(l.Dir(), w.Config.Scope())
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -387,9 +394,9 @@ func TestQuarantineCorruptPartition(t *testing.T) {
 }
 
 // TestQuarantineFallsBackToRemoval: when the quarantine directory
-// cannot be created (a regular file sits at its path), a corrupt
-// partition is removed instead of left in place, so a reopen does not
-// hit it again.
+// cannot be created (a regular file sits at its path), the segment
+// holding a corrupt partition is removed instead of left in place, so
+// a reopen does not hit it again.
 func TestQuarantineFallsBackToRemoval(t *testing.T) {
 	w := testWorld(t)
 	l := builtLake(t, w)
@@ -397,15 +404,7 @@ func TestQuarantineFallsBackToRemoval(t *testing.T) {
 		t.Fatalf("block quarantine dir: %v", err)
 	}
 	m := l.ChaosMonths()[0]
-	path := filepath.Join(l.Dir(), "chaos-"+m.String()+".vzfp")
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read partition: %v", err)
-	}
-	raw[len(raw)/2] ^= 0xFF
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatalf("write corrupt partition: %v", err)
-	}
+	path := corruptFrame(t, l.state().chaos[m], 0xFF)
 	l2, err := Open(l.Dir(), w.Config.Scope())
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -467,52 +466,6 @@ func checkDimensions(t *testing.T, w *world.World) {
 	}
 	if got, want := dims.ActiveProbes(m, "VE", 0), len(w.Fleet.ActiveIn("VE", m)); got != want {
 		t.Fatalf("active VE probes at %s: dim %d, fleet %d", m, got, want)
-	}
-	// Era windows must cover every month either campaign samples and
-	// agree there with the live signature functions.
-	c := w.Config
-	var sampled []months.Month
-	for mm := c.TraceStart; !mm.After(c.TraceEnd); mm = mm.Add(c.Step) {
-		sampled = append(sampled, mm)
-	}
-	for mm := c.ChaosStart; !mm.After(c.ChaosEnd); mm = mm.Add(c.Step) {
-		sampled = append(sampled, mm)
-	}
-	for _, mm := range sampled {
-		for _, key := range []string{"topology", "gpdns", "root-A", "root-M"} {
-			if _, ok := dims.EraAt(key, mm); !ok {
-				t.Fatalf("era %s has no window covering %s", key, mm)
-			}
-		}
-		sig, _ := dims.EraAt("topology", mm)
-		if want := world.TopologySignatureAt(mm); sig != want {
-			t.Fatalf("topology era at %s: %q, want %q", mm, sig, want)
-		}
-		var count [13]int
-		for _, inst := range w.Roots.ActiveAt(mm) {
-			count[inst.Letter-'A']++
-		}
-		for k, n := range count {
-			key := "root-" + string(rune('A'+k))
-			if sig, _ := dims.EraAt(key, mm); sig != fmt.Sprintf("sites%d", n) {
-				t.Fatalf("era %s at %s: %q, want sites%d", key, mm, sig, n)
-			}
-		}
-	}
-	// SCD2 invariant: windows of one key never overlap.
-	byKey := map[string][]EraRow{}
-	for _, e := range dims.Eras {
-		byKey[e.Key] = append(byKey[e.Key], e)
-	}
-	for key, rows := range byKey {
-		for i := 1; i < len(rows); i++ {
-			if !rows[i-1].ValidTo.Before(rows[i].ValidFrom) {
-				t.Fatalf("era %s windows overlap: %+v then %+v", key, rows[i-1], rows[i])
-			}
-			if rows[i-1].Sig == rows[i].Sig {
-				t.Fatalf("era %s adjacent windows share signature %q (should be collapsed)", key, rows[i].Sig)
-			}
-		}
 	}
 }
 

@@ -1,13 +1,13 @@
 // Package facts is the month-partitioned columnar fact lake behind the
 // ad-hoc query layer: campaign probe-month samples persisted once, as
-// the columnar kernels emit them, into per-month fact files plus SCD2
-// dimension tables (probe fleet membership, topology eras, anycast
-// site-list eras) with validity windows. Each partition is one VZRS
-// frame (resultstore's checksummed envelope) whose payload is the VZFC
-// columnar layout below; readers read and validate the file, decode
-// its columns, and never touch partitions outside the queried month
-// window — partition pruning is structural, not an optimizer
-// decision.
+// the columnar kernels emit them, into one segment per fact table plus
+// an SCD2 dimension table (probe fleet membership) with validity
+// windows. Each month partition is one VZRS frame (resultstore's
+// checksummed envelope) in its table's segment, whose payload is the
+// VZFC columnar layout below; readers read and validate that frame's
+// byte range alone, decode its columns, and never touch partitions
+// outside the queried month window — partition pruning is structural,
+// not an optimizer decision.
 package facts
 
 import (

@@ -129,7 +129,41 @@ func TestLakeJoinedBaselineByteIdentical(t *testing.T) {
 	}
 }
 
-// TestQueryQuarantineHeals corrupts a partition on disk, reopens the
+// corruptLakeFrame XORs mask into the middle byte of frame i of a fact
+// table's segment ("trace" or "chaos") in the lake at dir, locating the
+// frame through the committed manifest, and returns the segment's path.
+func corruptLakeFrame(t *testing.T, dir, table string, i int, mask byte) string {
+	t.Helper()
+	raw, err := resultstore.ReadEntry(filepath.Join(dir, "manifest.vzr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct {
+		Trace, Chaos []struct{ Offset, Length int64 }
+	}
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	frames := man.Trace
+	if table == "chaos" {
+		frames = man.Chaos
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, table+"-*.vzfs"))
+	if err != nil || len(segs) != 1 || i >= len(frames) {
+		t.Fatalf("%s segment %v (err %v) with %d frames, want one segment with frame %d", table, segs, err, len(frames), i)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[frames[i].Offset+frames[i].Length/2] ^= mask
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return segs[0]
+}
+
+// TestQueryQuarantineHeals corrupts a partition's frame on disk, reopens the
 // lake cold, and proves the full heal cycle: the first query answers
 // 503 (the partition quarantines), the 503 forces a background rebuild
 // even though the lake's generation is still committed (Ready alone
@@ -141,15 +175,7 @@ func TestQueryQuarantineHeals(t *testing.T) {
 	h1 := NewWithOptions(w, Options{FactsDir: dir})
 	h1.Warm()
 
-	part := filepath.Join(dir, "trace-"+h1.Lake().TraceMonths()[1].String()+".vzfp")
-	raw, err := os.ReadFile(part)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xFF
-	if err := os.WriteFile(part, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corruptLakeFrame(t, dir, "trace", 1, 0xFF) // month TraceMonths()[1]
 
 	h2 := NewWithOptions(w, Options{FactsDir: dir})
 	url := "/api/query?metric=median_rtt&from=2018-01&to=2019-01&country=VE"

@@ -1,6 +1,7 @@
 package integration
 
 import (
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -18,6 +19,40 @@ import (
 	"vzlens/internal/resultstore"
 	"vzlens/internal/world"
 )
+
+// corruptLakeFrame XORs mask into the middle byte of frame i of a fact
+// table's segment ("trace" or "chaos") in the lake at dir, locating the
+// frame through the committed manifest, and returns the segment's path.
+func corruptLakeFrame(t *testing.T, dir, table string, i int, mask byte) string {
+	t.Helper()
+	raw, err := resultstore.ReadEntry(filepath.Join(dir, "manifest.vzr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct {
+		Trace, Chaos []struct{ Offset, Length int64 }
+	}
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	frames := man.Trace
+	if table == "chaos" {
+		frames = man.Chaos
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, table+"-*.vzfs"))
+	if err != nil || len(segs) != 1 || i >= len(frames) {
+		t.Fatalf("%s segment %v (err %v) with %d frames, want one segment with frame %d", table, segs, err, len(frames), i)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[frames[i].Offset+frames[i].Length/2] ^= mask
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return segs[0]
+}
 
 // TestSoakOverloadFaultRestart is the chaos/soak harness for the
 // overload-protection layer: it hammers the real HTTP server with 64
@@ -217,24 +252,13 @@ func TestSoakOverloadFaultRestart(t *testing.T) {
 	srv2.Close()
 
 	// ---- Phase 3: a corrupted campaign partition is quarantined, not served ----
-	// The store holds the campaigns in its fact lake, one file per
-	// campaign month.
+	// The store holds the campaigns in its fact lake, one segment per
+	// fact table with a frame per campaign month.
 	lakeDir := h2.Lake().Dir()
 	if filepath.Dir(filepath.Dir(lakeDir)) != store.Dir() {
 		t.Fatalf("fact lake at %s, want under the store %s", lakeDir, store.Dir())
 	}
-	chaosParts, err := filepath.Glob(filepath.Join(lakeDir, "chaos-*.vzfp"))
-	if err != nil || len(chaosParts) == 0 {
-		t.Fatalf("chaos partition missing from the store's fact lake: %v, %v", chaosParts, err)
-	}
-	data, err := os.ReadFile(chaosParts[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x01 // a single flipped bit mid-payload
-	if err := os.WriteFile(chaosParts[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	corruptLakeFrame(t, lakeDir, "chaos", 0, 0x01) // a single flipped bit mid-payload
 
 	var traceCalls3, chaosCalls3 atomic.Int64
 	h3 := httpapi.NewWithOptions(w, newOptions(false, &traceCalls3, &chaosCalls3))

@@ -9,6 +9,7 @@ package months
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -60,9 +61,30 @@ func (m Month) Time() time.Time {
 	return time.Date(m.Year(), m.Month(), 1, 0, 0, 0, 0, time.UTC)
 }
 
-// String formats as "YYYY-MM".
+// String formats as "YYYY-MM": fmt's "%04d-%02d" of the year and the
+// month, without fmt's reflection.
 func (m Month) String() string {
-	return fmt.Sprintf("%04d-%02d", m.Year(), int(m.Month()))
+	var buf [24]byte
+	b := appendPadded(buf[:0], m.Year(), 4)
+	b = append(b, '-')
+	return string(appendPadded(b, int(m.Month()), 2))
+}
+
+// appendPadded appends v in decimal, zero-padded to width bytes with
+// the sign counted in the width, as fmt's %0<width>d does.
+func appendPadded(b []byte, v, width int) []byte {
+	u := uint64(v)
+	if v < 0 {
+		b = append(b, '-')
+		width--
+		u = uint64(-v) // two's complement: exact for math.MinInt too
+	}
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], u, 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
 }
 
 // Add returns the month n calendar months after m (n may be negative).

@@ -1,6 +1,8 @@
 package months
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -120,5 +122,30 @@ func TestOrdering(t *testing.T) {
 	var z Month
 	if !z.IsZero() {
 		t.Error("zero month not reported zero")
+	}
+}
+
+// TestStringMatchesSprintf checks String against the fmt formatting it
+// replaced for every Month whose year runs from -1 to 10000, the zero
+// Month and the negative month fields of years -1 and 0 included, and
+// at the ends of the int range.
+func TestStringMatchesSprintf(t *testing.T) {
+	check := func(m Month) {
+		if got, want := m.String(), fmt.Sprintf("%04d-%02d", m.Year(), int(m.Month())); got != want {
+			t.Fatalf("Month(%d).String() = %q, want %q", int(m), got, want)
+		}
+	}
+	n := 0
+	for m := Month(-22); m.Year() <= 10000; m++ {
+		check(m)
+		n++
+	}
+	// Year() truncates toward zero, so year 0 spans the 23 values -10
+	// through 12.
+	if want := 12 + 23 + 12*10000; n != want {
+		t.Fatalf("checked %d months, want %d", n, want)
+	}
+	for _, m := range []Month{0, math.MinInt, math.MinInt + 1, math.MaxInt} {
+		check(m)
 	}
 }

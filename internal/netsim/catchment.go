@@ -215,9 +215,12 @@ func (r *Resolver) CatchmentIndex(srcAS bgp.ASN, srcCity geo.City, sites []Site,
 // source's tree and dense view are fetched on the first site the source
 // AS does not host, and the first segment (the source's city to its
 // AS's location) is computed then. Locations come from that same dense
-// view, which already honors overlay relocations. Each site's distance
-// from the source is computed once and serves both the hosted-site
-// latency and the geo policy's ranking.
+// view, which already honors overlay relocations. A site's distance
+// from the source is computed only where it counts: for a hosted site's
+// latency and for the geo policy's ranking. Under the default policy a
+// reachable site with more hops than the best so far is skipped before
+// its latency is summed: hops rank first, and a hosted site (one hop)
+// beats every transit site (two or more).
 //
 // Distances come from the list's distance table when both endpoints
 // are interned and the view shares the table, and from geo.HaversineKm
@@ -249,8 +252,10 @@ func (r *Resolver) CatchmentInfo(srcAS bgp.ASN, srcCity geo.City, domestic strin
 			siteID = cityIDs[i]
 		}
 		var hops int
-		var lat float64
-		distKm := cities.distKm(srcID, siteID, srcCity.Lat, srcCity.Lon, site.City.Lat, site.City.Lon)
+		var lat, distKm float64
+		if host == srcAS || policy == PolicyGeo {
+			distKm = cities.distKm(srcID, siteID, srcCity.Lat, srcCity.Lon, site.City.Lat, site.City.Lon)
+		}
 		if host == srcAS {
 			hops = 1
 			lat = geo.PropagationDelayMs(distKm)
@@ -286,6 +291,11 @@ func (r *Resolver) CatchmentInfo(srcAS bgp.ASN, srcCity geo.City, domestic strin
 			}
 			e := tree[hi]
 			if e.hops == 0 {
+				continue
+			}
+			// Hops rank first under the default policy: a site farther
+			// in hops than the best so far cannot win on latency.
+			if found && policy != PolicyGeo && int(e.hops) > best.hops {
 				continue
 			}
 			hops = int(e.hops)

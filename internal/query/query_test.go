@@ -499,8 +499,9 @@ func TestWarmQueryAllocs(t *testing.T) {
 // TestQueryRebuildSoak races warm queries against full lake rebuilds —
 // the serving pattern under -race: generation swaps must never tear a
 // running query. Each round serves a cold reopen of the lake, so its
-// queries decode partitions from disk while the rebuild rewrites those
-// files and swaps the generation (the quarantine-heal path).
+// queries decode partitions from disk while the rebuild writes a new
+// generation, swaps it in and deletes the segments they read (the
+// quarantine-heal path).
 func TestQueryRebuildSoak(t *testing.T) {
 	if err := fixtureErr(); err != nil {
 		t.Fatal(err)

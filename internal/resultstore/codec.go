@@ -59,18 +59,19 @@ func payloadLen(frame []byte) uint64 {
 
 // EncodeEntry frames payload with the checksummed header.
 func EncodeEntry(payload []byte) []byte {
-	return appendEntry(make([]byte, 0, headerSize+len(payload)), payload)
+	h := entryHeader(payload)
+	return append(append(make([]byte, 0, headerSize+len(payload)), h[:]...), payload...)
 }
 
-// appendEntry appends payload's frame to dst.
-func appendEntry(dst, payload []byte) []byte {
+// entryHeader returns the checksummed header that frames payload.
+func entryHeader(payload []byte) [headerSize]byte {
 	var h [headerSize]byte
 	copy(h[0:4], magic)
 	binary.LittleEndian.PutUint16(h[4:6], version)
 	binary.LittleEndian.PutUint64(h[8:16], uint64(len(payload)))
 	binary.LittleEndian.PutUint32(h[16:20], crc32.Checksum(payload, castagnoli))
 	binary.LittleEndian.PutUint32(h[20:24], crc32.Checksum(h[:20], castagnoli))
-	return append(append(dst, h[:]...), payload...)
+	return h
 }
 
 // DecodeEntry validates data and returns the payload. Any structural

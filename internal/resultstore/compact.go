@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"vzlens/internal/obs"
 )
@@ -13,9 +14,9 @@ import (
 // records are redundant (repeated crash-resume cycles leave duplicate
 // manifests and spec results, of which replay needs one each).
 // Compact rewrites the journal keeping only the records the caller
-// still wants, with WriteAtomic like a Store.Put. A crash at any byte
-// offset leaves either the old journal or the new one, never a torn
-// mix.
+// still wants, replaced atomically like a Store.Put. A crash at any
+// byte offset leaves either the old journal or the new one, never a
+// torn mix.
 
 // Instrument attaches the journal's nil-safe metrics hooks; currently
 // the compaction counter (see InstrumentCompactions). Safe to skip —
@@ -61,17 +62,10 @@ func (j *Journal) Compact(rewrite func(records [][]byte) [][]byte) (dropped int,
 	records, _ := scanJournal(data)
 	kept := rewrite(records)
 
-	size := 0
-	for _, rec := range kept {
-		size += headerSize + len(rec)
-	}
-	buf := make([]byte, 0, size)
-	for _, rec := range kept {
-		buf = appendEntry(buf, rec)
-	}
-	if err := WriteAtomic(j.path, buf); err != nil {
+	if _, err := ReplaceEntries(j.path, kept); err != nil {
 		return 0, fmt.Errorf("compact: %w", err)
 	}
+	SyncDir(filepath.Dir(j.path))
 
 	// The old file handle still points at the pre-compaction inode;
 	// reopen the renamed journal and position for appending.
@@ -84,7 +78,7 @@ func (j *Journal) Compact(rewrite func(records [][]byte) [][]byte) (dropped int,
 		j.f = nil
 		return 0, fmt.Errorf("resultstore: journal %s: reopen after compact: %w", j.path, err)
 	}
-	if _, err := f.Seek(int64(len(buf)), io.SeekStart); err != nil {
+	if _, err := f.Seek(0, io.SeekEnd); err != nil {
 		f.Close()
 		j.f.Close()
 		j.f = nil

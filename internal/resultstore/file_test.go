@@ -122,6 +122,60 @@ func TestReadEntryErrors(t *testing.T) {
 	}
 }
 
+// TestReplaceEntriesReadEntryAt writes frames back to back with
+// ReplaceEntries and reads each back alone with ReadEntryAt: the file
+// equals the frames EncodeEntry makes, each range yields its payload,
+// and a missing file, a range past the end and a flipped byte fail the
+// way ReadEntry fails.
+func TestReplaceEntriesReadEntryAt(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "seg.vzr")
+	payloads := [][]byte{[]byte("first"), {}, bytes.Repeat([]byte("x"), 100<<10), []byte("last")}
+	ends, err := ReplaceEntries(path, payloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for _, p := range payloads {
+		want = append(want, EncodeEntry(p)...)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil || !bytes.Equal(data, want) {
+		t.Fatalf("segment is not the frames back to back (err %v)", err)
+	}
+	off := int64(0)
+	for i, p := range payloads {
+		if ends[i] != off+int64(headerSize+len(p)) {
+			t.Fatalf("frame %d ends at %d, want %d", i, ends[i], off+int64(headerSize+len(p)))
+		}
+		got, err := ReadEntryAt(path, off, ends[i]-off)
+		if err != nil || !bytes.Equal(got, p) {
+			t.Fatalf("frame %d: %d bytes, %v", i, len(got), err)
+		}
+		off = ends[i]
+	}
+	if names := dirNames(t, dir); len(names) != 1 {
+		t.Errorf("directory holds %v, want only seg.vzr", names)
+	}
+
+	if _, err := ReadEntryAt(filepath.Join(dir, "missing"), 0, 1); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("missing file: err = %v, want os.ErrNotExist", err)
+	}
+	if _, err := ReadEntryAt(path, ends[2], ends[3]-ends[2]+1); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("range past the end: err = %v, want ErrCorrupt", err)
+	}
+	data[ends[0]+headerSize-1] ^= 0x01 // the empty frame's header
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadEntryAt(path, ends[0], ends[1]-ends[0]); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), path) {
+		t.Errorf("flipped byte: err = %v, want ErrCorrupt naming %s", err, path)
+	}
+	if got, err := ReadEntryAt(path, 0, ends[0]); err != nil || string(got) != "first" {
+		t.Errorf("the frame before the flipped one: %q, %v", got, err)
+	}
+}
+
 // TestQuarantineKeepsEveryCopy corrupts the same entry twice: both
 // copies land in quarantine under <name>.<nanoseconds>.
 func TestQuarantineKeepsEveryCopy(t *testing.T) {

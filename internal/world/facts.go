@@ -1,20 +1,6 @@
 package world
 
-import (
-	"fmt"
-
-	"vzlens/internal/months"
-)
-
-// TopologySignatureAt renders the campaign kernel's wiring signature
-// for month m — the (CANTV provider set, customer cone size) pair that
-// is the only thing varying between monthly topologies. The fact lake's
-// topology-era dimension groups months by this string: two months with
-// equal signatures share one resolver and simulate identical paths.
-func TopologySignatureAt(m months.Month) string {
-	sig := kernelSigAt(m)
-	return fmt.Sprintf("prov%#x-cust%d", sig.prov, sig.cust)
-}
+import "fmt"
 
 // Scope fingerprints the configuration axes that determine campaign
 // output, after defaulting. Two configs with equal scopes simulate
