@@ -26,6 +26,7 @@ import (
 	"vzlens/internal/mlab"
 	"vzlens/internal/months"
 	"vzlens/internal/netsim"
+	"vzlens/internal/obs"
 	"vzlens/internal/offnet"
 	"vzlens/internal/query"
 	"vzlens/internal/resultstore"
@@ -705,6 +706,11 @@ func BenchmarkFactBuild(b *testing.B) {
 // BenchmarkFactBuild, no topology, site list or distance table carries
 // over between iterations.
 func BenchmarkColdStart(b *testing.B) {
+	reg := obs.NewRegistry()
+	netsim.InstrumentMetrics(reg)
+	bfs := reg.Counter("vz_netsim_tree_bfs_total", "")
+	catchments := reg.Counter("vz_netsim_catchments_total", "")
+	bfs0, catchments0 := bfs.Value(), catchments.Value()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		w := mustBuild(world.Config{Step: 3})
@@ -716,6 +722,10 @@ func BenchmarkColdStart(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	// Work counts repeat exactly from run to run, where ns/op carries
+	// the host's noise.
+	b.ReportMetric(float64(bfs.Value()-bfs0)/float64(b.N), "tree_bfs/op")
+	b.ReportMetric(float64(catchments.Value()-catchments0)/float64(b.N), "catchments/op")
 }
 
 // benchLake lazily builds one lake generation shared by the query

@@ -93,6 +93,11 @@ func (f *Fleet) All() []Probe {
 	return append([]Probe(nil), f.inOrder()...)
 }
 
+// Sorted returns every probe ever registered, ordered by ID, without
+// copying: the slice is shared by every reader until the next Add, and
+// must not be modified.
+func (f *Fleet) Sorted() []Probe { return f.inOrder() }
+
 // ActiveAt returns the probes connected during month m, ordered by ID.
 func (f *Fleet) ActiveAt(m months.Month) []Probe {
 	var out []Probe

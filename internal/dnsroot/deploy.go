@@ -92,6 +92,11 @@ func (d *Deployment) inOrder() []Instance {
 	return out
 }
 
+// Sorted returns every instance in ActiveAt's order without copying:
+// the slice is shared by every reader until the next Add, and must not
+// be modified.
+func (d *Deployment) Sorted() []Instance { return d.inOrder() }
+
 // ActiveAt returns the instances serving at month m, ordered by letter
 // then city then index (instances tying on all three keep Add order).
 func (d *Deployment) ActiveAt(m months.Month) []Instance {

@@ -32,14 +32,25 @@ func (e treeEntry) info() PathInfo {
 // indexed by interned AS, not maps) with pooled scratch buffers, so a
 // traversal allocates only its result slice. The trees are a cache:
 // ReleaseTrees drops them and the next lookup rebuilds the same bits.
-// It is safe for concurrent use: campaign simulations triggered by
-// concurrent API requests share the per-month resolvers.
+// A resolver made by Overlay also borrows its lender's trees where its
+// edits cannot change them (see lend.go). It is safe for concurrent
+// use: campaign simulations triggered by concurrent API requests share
+// the per-month resolvers.
 type Resolver struct {
-	topo *Topology
+	topo   *Topology
+	lender *Resolver // the resolver Overlay derived this one from; nil for NewResolver
 
 	mu    sync.Mutex
 	d     *denseTopo
 	trees [][]treeEntry // by source dense index; nil until built
+	// With a lender, set with d: the ASes whose trees the edits can
+	// change (nil when that may be every AS) and, by source index, the
+	// lender's tree for a source outside that region.
+	region *region
+	lent   []lentTree
+	// regions interns the regions of the resolvers Overlay derived from
+	// this one; it outlives ReleaseTrees, so ShareKey stays stable.
+	regions []*region
 }
 
 // NewResolver returns a Resolver over topo.
@@ -50,40 +61,55 @@ func NewResolver(topo *Topology) *Resolver {
 // Topology returns the underlying topology.
 func (r *Resolver) Topology() *Topology { return r.topo }
 
+// syncLocked returns the topology's current dense view, first dropping
+// every memoized tree when the view changed (a mutation anywhere in an
+// overlay's base chain produces a new one, so the resolver never serves
+// adjacency from before the mutation; ReleaseTrees forgets the view).
+// r.mu must be held.
+func (r *Resolver) syncLocked() *denseTopo {
+	d := r.topo.dense()
+	if d != r.d {
+		r.d = d
+		r.trees = make([][]treeEntry, len(d.asns))
+		r.region, r.lent = nil, nil
+		if r.lender != nil {
+			r.region = r.lender.regionFor(r.topo, d)
+		}
+		if r.region != nil {
+			r.lent = make([]lentTree, len(d.asns))
+		}
+	}
+	return d
+}
+
 // treeFor returns the memoized single-source tree for src (indexed by
 // dense AS index) and the dense view it is defined over, building both
 // under the resolver lock on first use. The tree is nil when src is
-// unknown to the topology. Trees are immutable once built; a topology
-// mutation (anywhere in an overlay's base chain) produces a new dense
-// view, which drops every memoized tree here — the resolver never
-// serves adjacency from before the mutation.
+// unknown to the topology. Trees are immutable once built.
 func (r *Resolver) treeFor(src bgp.ASN) ([]treeEntry, *denseTopo) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if d := r.topo.dense(); d != r.d {
-		r.d = d
-		r.trees = make([][]treeEntry, len(r.d.asns))
-	}
-	si, ok := r.d.index[src]
+	d := r.syncLocked()
+	si, ok := d.index[src]
 	if !ok {
-		return nil, r.d
+		return nil, d
 	}
 	if r.trees[si] == nil {
-		r.trees[si] = r.d.buildTree(si)
+		r.trees[si] = d.buildTree(si)
 	} else if m := met.Load(); m != nil {
 		m.treeMemoHit.Inc()
 	}
-	return r.trees[si], r.d
+	return r.trees[si], d
 }
 
-// ReleaseTrees drops every memoized tree, so a resolver that outlives
-// the campaign pass that filled it retains only its topology. A later
-// lookup rebuilds the tree it needs over a freshly allocated index;
-// callers still holding a tree from before keep a valid, immutable copy.
+// ReleaseTrees drops every memoized tree, borrowed ones included, so a
+// resolver that outlives the campaign pass that filled it retains only
+// its topology. A later lookup rebuilds the tree it needs over a
+// freshly allocated index; callers still holding a tree from before
+// keep a valid, immutable copy.
 func (r *Resolver) ReleaseTrees() {
 	r.mu.Lock()
-	r.d = nil
-	r.trees = nil
+	r.d, r.trees, r.region, r.lent = nil, nil, nil, nil
 	r.mu.Unlock()
 }
 
@@ -194,8 +220,20 @@ func (a catchCand) better(b catchCand, sites []Site, policy CatchmentPolicy) boo
 // site within sites, for callers that keep metadata parallel to the site
 // list.
 func (r *Resolver) CatchmentIndex(srcAS bgp.ASN, srcCity geo.City, sites []Site, policy CatchmentPolicy) (int, float64, error) {
-	idx, lat, _, err := r.CatchmentInfo(srcAS, srcCity, "", &SiteList{Sites: sites}, policy)
-	return idx, lat, err
+	c, err := r.CatchmentInfo(srcAS, srcCity, "", &SiteList{Sites: sites}, policy)
+	return c.Index, c.Latency, err
+}
+
+// Catchment is CatchmentInfo's answer.
+type Catchment struct {
+	Index   int     // the selected site's index in the list
+	Latency float64 // one-way latency to it, ms
+	Hops    int     // AS-path length to it; 1 when the source AS hosts it
+	// Shared reports an answer priced from a borrowed tree alone, with
+	// no site hosted inside the region: every resolver with the same
+	// ShareKey gives it for the same query. It is set with
+	// ErrUnreachable too.
+	Shared bool
 }
 
 // CatchmentInfo is CatchmentIndex over a prepared site list,
@@ -210,6 +248,15 @@ func (r *Resolver) CatchmentIndex(srcAS bgp.ASN, srcCity geo.City, sites []Site,
 // hosted inside srcAS (one hop, the direct city-to-replica distance,
 // srcAS in the tiebreak). Selecting over sites with those hosts
 // rewritten to srcAS gives the same answer.
+//
+// On a resolver Overlay made, a source outside the edits' region is
+// priced from its borrowed tree first, leaving out the sites hosted
+// inside the region. That answer stands when no such site exists, or
+// when under the default policy none can win: no path into the region
+// is shorter than the tree's fewest hops to an entry AS plus one, and
+// every site of the region is farther than the best found. Otherwise,
+// and for every other source, the loop runs over the resolver's own
+// tree. Either way the answer is the one the own tree gives.
 //
 // Per-source work runs once per call, not once per candidate site: the
 // source's tree and dense view are fetched on the first site the source
@@ -228,12 +275,50 @@ func (r *Resolver) CatchmentIndex(srcAS bgp.ASN, srcCity geo.City, sites []Site,
 // result is bit-identical either way. Host indices come from the list
 // when the view shares the AS interning they were computed against,
 // and from the view's index otherwise.
-func (r *Resolver) CatchmentInfo(srcAS bgp.ASN, srcCity geo.City, domestic string, sl *SiteList, policy CatchmentPolicy) (int, float64, int, error) {
-	var best catchCand
-	found := false
+func (r *Resolver) CatchmentInfo(srcAS bgp.ASN, srcCity geo.City, domestic string, sl *SiteList, policy CatchmentPolicy) (Catchment, error) {
+	if m := met.Load(); m != nil {
+		m.catchments.Inc()
+	}
+	if r.lender != nil {
+		s := r.scan(srcAS, srcCity, domestic, sl, policy, true)
+		switch {
+		case !s.lent: // nothing borrowed: price over the own tree
+		case !s.deferred:
+			return s.answer(true)
+		case policy != PolicyGeo && (s.bound == 0 || s.found && int(s.bound) > s.best.hops):
+			// Every region site is unreachable or farther in hops.
+			return s.answer(false)
+		}
+	}
+	return r.scan(srcAS, srcCity, domestic, sl, policy, false).answer(false)
+}
+
+// catchScan is one pass of the catchment loop.
+type catchScan struct {
+	best     catchCand
+	found    bool
+	lent     bool  // the pass priced from a borrowed tree
+	deferred bool  // a site hosted inside the region was left out
+	bound    int32 // the borrowed tree's hop bound into the region, 0 when unreachable
+}
+
+func (s catchScan) answer(shared bool) (Catchment, error) {
+	if !s.found {
+		return Catchment{Shared: shared}, ErrUnreachable
+	}
+	return Catchment{Index: s.best.index, Latency: s.best.latency, Hops: s.best.hops, Shared: shared}, nil
+}
+
+// scan runs the catchment loop once over the source's own tree, or,
+// with lend, over its borrowed tree, leaving out the sites hosted
+// inside the region. A lending pass stops early when the source
+// borrows nothing, and leaves lent false, as it does when every site
+// is hosted by the source.
+func (r *Resolver) scan(srcAS bgp.ASN, srcCity geo.City, domestic string, sl *SiteList, policy CatchmentPolicy, lend bool) (s catchScan) {
 	var (
 		tree     []treeEntry
 		d        *denseTopo // nil until the first site srcAS does not host
+		inRegion []bool     // with lend: the region by dense index
 		hosts    []int32    // sl.host when valid for d, else nil
 		locIDs   []int32    // d.locID when d shares sl's table, else nil
 		hasFirst bool
@@ -261,7 +346,16 @@ func (r *Resolver) CatchmentInfo(srcAS bgp.ASN, srcCity geo.City, domestic strin
 			lat = geo.PropagationDelayMs(distKm)
 		} else {
 			if d == nil {
-				tree, d = r.treeFor(srcAS)
+				if lend {
+					var lt lentTree
+					if lt, d, inRegion = r.lentFor(srcAS); lt.tree == nil {
+						return s
+					}
+					s.lent = true
+					tree, s.bound = lt.tree, lt.bound
+				} else {
+					tree, d = r.treeFor(srcAS)
+				}
 				if sl.host != nil && sl.view.internID == d.internID {
 					hosts = sl.host
 				}
@@ -289,13 +383,17 @@ func (r *Resolver) CatchmentInfo(srcAS bgp.ASN, srcCity geo.City, domestic strin
 					continue
 				}
 			}
+			if inRegion != nil && inRegion[hi] {
+				s.deferred = true
+				continue
+			}
 			e := tree[hi]
 			if e.hops == 0 {
 				continue
 			}
 			// Hops rank first under the default policy: a site farther
 			// in hops than the best so far cannot win on latency.
-			if found && policy != PolicyGeo && int(e.hops) > best.hops {
+			if s.found && policy != PolicyGeo && int(e.hops) > s.best.hops {
 				continue
 			}
 			hops = int(e.hops)
@@ -310,15 +408,12 @@ func (r *Resolver) CatchmentInfo(srcAS bgp.ASN, srcCity geo.City, domestic strin
 			}
 		}
 		cand := catchCand{index: i, host: host, hops: hops, latency: lat, distKm: distKm}
-		if !found || cand.better(best, sites, policy) {
-			best = cand
-			found = true
+		if !s.found || cand.better(s.best, sites, policy) {
+			s.best = cand
+			s.found = true
 		}
 	}
-	if !found {
-		return 0, 0, 0, ErrUnreachable
-	}
-	return best.index, best.latency, best.hops, nil
+	return s
 }
 
 // locID returns AS i's location id from ids, or -1 when ids is nil.

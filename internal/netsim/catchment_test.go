@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"vzlens/internal/bgp"
@@ -246,7 +247,8 @@ func checkCatchmentMatchesNaive(t *testing.T, label string, r *Resolver, foreign
 	for _, policy := range []CatchmentPolicy{PolicyBGP, PolicyGeo} {
 		wantIdx, wantLat, wantHops, wantOK := naiveCatchment(r, src, city, local, policy)
 		for v, sl := range lists {
-			idx, lat, hops, err := r.CatchmentInfo(src, city, domestic, sl, policy)
+			c, err := r.CatchmentInfo(src, city, domestic, sl, policy)
+			idx, lat, hops := c.Index, c.Latency, c.Hops
 			if (err == nil) != wantOK {
 				t.Fatalf("%s: AS%d policy %d list variant %d: err %v, reference reachable %v", label, src, policy, v, err, wantOK)
 			}
@@ -271,7 +273,11 @@ func foreignTopology(cities []geo.City) *Topology {
 
 // TestCatchmentMatchesNaiveReference drives the catchment loop over
 // random topologies and overlays of them (relocations included, some
-// to the zero City) against the naive reference. Half the trials give
+// to the zero City) against the naive reference. Overlays come from
+// Resolver.Overlay, and every fourth trial keeps only the
+// provider→customer edits, so its sources outside their region price
+// from the base's trees (the reference reads the overlay's own). Half
+// the trials give
 // the base a distance table over part of the city set, so lookups mix
 // table reads and direct computation. Site lists mix hosts in the
 // graph, the source AS itself and an AS the topology has never seen;
@@ -296,15 +302,20 @@ func TestCatchmentMatchesNaiveReference(t *testing.T) {
 		if trial%2 == 0 {
 			base.InternCities(interned)
 		}
-		view := base
+		r := NewResolver(base)
 		if trial%4 != 0 {
-			ov, err := base.Overlay(randomEdits(t, rng, base, 1+rng.Intn(8)))
-			if err != nil {
+			edits := randomEdits(t, rng, base, 1+rng.Intn(8))
+			if trial%4 == 3 {
+				edits = slices.DeleteFunc(edits, func(e Edit) bool {
+					return e.Op == EditRelocate || e.Kind != bgp.ProviderCustomer
+				})
+			}
+			var err error
+			if r, err = r.Overlay(edits); err != nil {
 				t.Fatal(err)
 			}
-			view = ov
 		}
-		r := NewResolver(view)
+		view := r.Topology()
 		ases := view.Graph().ASes()
 		label := fmt.Sprintf("trial %d", trial)
 		for k, src := range append(ases, unknownAS) {

@@ -104,7 +104,8 @@ func TestPrepareSitesRechecksInterning(t *testing.T) {
 	r := NewResolver(top)
 	for _, policy := range []CatchmentPolicy{PolicyBGP, PolicyGeo} {
 		wantIdx, wantLat, wantHops, _ := naiveCatchment(r, 201, bog, sites, policy)
-		idx, lat, hops, err := r.CatchmentInfo(201, bog, "", sl, policy)
+		c, err := r.CatchmentInfo(201, bog, "", sl, policy)
+		idx, lat, hops := c.Index, c.Latency, c.Hops
 		if err != nil || idx != wantIdx || hops != wantHops || math.Float64bits(lat) != math.Float64bits(wantLat) {
 			t.Fatalf("policy %d: stale list gave (%d, %v, %d, %v), reference (%d, %v, %d)", policy, idx, lat, hops, err, wantIdx, wantLat, wantHops)
 		}

@@ -16,6 +16,7 @@ type metrics struct {
 	treeMemoHit   *obs.Counter
 	pathBFS       *obs.Counter
 	scratchGrow   *obs.Counter
+	catchments    *obs.Counter
 }
 
 // met is swapped atomically so InstrumentMetrics is safe to call while
@@ -24,8 +25,9 @@ var met atomic.Pointer[metrics]
 
 // InstrumentMetrics registers the valley-free engine's counters on reg:
 // dense topology interns, single-source tree BFS runs vs memoized tree
-// hits, best-path BFS runs, and scratch-buffer growths (a proxy for the
-// allocation behavior the dense engine exists to avoid).
+// hits, best-path BFS runs, scratch-buffer growths (a proxy for the
+// allocation behavior the dense engine exists to avoid), and catchment
+// selections.
 func InstrumentMetrics(reg *obs.Registry) {
 	m := &metrics{
 		denseBuilds: reg.Counter("vz_netsim_dense_builds_total",
@@ -40,6 +42,8 @@ func InstrumentMetrics(reg *obs.Registry) {
 			"Best-path BFS traversals (parent-pointer variant) executed."),
 		scratchGrow: reg.Counter("vz_netsim_scratch_grows_total",
 			"Pooled scratch buffers (re)allocated for a larger topology."),
+		catchments: reg.Counter("vz_netsim_catchments_total",
+			"Anycast catchment selections run (CatchmentInfo calls)."),
 	}
 	met.Store(m)
 }

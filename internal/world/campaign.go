@@ -191,16 +191,17 @@ func (w *World) traceMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 	if ar.ensure(nc) {
 		w.met.arenaGrows.Inc()
 	}
+	memo := w.listMemoFor(resolver, plan, list, nc)
 	for c, k := range mc.keys {
-		_, oneWay, hops, err := resolver.CatchmentInfo(k.asn, k.city, k.country, list, w.Config.Policy)
+		got, err := w.catchment(memo, resolver, k, list)
 		if err != nil {
 			ar.ok[c] = false
 			continue
 		}
 		ar.ok[c] = true
-		ar.oneWay[c] = oneWay
+		ar.oneWay[c] = got.Latency
 		ar.access[c] = AccessDelayMs(k.country, m)
-		ar.hops[c] = clampHops(hops)
+		ar.hops[c] = clampHops(got.Hops)
 	}
 	reach := 0
 	for _, c := range mc.classOf {
@@ -352,14 +353,15 @@ func (w *World) chaosCells(m months.Month, plan *ScenarioPlan, ar *campaignArena
 		}
 		txts[li] = w.txtFor(rl, m)
 		base := li * nc
+		memo := w.listMemoFor(resolver, plan, rl.sites, nc)
 		for c, k := range mc.keys {
-			idx, _, _, err := resolver.CatchmentInfo(k.asn, k.city, k.country, rl.sites, w.Config.Policy)
+			got, err := w.catchment(memo, resolver, k, rl.sites)
 			if err != nil {
 				ar.ok[base+c] = false
 				continue
 			}
 			ar.ok[base+c] = true
-			ar.idx[base+c] = int32(idx)
+			ar.idx[base+c] = int32(got.Index)
 		}
 	}
 	total := 0

@@ -46,11 +46,11 @@ func (w *World) DNSAnswerAt(letter dnsroot.Letter, m months.Month, cc string, as
 	if len(rl.insts) == 0 {
 		return DNSAnswer{}, ErrNoInstances
 	}
-	idx, _, _, err := resolver.CatchmentInfo(asn, city, cc, rl.sites, w.Config.Policy)
+	c, err := resolver.CatchmentInfo(asn, city, cc, rl.sites, w.Config.Policy)
 	if err != nil {
 		return DNSAnswer{}, err
 	}
-	return DNSAnswer{TXT: w.txtFor(rl, m)[idx], Instance: rl.insts[idx], SiteIndex: idx}, nil
+	return DNSAnswer{TXT: w.txtFor(rl, m)[c.Index], Instance: rl.insts[c.Index], SiteIndex: c.Index}, nil
 }
 
 // ProbeAt returns the probe with the given ID when it is connected at

@@ -21,12 +21,20 @@ import (
 // wired) plus an O(edits) overlay per distinct monthly signature — the
 // (provider set, customer count) pair. A ten-year campaign sees ~20
 // distinct signatures, and every month with the same signature shares
-// one resolver. Its path trees live only while a baseline campaign
-// pass runs: concurrent passes (the trace and CHAOS campaigns of a
-// cold start) share every tree, and when the last pass in flight
-// returns every signature resolver drops its trees. Any later caller
-// (the DNS plane, a direct month kernel) rebuilds the trees it needs
-// on a miss, with the same bits.
+// one resolver. The signatures differ only in CANTV's links, so every
+// signature resolver borrows the base resolver's tree for a source
+// outside CANTV's customer cone (netsim's Resolver.Overlay): at Step 3
+// a pass builds 113 such trees, 48 own trees for (signature, source)
+// pairs inside the cone, and 39 more where a cone-hosted root replica
+// might win, 200 in all where one per (signature, source) took 1,705.
+// A catchment answer priced from a borrowed tree alone is the same for
+// every signature, so the passes in flight memoize it per (site list,
+// probe class) and every month reuses it. The trees and the memo live
+// only while a baseline campaign pass runs: concurrent passes (the
+// trace and CHAOS campaigns of a cold start) share them, and when the
+// last pass in flight returns the memo goes and every kernel resolver
+// drops its trees. Any later caller (the DNS plane, a direct month
+// kernel) rebuilds the trees it needs on a miss, with the same bits.
 //
 // Exactness: the overlay's effective adjacency equals the fresh
 // month's exactly — providers are added back verbatim, inactive
@@ -80,10 +88,20 @@ func kernelSigAt(m months.Month) kernelSig {
 // kernelBaseTopology returns the static base, built once per World
 // with its distance table interned (see kernelCities).
 func (w *World) kernelBaseTopology() *netsim.Topology {
+	return w.kernelBaseResolver().Topology()
+}
+
+// kernelBaseResolver returns the resolver over the static base, which
+// lends its trees to every signature resolver. It is listed among the
+// kernel resolvers, so its trees live only while a pass runs.
+func (w *World) kernelBaseResolver() *netsim.Resolver {
 	w.kernelBaseOnce.Do(func() {
 		t := w.buildTopology(nil, maxCANTVCustomers)
 		t.InternCities(w.kernelCities())
-		w.kernelBase = t
+		w.kernelBase = netsim.NewResolver(t)
+		w.kernelMu.Lock()
+		w.kernelResolvers = append(w.kernelResolvers, w.kernelBase)
+		w.kernelMu.Unlock()
 	})
 	return w.kernelBase
 }
@@ -150,17 +168,18 @@ func (w *World) sigCellAt(m months.Month) *sigCell {
 
 // kernelTopologyAt returns the campaign resolver for month m: the
 // kernel base under the month's signature overlay, interned per
-// signature so same-wiring months share path trees.
+// signature so same-wiring months share path trees. It borrows the
+// base's tree for every source outside CANTV's customer cone.
 func (w *World) kernelTopologyAt(m months.Month) *netsim.Resolver {
 	cell := w.sigCellAt(m)
 	cell.once.Do(func() {
-		ov, err := w.kernelBaseTopology().Overlay(kernelEditsAt(m))
+		r, err := w.kernelBaseResolver().Overlay(kernelEditsAt(m))
 		if err != nil {
 			// Impossible by construction: every provider is a located
 			// tier-1 of the base and every removed customer edge exists.
 			panic(fmt.Sprintf("world: kernel overlay %s: %v", m, err))
 		}
-		cell.r = netsim.NewResolver(ov)
+		cell.r = r
 		w.kernelMu.Lock()
 		w.kernelResolvers = append(w.kernelResolvers, cell.r)
 		w.kernelMu.Unlock()
@@ -177,17 +196,21 @@ func (w *World) relGraphAt(m months.Month) *bgp.Graph {
 }
 
 // beginBaselinePass counts a baseline campaign pass in flight; pair it
-// with endBaselinePass.
+// with endBaselinePass. The first pass in flight opens the catchment
+// memo the passes share.
 func (w *World) beginBaselinePass() {
 	w.kernelMu.Lock()
 	w.kernelPasses++
+	if w.kernelPasses == 1 {
+		w.catchMemo = &catchMemo{lists: map[listKey]*listMemo{}}
+	}
 	w.kernelMu.Unlock()
 }
 
 // endBaselinePass ends a pass begun by beginBaselinePass. The last pass
-// in flight drops every signature resolver's path trees; the count and
-// the drop share kernelMu, so a pass that begins meanwhile never loses
-// the trees it is building.
+// in flight drops every kernel resolver's path trees and the catchment
+// memo; the count and the drop share kernelMu, so a pass that begins
+// meanwhile never loses the trees it is building.
 func (w *World) endBaselinePass() {
 	w.kernelMu.Lock()
 	defer w.kernelMu.Unlock()
@@ -198,4 +221,100 @@ func (w *World) endBaselinePass() {
 	for _, r := range w.kernelResolvers {
 		r.ReleaseTrees()
 	}
+	w.catchMemo = nil
+}
+
+// listMemoFor returns the catchment memo of the baseline passes in
+// flight for list on r, sized for classes probe classes, or nil when no
+// pass runs, plan is not nil or r shares nothing.
+func (w *World) listMemoFor(r *netsim.Resolver, plan *ScenarioPlan, list *netsim.SiteList, classes int) *listMemo {
+	if plan != nil {
+		return nil
+	}
+	w.kernelMu.Lock()
+	memo := w.catchMemo
+	w.kernelMu.Unlock()
+	if memo == nil {
+		return nil
+	}
+	share := r.ShareKey()
+	if share == 0 {
+		return nil
+	}
+	key := listKey{share: share, list: list}
+	memo.mu.Lock()
+	defer memo.mu.Unlock()
+	lm, ok := memo.lists[key]
+	if !ok {
+		lm = &listMemo{m: make(map[*probeClassKey]*catchEntry, classes), chunk: classes}
+		memo.lists[key] = lm
+	}
+	return lm
+}
+
+// catchMemo holds, for the baseline passes in flight, every catchment
+// answer netsim flags Shared: it depends on the site list, the probe
+// class and the signature resolver's share key alone, so every month
+// of every wiring with that key reuses it. Site lists and class keys
+// are interned per world, so pointers key it. Each answer is priced
+// once even when months race for it, so a pass's catchment count
+// repeats.
+type catchMemo struct {
+	mu    sync.Mutex
+	lists map[listKey]*listMemo
+}
+
+type listKey struct {
+	share uint64
+	list  *netsim.SiteList
+}
+
+// listMemo is one site list's part of the memo, by probe class.
+type listMemo struct {
+	mu    sync.Mutex
+	m     map[*probeClassKey]*catchEntry
+	slab  []catchEntry // backs m; entries never move, so a full slab is left, not grown
+	chunk int          // entries in the next slab: the first month's classes, then a few
+}
+
+type catchEntry struct {
+	once sync.Once
+	c    netsim.Catchment
+	err  error
+}
+
+// entry returns class k's entry, creating it unpriced.
+func (lm *listMemo) entry(k *probeClassKey) *catchEntry {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	e, ok := lm.m[k]
+	if !ok {
+		if len(lm.slab) == cap(lm.slab) {
+			// Later months add a few classes each.
+			lm.slab, lm.chunk = make([]catchEntry, 0, max(lm.chunk, 16)), 16
+		}
+		lm.slab = lm.slab[:len(lm.slab)+1]
+		e = &lm.slab[len(lm.slab)-1]
+		lm.m[k] = e
+	}
+	return e
+}
+
+// catchment prices class k against list on resolver r, through lm
+// when it is not nil. An answer that is not shared is priced again by
+// every later caller.
+func (w *World) catchment(lm *listMemo, r *netsim.Resolver, k *probeClassKey, list *netsim.SiteList) (netsim.Catchment, error) {
+	if lm == nil {
+		return r.CatchmentInfo(k.asn, k.city, k.country, list, w.Config.Policy)
+	}
+	e := lm.entry(k)
+	priced := false
+	e.once.Do(func() {
+		e.c, e.err = r.CatchmentInfo(k.asn, k.city, k.country, list, w.Config.Policy)
+		priced = true
+	})
+	if priced || e.c.Shared {
+		return e.c, e.err
+	}
+	return r.CatchmentInfo(k.asn, k.city, k.country, list, w.Config.Policy)
 }

@@ -3,6 +3,7 @@ package world
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -332,14 +333,19 @@ func TestKernelSignatureInterning(t *testing.T) {
 
 // TestKernelTreesLiveOnlyForPasses pins the path-tree lifecycle, read
 // off vz_netsim_tree_bfs_total. Concurrent baseline passes share every
-// tree: at Step 3 the trace and CHAOS campaigns run 1,705 BFS
-// traversals together, each source of each signature once. When the
-// last pass returns the trees are dropped, so a DNS answer afterwards
-// rebuilds its source's tree (one traversal) and keeps it until the
-// next pass ends. A pass over rebuilt trees produces the same
-// partitions. The last round runs the passes again with DNS answers
-// racing them, for -race: the answers never change, and the passes
-// share their trees with the racers.
+// tree: at Step 3 the trace and CHAOS campaigns run 200 BFS traversals
+// together, where one tree per (signature, source) took 1,705. The 200
+// are 113 trees on the kernel base, one per source outside CANTV's
+// 33-AS customer cone, which every signature borrows; 48 own trees of
+// the (signature, source) pairs whose source is inside the cone; and
+// 39 own trees of (signature, source) pairs outside it whose hop bound
+// into the cone could not rule out a cone-hosted root replica. When
+// the last pass returns the trees are dropped, so a DNS answer
+// afterwards (its client is in CANTV) rebuilds its source's tree (one
+// traversal) and keeps it until the next pass ends. A pass over
+// rebuilt trees produces the same partitions. The last round runs the
+// passes again with DNS answers racing them, for -race: the answers
+// never change, and the passes share their trees with the racers.
 func TestKernelTreesLiveOnlyForPasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("four Step 3 campaign passes")
@@ -375,8 +381,8 @@ func TestKernelTreesLiveOnlyForPasses(t *testing.T) {
 
 	n := bfs.Value()
 	tc, cc := w.BaselineCampaigns(context.Background())
-	if got := bfs.Value() - n; got != 1705 {
-		t.Errorf("concurrent baseline passes ran %d tree BFS, want 1705", got)
+	if got := bfs.Value() - n; got != 200 {
+		t.Errorf("concurrent baseline passes ran %d tree BFS, want 200", got)
 	}
 	n = bfs.Value()
 	want := answers()
@@ -419,10 +425,79 @@ func TestKernelTreesLiveOnlyForPasses(t *testing.T) {
 	racers.Wait()
 	// A racer that answers after the last pass drops the trees
 	// rebuilds its own once more.
-	if got := bfs.Value() - n; got < 1705 || got > 1706 {
-		t.Errorf("passes raced by DNS answers ran %d tree BFS, want 1705 (+1 for a rebuild after the drop)", got)
+	if got := bfs.Value() - n; got < 200 || got > 201 {
+		t.Errorf("passes raced by DNS answers ran %d tree BFS, want 200 (+1 for a rebuild after the drop)", got)
 	}
 	if !reflect.DeepEqual(tc2.Partitions(), tc.Partitions()) || !reflect.DeepEqual(cc2.Partitions(), cc.Partitions()) {
 		t.Error("passes raced by DNS answers diverge from the first run")
+	}
+}
+
+// TestSharedCatchmentsMatchOwnTrees is the exactness check of borrowed
+// trees: over seeds 1–8 at Steps 1 and 3, inside a baseline pass, every
+// baseline (month, site list, class) answer the kernel gives through
+// its borrowed trees and the pass's memo equals the answer of a plain
+// resolver over the same signature overlay, which prices every source
+// over its own full tree. Seed 1 runs under the geo policy too. The
+// answers must include shared and unshared ones, so both paths run.
+func TestSharedCatchmentsMatchOwnTrees(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sixteen worlds' baseline catchments")
+	}
+	type run struct {
+		seed   int64
+		step   int
+		policy netsim.CatchmentPolicy
+	}
+	var runs []run
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, step := range []int{1, 3} {
+			runs = append(runs, run{seed: seed, step: step})
+		}
+	}
+	runs = append(runs, run{seed: 1, step: 3, policy: netsim.PolicyGeo})
+	for _, rc := range runs {
+		w := mustBuild(Config{Seed: rc.seed, Step: rc.step, Policy: rc.policy})
+		label := fmt.Sprintf("seed %d step %d policy %d", rc.seed, rc.step, rc.policy)
+		ms := w.campaignMonths(w.Config.TraceStart, w.Config.TraceEnd)
+		ms = append(ms, w.campaignMonths(w.Config.ChaosStart, w.Config.ChaosEnd)...)
+		oracles := map[*netsim.Resolver]*netsim.Resolver{}
+		shared, unshared := 0, 0
+		w.beginBaselinePass()
+		for _, m := range ms {
+			r := w.kernelTopologyAt(m)
+			oracle, ok := oracles[r]
+			if !ok {
+				oracle = netsim.NewResolver(r.Topology())
+				oracles[r] = oracle
+			}
+			mc := w.classesAt(m)
+			lists := []*netsim.SiteList{w.traceSiteListAt(m, nil)}
+			for _, l := range dnsroot.Letters() {
+				if rl := w.rootSiteListAt(l, m, nil); len(rl.insts) > 0 {
+					lists = append(lists, rl.sites)
+				}
+			}
+			for _, list := range lists {
+				memo := w.listMemoFor(r, nil, list, len(mc.keys))
+				for _, k := range mc.keys {
+					got, gotErr := w.catchment(memo, r, k, list)
+					want, wantErr := oracle.CatchmentInfo(k.asn, k.city, k.country, list, rc.policy)
+					if got.Shared {
+						shared++
+					} else {
+						unshared++
+					}
+					if gotErr != wantErr || gotErr == nil && (got.Index != want.Index || got.Hops != want.Hops || math.Float64bits(got.Latency) != math.Float64bits(want.Latency)) {
+						t.Fatalf("%s %s AS%d %s: shared path gave (site %d, %d hops, %v ms, %v), own tree (site %d, %d hops, %v ms, %v)",
+							label, m, k.asn, k.city.Name, got.Index, got.Hops, got.Latency, gotErr, want.Index, want.Hops, want.Latency, wantErr)
+					}
+				}
+			}
+		}
+		w.endBaselinePass()
+		if shared == 0 || unshared == 0 {
+			t.Errorf("%s: %d shared and %d unshared answers, want some of each", label, shared, unshared)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 package world
 
 import (
-	"slices"
+	"sort"
 
 	"vzlens/internal/bgp"
 	"vzlens/internal/dnsroot"
@@ -32,7 +32,7 @@ type probeClassKey struct {
 }
 
 // monthClasses is one month's probe fleet factored into classes: ids
-// are the active probes' IDs in Fleet.ActiveAt order, classOf maps
+// are the active probes' IDs in ID order (Fleet.ActiveAt's), classOf maps
 // each to its class, keys lists the classes (interned per world) in
 // first-seen order. A probe's country is its class key's country.
 type monthClasses struct {
@@ -42,7 +42,9 @@ type monthClasses struct {
 }
 
 // classesAt memoizes the class factoring per month. The trace campaign
-// and all thirteen CHAOS letters share one factoring.
+// and all thirteen CHAOS letters share one factoring. It reads the
+// fleet's ID-ordered probes in place: one pass counts the month's
+// active probes, the next fills their columns.
 func (w *World) classesAt(m months.Month) *monthClasses {
 	w.classMu.Lock()
 	defer w.classMu.Unlock()
@@ -53,13 +55,22 @@ func (w *World) classesAt(m months.Month) *monthClasses {
 		w.classCache = map[months.Month]*monthClasses{}
 		w.classKeys = map[probeClassKey]*probeClassKey{}
 	}
-	probes := w.Fleet.ActiveAt(m)
-	n := len(probes)
+	probes := w.Fleet.Sorted()
+	n := 0
+	for i := range probes {
+		if probes[i].ActiveAt(m) {
+			n++
+		}
+	}
 	cols := make([]int32, 2*n) // ids and classOf in one allocation
 	mc := &monthClasses{ids: cols[:n:n], classOf: cols[n:]}
 	idx := make(map[*probeClassKey]int32, 64)
-	for i := range probes {
-		p := &probes[i]
+	i := 0
+	for j := range probes {
+		p := &probes[j]
+		if !p.ActiveAt(m) {
+			continue
+		}
 		k := probeClassKey{country: p.Country, asn: p.ASN, city: p.City}
 		kp, ok := w.classKeys[k]
 		if !ok {
@@ -78,6 +89,7 @@ func (w *World) classesAt(m months.Month) *monthClasses {
 		}
 		mc.ids[i] = int32(p.ID)
 		mc.classOf[i] = c
+		i++
 	}
 	w.classCache[m] = mc
 	return mc
@@ -148,8 +160,10 @@ type rootListKey struct {
 // letter are equal share one list, and with it its TXT tables.
 // Deployment.ActiveAt's order depends only on the active set, so a
 // shared list is exactly what each month computes. A (letter, month)
-// memo in front, filled for all letters per Roots.ActiveAt pass,
-// keeps repeat calls to one map lookup.
+// memo in front, filled for all letters per new month, keeps repeat
+// calls to one map lookup. A new month compares each letter's active
+// instances with the letter's sets in place, over the deployment's
+// sorted instances, and builds sites only for a set not seen before.
 // A plan with a replica change for this letter active at m bypasses
 // interning (a fresh list).
 func (w *World) rootSiteListAt(letter dnsroot.Letter, m months.Month, plan *ScenarioPlan) *rootList {
@@ -171,18 +185,52 @@ func (w *World) rootSiteListAt(letter dnsroot.Letter, m months.Month, plan *Scen
 		w.rootLists = map[rootListKey]*rootList{}
 		w.rootSets = map[dnsroot.Letter][]*rootList{}
 	}
-	active := w.Roots.ActiveAt(m)
+	all := w.Roots.Sorted()
 	for _, l := range dnsroot.Letters() {
-		sites, insts := w.rootSitesIn(active, l)
-		sets := w.rootSets[l]
-		i := slices.IndexFunc(sets, func(rl *rootList) bool { return slices.Equal(rl.insts, insts) })
-		if i < 0 {
-			i = len(sets)
-			w.rootSets[l] = append(sets, &rootList{sites: w.prepareSites(sites), letter: l, insts: insts})
+		lo := sort.Search(len(all), func(i int) bool { return all[i].Letter >= l })
+		hi := lo
+		for hi < len(all) && all[hi].Letter == l {
+			hi++
 		}
-		w.rootLists[rootListKey{letter: l, m: m}] = w.rootSets[l][i]
+		w.rootLists[rootListKey{letter: l, m: m}] = w.rootSetAt(l, all[lo:hi], m)
 	}
 	return w.rootLists[key]
+}
+
+// rootSetAt returns letter's interned list for the instances of insts
+// active at m, creating it when the set is new. siteMu must be held.
+func (w *World) rootSetAt(letter dnsroot.Letter, insts []dnsroot.Instance, m months.Month) *rootList {
+	for _, rl := range w.rootSets[letter] {
+		if activeEqual(insts, m, rl.insts) {
+			return rl
+		}
+	}
+	var active []dnsroot.Instance
+	for _, inst := range insts {
+		if inst.ActiveAt(m) {
+			active = append(active, inst)
+		}
+	}
+	sites, set := w.rootSitesIn(active, letter)
+	rl := &rootList{sites: w.prepareSites(sites), letter: letter, insts: set}
+	w.rootSets[letter] = append(w.rootSets[letter], rl)
+	return rl
+}
+
+// activeEqual reports whether the instances of insts active at m are
+// set, in order.
+func activeEqual(insts []dnsroot.Instance, m months.Month, set []dnsroot.Instance) bool {
+	j := 0
+	for _, inst := range insts {
+		if !inst.ActiveAt(m) {
+			continue
+		}
+		if j == len(set) || inst != set[j] {
+			return false
+		}
+		j++
+	}
+	return j == len(set)
 }
 
 // txtKey keys the global TXT intern table: an instance's CHAOS answer

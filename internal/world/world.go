@@ -98,10 +98,11 @@ type World struct {
 	}
 	axes []AxisStatus
 
-	// Campaign-kernel state (see kernel.go and views.go): the static
-	// base topology (with the distance table, built once under
-	// kernelBaseOnce), one cell per Venezuelan wiring signature holding
-	// its overlay resolver and its faithful relationship graph (the
+	// Campaign-kernel state (see kernel.go and views.go): the resolver
+	// over the static base topology (with the distance table, built
+	// once under kernelBaseOnce), one cell per Venezuelan wiring
+	// signature holding its overlay resolver, which borrows the base
+	// resolver's trees, and its faithful relationship graph (the
 	// Fig 8/9 archive's), the per-month probe-class factorings (probe
 	// ids and pointers into the world's interned class keys; no fleet
 	// copy), the interned GPDNS/root site lists (root lists by (letter,
@@ -110,10 +111,11 @@ type World struct {
 	// memoizes pure functions of the month (or list identity), so
 	// concurrent fills are idempotent. Lock ordering: siteMu may wait
 	// on kernelBaseOnce (lists are prepared against the kernel base),
-	// and kernelMu takes a resolver's own lock to drop its trees;
-	// nothing else nests.
+	// kernelBaseOnce takes kernelMu to list the base resolver, and
+	// kernelMu takes a resolver's own lock to drop its trees; nothing
+	// else nests.
 	kernelBaseOnce sync.Once
-	kernelBase     *netsim.Topology
+	kernelBase     *netsim.Resolver
 	kernelMu       sync.Mutex
 	sigCells       map[kernelSig]*sigCell
 	classMu        sync.Mutex
@@ -127,12 +129,14 @@ type World struct {
 	txtMu          sync.Mutex
 	txtIntern      map[txtKey]string
 
-	// kernelResolvers lists every signature resolver once built, and
-	// kernelPasses counts the baseline campaign passes in flight; the
-	// last pass to end drops the resolvers' path trees. Both are
+	// kernelResolvers lists the base resolver and every signature
+	// resolver once built, and kernelPasses counts the baseline campaign
+	// passes in flight; the first pass to begin opens catchMemo and the
+	// last to end drops it and the resolvers' path trees. All three are
 	// guarded by kernelMu.
 	kernelResolvers []*netsim.Resolver
 	kernelPasses    int
+	catchMemo       *catchMemo
 
 	// arenas pools campaignArena scratch across month shards, campaign
 	// runs, and sweep specs. No New hook: misses are counted as builds

@@ -75,6 +75,7 @@ var linkAllowlist = map[string]linkAllowed{
 	"atlas.NewChaosPartition":              {"reference", "the string-keyed CHAOS partition coder the kernel's per-site coding is checked against"},
 	"atlas.ChaosBuilder.Add":               {"reference", "the string-keyed row coder behind NewChaosPartition"},
 	"atlas.TraceCampaign.CountryMeanNaive": {"reference", "the row-scan mean the partitioned trace analysis is checked against"},
+	"atlas.Fleet.ActiveAt":                 {"reference", "the copied active-probe list the kernel's in-place class factoring is checked against"},
 	"stats.Mean":                           {"reference", "CountryMeanNaive and mlab.Archive.Mean average with it"},
 	"dnswire.Decode":                       {"reference", "the independent decoder the DNS plane's wire answers and the append-style builders are read back with"},
 	"dnswire.readName":                     {"reference", "Decode's compression-safe name reader"},
