@@ -8,6 +8,8 @@ import (
 	"vzlens/internal/atlas"
 	"vzlens/internal/core"
 	"vzlens/internal/facts"
+	"vzlens/internal/netsim"
+	"vzlens/internal/obs"
 	"vzlens/internal/scenario"
 	"vzlens/internal/world"
 )
@@ -52,6 +54,56 @@ func TestColdStartRetainedHeap(t *testing.T) {
 	t.Logf("retained heap after a cold start: %.2f MB (budget %d MB)", retainedMB, budgetMB)
 	if retainedMB > budgetMB {
 		t.Errorf("cold start retains %.2f MB of heap, budget %d MB", retainedMB, budgetMB)
+	}
+}
+
+// TestColdStartAllocBudget pins what a cold start allocates, not what
+// it keeps: world.Build and facts.Lake.Build at vzserve's default
+// quarterly resolution, measured as the growth of
+// runtime.MemStats.TotalAlloc around them, and the number of catchment
+// loops the lake build's baseline pass runs (vz_netsim_catchments_total).
+// Allocation drives the collector on the start-up's critical path, so
+// a change that allocates more shows here before it shows in the
+// benchmark's setup time. Measured like the tests around it: not
+// parallel, so no other test allocates or prices catchments meanwhile.
+func TestColdStartAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a world and a fact lake")
+	}
+	// Measured 9.25 MB (linux/amd64, Go 1.24), plus 10%.
+	const budgetMB = 10.2
+	// The pass prices every catchment answer it needs exactly once, so
+	// the count repeats run to run: 15,382 (share key, site list,
+	// class) answers fill the shared memo, 1,703 of them not flagged
+	// Shared; those depend on the wiring, and 4,128 (resolver, site
+	// list, class) answers fill the per-resolver memo, of which the
+	// 1,703 were seeded by the shared pricing. 15,382 + 4,128 - 1,703.
+	const wantCatchments = 17807
+	reg := obs.NewRegistry()
+	netsim.InstrumentMetrics(reg)
+	catchments := reg.Counter("vz_netsim_catchments_total", "")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c0 := catchments.Value()
+
+	w := mustBuild(world.Config{Step: 3})
+	lake, err := facts.Open(t.TempDir(), w.Config.Scope())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lake.Build(context.Background(), w); err != nil {
+		t.Fatal(err)
+	}
+
+	runtime.ReadMemStats(&after)
+	if got := catchments.Value() - c0; got != wantCatchments {
+		t.Errorf("the cold start priced %d catchments, want %d", got, wantCatchments)
+	}
+	allocMB := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("a cold start allocates %.2f MB (budget %.1f MB)", allocMB, budgetMB)
+	if allocMB > budgetMB {
+		t.Errorf("a cold start allocates %.2f MB, budget %.1f MB", allocMB, budgetMB)
 	}
 }
 

@@ -374,7 +374,7 @@ func TestAnalysisMatchesRowScanHandBuilt(t *testing.T) {
 // were.
 func TestAddCopiesSharedPartition(t *testing.T) {
 	m := months.MustParse("2021-06")
-	shared := atlas.NewTracePartition(m, []atlas.TraceSample{{Month: m, ProbeID: 1, ProbeCC: "VE", RTTms: 30}}, []uint8{4})
+	shared := &atlas.TracePartition{Month: m, RTT: []float64{30}, ProbeID: []int32{1}, CC: []uint16{0}, Hops: []uint8{4}, Dict: []string{"VE"}}
 	tc := atlas.NewTraceCampaignOf([]*atlas.TracePartition{shared})
 	tc.Add(atlas.TraceSample{Month: m, ProbeID: 2, ProbeCC: "BR", RTTms: 10})
 	if shared.Rows() != 1 || len(shared.Dict) != 1 {

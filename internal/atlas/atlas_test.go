@@ -177,6 +177,43 @@ func TestChaosDistinctInstancesNotResponses(t *testing.T) {
 	}
 }
 
+// TestSitesByCountryAllocs pins the per-month site count, which Fig 6
+// reads for every month and the scenario diff for every month of both
+// sides, to a fixed handful of allocations however many answers the
+// month holds: a counter per dictionary code and the result map (plus
+// the per-answer filter when restricted to one probe country), no set
+// of seen answers.
+func TestSitesByCountryAllocs(t *testing.T) {
+	m := mon(2023, time.June)
+	cities := []string{"CCS", "GRU", "MIA", "BOG", "SCL", "EZE", "LIM", "UIO", "PTY", "MEX", "FRA", "AMS"}
+	c := NewChaosCampaign()
+	id := 0
+	for _, l := range dnsroot.Letters() {
+		for i, iata := range cities {
+			cc := "VE"
+			if i%2 == 1 {
+				cc = "BR"
+			}
+			c.Add(ChaosResult{m, id, cc, l, chaosName(l, iata, dnsroot.EraModern)})
+			id++
+		}
+	}
+	p := c.part(m)
+	if len(p.Answers) != len(cities)*len(dnsroot.Letters()) {
+		t.Fatalf("%d answers, want %d", len(p.Answers), len(cities)*len(dnsroot.Letters()))
+	}
+	if got := p.sitesByCountry("")["VE"]; got != 13 {
+		t.Fatalf("VE sites = %d, want 13 (one per letter)", got)
+	}
+	// A set of seen answers took 16 and 12.
+	if all := testing.AllocsPerRun(100, func() { p.sitesByCountry("") }); all > 5 {
+		t.Errorf("sitesByCountry over all probes: %.1f allocs/run, want <= 5", all)
+	}
+	if ve := testing.AllocsPerRun(100, func() { p.sitesByCountry("VE") }); ve > 4 {
+		t.Errorf("sitesByCountry over VE probes: %.1f allocs/run, want <= 4", ve)
+	}
+}
+
 func TestChaosCountrySeriesAndProbes(t *testing.T) {
 	c := NewChaosCampaign()
 	m1, m2 := mon(2016, time.January), mon(2023, time.January)

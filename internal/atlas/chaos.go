@@ -122,13 +122,16 @@ func (c *ChaosCampaign) SitesByCountry(m months.Month, onlyProbeCC string) map[s
 // sitesByCountry counts one month's distinct answers per site country,
 // reading the answer table, which resolved each answer's site country
 // once. Answers that differ only by case or padding are one instance.
+// The table holds one answer per (letter, TXT) — the coder keys it so
+// and decode rejects a repeat — so while every counted TXT is already
+// in normal form each answer is its own instance, and counting them per
+// site-country code needs no set of seen answers.
 func (p *ChaosPartition) sitesByCountry(onlyProbeCC string) map[string]int {
-	out := map[string]int{}
 	var heard []bool // per answer: a probe in onlyProbeCC received it
 	if onlyProbeCC != "" {
 		code := slices.Index(p.Dict, onlyProbeCC)
 		if code < 0 {
-			return out
+			return map[string]int{}
 		}
 		heard = make([]bool, len(p.Answers))
 		for i, pc := range p.Probe {
@@ -137,13 +140,40 @@ func (p *ChaosPartition) sitesByCountry(onlyProbeCC string) map[string]int {
 			}
 		}
 	}
-	seen := map[siteKey]string{}
+	count := make([]int32, len(p.Dict)) // instances per site-country code
+	countries := 0
+	for a, an := range p.Answers {
+		if an.SiteCC == DictNone || heard != nil && !heard[a] {
+			continue
+		}
+		if txt := p.Dict[an.TXT]; normalizeTXT(txt) != txt {
+			return p.sitesByNormalTXT(heard)
+		}
+		if count[an.SiteCC] == 0 {
+			countries++
+		}
+		count[an.SiteCC]++
+	}
+	out := make(map[string]int, countries)
+	for code, n := range count {
+		if n > 0 {
+			out[p.Dict[code]] = int(n)
+		}
+	}
+	return out
+}
+
+// sitesByNormalTXT is sitesByCountry for a table whose TXTs are not
+// all in normal form: answers are deduplicated by their normal form.
+func (p *ChaosPartition) sitesByNormalTXT(heard []bool) map[string]int {
+	seen := make(map[siteKey]string, len(p.Answers))
 	for a, an := range p.Answers {
 		if an.SiteCC == DictNone || heard != nil && !heard[a] {
 			continue
 		}
 		seen[siteKey{dnsroot.Letter(an.Letter), normalizeTXT(p.Dict[an.TXT])}] = p.Dict[an.SiteCC]
 	}
+	out := map[string]int{}
 	for _, cc := range seen {
 		out[cc]++
 	}

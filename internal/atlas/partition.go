@@ -92,16 +92,6 @@ func (p *ChaosPartition) result(i int) ChaosResult {
 		Letter: dnsroot.Letter(an.Letter), TXT: p.Dict[an.TXT]}
 }
 
-// NewTracePartition codes one month of samples into a partition. hops
-// parallels samples.
-func NewTracePartition(m months.Month, samples []TraceSample, hops []uint8) *TracePartition {
-	b := newTraceBuilder(m, len(samples), 32) // a month has ~25 probe countries
-	for i, s := range samples {
-		b.add(s, hops[i])
-	}
-	return b.p
-}
-
 // NewChaosPartition codes one month of CHAOS results into a partition,
 // resolving each distinct answer's site country once.
 func NewChaosPartition(m months.Month, results []ChaosResult) *ChaosPartition {
@@ -143,21 +133,12 @@ type traceBuilder struct {
 	dict dictBuilder
 }
 
-// newTraceBuilder sizes the columns for the given number of rows and
-// the dictionary for dictHint strings; both grow past that as needed.
-func newTraceBuilder(m months.Month, rows, dictHint int) traceBuilder {
-	return traceBuilder{
-		p: &TracePartition{
-			Month:   m,
-			RTT:     make([]float64, 0, rows),
-			ProbeID: make([]int32, 0, rows),
-			CC:      make([]uint16, 0, rows),
-			Hops:    make([]uint8, 0, rows),
-		},
-		dict: newDictBuilder(dictHint),
-	}
+// newTraceBuilder starts month m's partition, empty.
+func newTraceBuilder(m months.Month) traceBuilder {
+	return traceBuilder{p: &TracePartition{Month: m}, dict: newDictBuilder(0)}
 }
 
+// add appends a row.
 func (b *traceBuilder) add(s TraceSample, hops uint8) {
 	p := b.p
 	p.RTT = append(p.RTT, s.RTTms)
@@ -169,8 +150,11 @@ func (b *traceBuilder) add(s TraceSample, hops uint8) {
 
 // ChaosBuilder codes rows into one CHAOS partition.
 type ChaosBuilder struct {
-	p       *ChaosPartition
-	dict    dictBuilder
+	p    *ChaosPartition
+	dict dictBuilder
+	// probes and answers index the tables for Add, which knows nothing
+	// of which rows share a probe or an answer; its first row makes
+	// them. AddMemo's callers memoize the codes themselves.
 	probes  map[ChaosProbe]uint16
 	answers map[answerKey]uint16
 }
@@ -188,65 +172,86 @@ type answerKey struct {
 func NewChaosBuilder(m months.Month, rows int) *ChaosBuilder {
 	// A month has ~370 probes, ~120 answers and ~100–200 distinct
 	// strings.
-	probes, answers := min(rows, 512), min(rows, 256)
 	return &ChaosBuilder{
 		p: &ChaosPartition{
 			Month:   m,
 			Probe:   make([]uint16, 0, rows),
 			Answer:  make([]uint16, 0, rows),
-			Probes:  make([]ChaosProbe, 0, probes),
-			Answers: make([]ChaosAnswer, 0, answers),
+			Probes:  make([]ChaosProbe, 0, min(rows, 512)),
+			Answers: make([]ChaosAnswer, 0, min(rows, 256)),
 		},
-		dict:    newDictBuilder(256),
-		probes:  make(map[ChaosProbe]uint16, probes),
-		answers: make(map[answerKey]uint16, answers),
+		dict: newDictBuilder(256),
 	}
 }
 
-// Add appends a result.
+// Add appends a result, finding its probe and answer through the
+// builder's table indexes.
 func (b *ChaosBuilder) Add(r ChaosResult) {
+	p := b.p
+	if b.probes == nil {
+		b.probes = make(map[ChaosProbe]uint16, cap(p.Probes))
+		b.answers = make(map[answerKey]uint16, cap(p.Answers))
+	}
+	// The TXT is coded before the country, as on a row that opens both
+	// an answer and a probe.
+	ak := answerKey{uint8(r.Letter), b.dict.code(r.TXT)}
+	pk := ChaosProbe{ID: int32(r.ProbeID), CC: b.dict.code(r.ProbeCC)}
 	probe, answer := int32(-1), int32(-1)
-	b.AddMemo(&probe, &answer, int32(r.ProbeID), r.ProbeCC, r.Letter, r.TXT)
+	if c, ok := b.probes[pk]; ok {
+		probe = int32(c)
+	}
+	if c, ok := b.answers[ak]; ok {
+		answer = int32(c)
+	}
+	b.add(&probe, &answer, pk.ID, r.ProbeCC, r.Letter, r.TXT, false)
+	b.probes[pk] = uint16(probe)
+	b.answers[ak] = uint16(answer)
 }
 
 // AddMemo appends the row (id, cc, l, txt) for a caller that knows
 // which rows share a probe and which share an answer. *probe and
 // *answer memoize the row's table codes: -1 until the first row that
 // carries them, which codes them and fills them in, so later rows
-// skip the dictionary and both tables. On an answer's first row the
-// dictionary codes its TXT, the probe's country and the answer's site
-// country in that order, and on a probe's first row its country: the
-// order Add has always coded in, which keeps the lake's partition
-// files byte-identical whichever path coded the rows.
+// skip the dictionary and both tables. A probe slot at -1 appends a
+// new probe, so the caller gives each distinct (id, cc) one slot. An
+// answer slot at -1 appends a new answer unless its TXT was coded
+// before, when the answer table is searched for it first, so two
+// slots may name one answer. On an answer's first row the dictionary
+// codes its TXT, the probe's country and the answer's site country in
+// that order, and on a probe's first row its country: the order Add
+// codes in too, which keeps the lake's partition files byte-identical
+// whichever path coded the rows.
 func (b *ChaosBuilder) AddMemo(probe, answer *int32, id int32, cc string, l dnsroot.Letter, txt string) {
+	b.add(probe, answer, id, cc, l, txt, true)
+}
+
+// add is AddMemo; search says whether an answer slot at -1 whose TXT
+// is already coded may name an answer in the table (Add has looked).
+func (b *ChaosBuilder) add(probe, answer *int32, id int32, cc string, l dnsroot.Letter, txt string, search bool) {
 	p := b.p
 	coded, newAnswer := *probe < 0 || *answer < 0, -1
 	if *answer < 0 {
-		key := answerKey{uint8(l), b.dict.code(txt)}
-		a, ok := b.answers[key]
-		if !ok {
+		known := len(b.dict.dict)
+		an := ChaosAnswer{Letter: uint8(l), TXT: b.dict.code(txt), SiteCC: DictNone}
+		a := -1
+		if search && int(an.TXT) < known {
+			a = slices.IndexFunc(p.Answers, func(x ChaosAnswer) bool { return x.Letter == an.Letter && x.TXT == an.TXT })
+		}
+		if a < 0 {
 			if len(p.Answers) >= MaxChaosCodes {
 				panic("atlas: chaos answer table overflows uint16 codes")
 			}
-			a = uint16(len(p.Answers))
-			b.answers[key] = a
-			p.Answers = append(p.Answers, ChaosAnswer{Letter: key.letter, TXT: key.txt, SiteCC: DictNone})
-			newAnswer = int(a)
+			a, newAnswer = len(p.Answers), len(p.Answers)
+			p.Answers = append(p.Answers, an)
 		}
 		*answer = int32(a)
 	}
 	if *probe < 0 {
-		key := ChaosProbe{ID: id, CC: b.dict.code(cc)}
-		c, ok := b.probes[key]
-		if !ok {
-			if len(p.Probes) >= MaxChaosCodes {
-				panic("atlas: chaos probe table overflows uint16 codes")
-			}
-			c = uint16(len(p.Probes))
-			b.probes[key] = c
-			p.Probes = append(p.Probes, key)
+		if len(p.Probes) >= MaxChaosCodes {
+			panic("atlas: chaos probe table overflows uint16 codes")
 		}
-		*probe = int32(c)
+		*probe = int32(len(p.Probes))
+		p.Probes = append(p.Probes, ChaosProbe{ID: id, CC: b.dict.code(cc)})
 	}
 	if newAnswer >= 0 {
 		if site := siteCountry(l, txt); site != "" {

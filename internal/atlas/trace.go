@@ -63,7 +63,7 @@ func (t *TraceCampaign) builder(m months.Month) *traceBuilder {
 		return b
 	}
 	i, found := t.search(m)
-	b := newTraceBuilder(m, 0, 0)
+	b := newTraceBuilder(m)
 	if found {
 		old := t.parts[i]
 		for r := range old.Rows() {

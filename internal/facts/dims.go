@@ -32,8 +32,8 @@ func (p ProbeRow) ActiveAt(m months.Month) bool {
 	return p.ValidTo.IsZero() || m.Before(p.ValidTo)
 }
 
-// Dimensions is the lake's dimension store, serialized as one JSON
-// document inside a VZRS frame.
+// Dimensions is the lake's dimension store, serialized as JSON inside
+// the manifest of the generation it belongs to.
 type Dimensions struct {
 	Probes []ProbeRow `json:"probes"`
 

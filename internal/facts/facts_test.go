@@ -139,37 +139,54 @@ func TestEmptyPartitionsRoundTrip(t *testing.T) {
 	}
 }
 
-// chaosTableOverflow encodes a structurally valid chaos payload of
-// 1<<16 rows, every row a distinct probe (distinct == "probes") or a
-// distinct answer (distinct == "answers"): one past what a row's
-// uint16 codes can index.
+// chaosTableOverflow encodes a chaos payload of 1<<16 rows, every row
+// a distinct probe (distinct == "probes") or a distinct answer
+// (distinct == "answers"), each in first-appearance order: its table
+// holds one entry more than a row's uint16 codes may index.
 func chaosTableOverflow(distinct string) []byte {
 	const rows = 1 << 16
-	dict := make([]string, 256)
-	for i := range dict {
-		dict[i] = fmt.Sprintf("s%d", i)
-	}
 	p := &atlas.ChaosPartition{
 		Month:   months.MustParse("2020-01"),
 		Probe:   make([]uint16, rows),
 		Answer:  make([]uint16, rows),
 		Probes:  []atlas.ChaosProbe{{ID: 1, CC: 0}},
-		Answers: []atlas.ChaosAnswer{{Letter: 'L', TXT: 1, SiteCC: atlas.DictNone}},
-		Dict:    dict,
+		Answers: []atlas.ChaosAnswer{{Letter: 'L', TXT: 0, SiteCC: atlas.DictNone}},
 	}
-	payload := EncodeChaosPartition(p)
-	idOff := pad8(frameHeaderSize + dictBlobLen(dict))
-	txtOff := idOff + pad8(4*rows)
-	siteOff := txtOff + pad8(4*rows) + pad8(2*rows)
-	for i := range rows {
-		if distinct == "probes" {
-			binary.LittleEndian.PutUint32(payload[idOff+4*i:], uint32(i))
-		} else {
-			binary.LittleEndian.PutUint32(payload[txtOff+4*i:], uint32(i&0xFF))
-			binary.LittleEndian.PutUint16(payload[siteOff+2*i:], uint16(i>>8))
+	if distinct == "probes" {
+		p.Dict = []string{"VE"}
+		p.Probes = make([]atlas.ChaosProbe, rows)
+		for i := range rows {
+			p.Probe[i] = uint16(i)
+			p.Probes[i] = atlas.ChaosProbe{ID: int32(i)}
 		}
+		return encodeChaos(p)
 	}
-	return payload
+	// 13 letters over rows/13+1 TXTs make every (letter, TXT) distinct.
+	p.Dict = make([]string, rows/13+1)
+	for i := range p.Dict {
+		p.Dict[i] = fmt.Sprintf("s%d", i)
+	}
+	p.Answers = make([]atlas.ChaosAnswer, rows)
+	for i := range rows {
+		p.Answer[i] = uint16(i)
+		p.Answers[i] = atlas.ChaosAnswer{Letter: byte('A' + i%13), TXT: uint16(i / 13), SiteCC: atlas.DictNone}
+	}
+	return encodeChaos(p)
+}
+
+// chaosPayload encodes, without EncodeChaosPartition's checks, a valid
+// three-row chaos partition after edit has changed it.
+func chaosPayload(edit func(p *atlas.ChaosPartition)) []byte {
+	p := &atlas.ChaosPartition{
+		Month:   months.MustParse("2020-01"),
+		Probe:   []uint16{0, 1, 0},
+		Answer:  []uint16{0, 0, 1},
+		Probes:  []atlas.ChaosProbe{{ID: 4, CC: 0}, {ID: 5, CC: 0}},
+		Answers: []atlas.ChaosAnswer{{Letter: 'L', TXT: 1, SiteCC: 0}, {Letter: 'K', TXT: 1, SiteCC: atlas.DictNone}},
+		Dict:    []string{"VE", "x"},
+	}
+	edit(p)
+	return encodeChaos(p)
 }
 
 // TestDecodeCorrupt drives structural mutations through DecodePartition
@@ -199,16 +216,16 @@ func TestDecodeCorrupt(t *testing.T) {
 		Month: months.MustParse("2020-01"), RTT: []float64{1},
 		ProbeID: []int32{4}, CC: []uint16{9}, Hops: []uint8{1}, Dict: []string{"VE"},
 	})
-	// A chaos txt code one past uint16: the column stores 4 bytes, the
-	// decoded partition 2, so a narrowing decode would read a valid 0.
-	badTXT := EncodeChaosPartition(&atlas.ChaosPartition{
-		Month: months.MustParse("2020-01"), Probe: []uint16{0}, Answer: []uint16{0},
-		Probes:  []atlas.ChaosProbe{{ID: 4, CC: 0}},
-		Answers: []atlas.ChaosAnswer{{Letter: 'L', TXT: 0, SiteCC: atlas.DictNone}},
-		Dict:    []string{"VE"},
-	})
-	txtOff := pad8(frameHeaderSize+dictBlobLen([]string{"VE"})) + pad8(4)
-	binary.LittleEndian.PutUint32(badTXT[txtOff:], 0x10000)
+	if _, cp, err := DecodePartition(chaosPayload(func(*atlas.ChaosPartition) {})); err != nil || cp == nil {
+		t.Fatalf("the unedited chaos payload does not decode: %v", err)
+	}
+	// A chaos frame of the five-column layout: version 1 is no longer
+	// read.
+	chaosV1 := chaosPayload(func(*atlas.ChaosPartition) {})
+	binary.LittleEndian.PutUint16(chaosV1[4:6], 1)
+	// A probe table size the payload cannot hold.
+	tableSizesOverrun := chaosPayload(func(*atlas.ChaosPartition) {})
+	binary.LittleEndian.PutUint32(tableSizesOverrun[pad8(frameHeaderSize+dictBlobLen([]string{"VE", "x"})):], 1000)
 	cases := map[string][]byte{
 		"empty":           {},
 		"short header":    valid[:16],
@@ -221,12 +238,26 @@ func TestDecodeCorrupt(t *testing.T) {
 		"huge dict":       mutate(20, 0xFF),
 		"truncated":       valid[:len(valid)-8],
 		"cc out of dict":  badCC,
-		"txt out of dict": badTXT,
 		"trailing bytes":  append(append([]byte(nil), valid...), 0, 0, 0, 0, 0, 0, 0, 0),
+		"chaos version 1": chaosV1,
 		// Row codes are uint16: a partition cannot hold 1<<16 distinct
 		// probes or answers.
 		"too many probes":  chaosTableOverflow("probes"),
 		"too many answers": chaosTableOverflow("answers"),
+		// The chaos tables: each entry valid, distinct, and first
+		// referenced in table order, every code inside its table.
+		"duplicate probe entry":  chaosPayload(func(p *atlas.ChaosPartition) { p.Probes[1] = p.Probes[0] }),
+		"duplicate answer entry": chaosPayload(func(p *atlas.ChaosPartition) { p.Answers[1].Letter = 'L' }),
+		"answer code past table": chaosPayload(func(p *atlas.ChaosPartition) { p.Answer[2] = 2 }),
+		"probe code past table":  chaosPayload(func(p *atlas.ChaosPartition) { p.Probe[2] = 2 }),
+		"entry out of order":     chaosPayload(func(p *atlas.ChaosPartition) { p.Probe[0], p.Probe[1] = 1, 0 }),
+		"entry never referenced": chaosPayload(func(p *atlas.ChaosPartition) { p.Answer[2] = 0 }),
+		"siteCC out of dict":     chaosPayload(func(p *atlas.ChaosPartition) { p.Answers[0].SiteCC = 2 }),
+		"letter outside A-M":     chaosPayload(func(p *atlas.ChaosPartition) { p.Answers[0].Letter = 'N' }),
+		"txt out of dict":        chaosPayload(func(p *atlas.ChaosPartition) { p.Answers[1].TXT = 2 }),
+		"probe cc out of dict":   chaosPayload(func(p *atlas.ChaosPartition) { p.Probes[1].CC = 2 }),
+		"negative probe ID":      chaosPayload(func(p *atlas.ChaosPartition) { p.Probes[0].ID = -1 }),
+		"table sizes overrun":    tableSizesOverrun,
 	}
 	for name, payload := range cases {
 		var before, after runtime.MemStats
@@ -237,8 +268,10 @@ func TestDecodeCorrupt(t *testing.T) {
 			t.Errorf("%s: got err=%v, want ErrCorrupt", name, err)
 		}
 		// Decoding costs O(len(payload)), whatever the header claims: a
-		// 13-byte chaos row can add one table entry and map key.
-		if n := after.TotalAlloc - before.TotalAlloc; n > 16*uint64(len(payload))+64<<10 {
+		// 4-byte chaos row decodes into 4 bytes of codes, a 6-byte probe
+		// entry into 8 bytes and an 8-byte sort key, a 4-byte dictionary
+		// length into a 16-byte string header.
+		if n := after.TotalAlloc - before.TotalAlloc; n > 4*uint64(len(payload))+64<<10 {
 			t.Errorf("%s: decoding a %d-byte payload allocated %d bytes", name, len(payload), n)
 		}
 	}
@@ -247,7 +280,9 @@ func TestDecodeCorrupt(t *testing.T) {
 // TestPartitionEncodingPinned pins the VZFC encodings of the Step-3
 // world's campaigns, month by month, so a lake written by an earlier
 // build of the coder reloads to the same partitions: the sha256 over
-// the encoded partitions in month order, per kind.
+// the encoded partitions in month order, per kind. The chaos pin is
+// that of the version-2 layout (row codes and tables); the trace
+// layout has not changed since version 1.
 func TestPartitionEncodingPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates both Step-3 campaigns")
@@ -272,7 +307,7 @@ func TestPartitionEncodingPinned(t *testing.T) {
 		sum, pin   string
 	}{
 		{"trace", traceRows, 41613, hex.EncodeToString(traceSum.Sum(nil)), "8b8fa04e6401e554b6aed5128d376fc469cccee889b7bfc2d998a7a8f14123ec"},
-		{"chaos", chaosRows, 159224, hex.EncodeToString(chaosSum.Sum(nil)), "2a2d6860b300a8b850ec77cfb49e25b31808f7edb87dc4a30437db280a57271c"},
+		{"chaos", chaosRows, 159224, hex.EncodeToString(chaosSum.Sum(nil)), "7ce0b98bde0f5593600376911af041b2a0c23a2d2d1fb6a9d49a342c04fe1abf"},
 	}
 	for _, p := range pins {
 		if p.rows != p.want {

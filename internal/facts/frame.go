@@ -31,7 +31,7 @@ var ErrCorrupt = resultstore.ErrCorrupt
 //
 //	offset  size  field
 //	0       4     magic "VZFC"
-//	4       2     format version (currently 1)
+//	4       2     format version (trace 1, chaos 2)
 //	6       1     kind (1 = trace, 2 = chaos)
 //	7       1     reserved (must be zero)
 //	8       8     month (months.Month as int64)
@@ -44,28 +44,35 @@ var ErrCorrupt = resultstore.ErrCorrupt
 // Column order is fixed per kind:
 //
 //	trace: rtt float64, probeID int32, cc uint16, hops uint8
-//	chaos: probeID int32, txt uint32, cc uint16, siteCC uint16, letter uint8
+//	chaos: probe and answer table sizes (uint32 each, one 8-byte
+//	       section), then row columns probe uint16 and answer uint16,
+//	       then the probe table (id int32, cc uint16) and the answer
+//	       table (letter uint8, txt uint16, siteCC uint16)
 //
-// The chaos txt column stores 4-byte codes although a decoded
-// partition holds them as uint16, the dictionary's code width; decode
-// rejects a stored code past the dictionary before narrowing it.
-//
-// Disk holds chaos rows as these five columns; memory holds them as
-// tables. An atlas.ChaosPartition keeps two uint16 codes per row, a
-// probe and an answer, indexing its Probes (probeID, cc) and Answers
-// (letter, txt, siteCC) tables. Encode expands each row's pair back
-// into the five columns; decode rebuilds both tables in
-// first-appearance row order, so the layout and its bytes are the
-// same whichever form wrote them.
+// A chaos frame stores the partition as an atlas.ChaosPartition holds
+// it: each row is a (probe, answer) pair of codes into the probe table
+// (probe ID and country) and the answer table (letter, TXT and site
+// country), so encode copies columns and decode validates them. Both
+// tables are in first-appearance row order and their entries distinct
+// (a probe by ID and country, an answer by letter and TXT): decode
+// rejects a code past its table, an entry first referenced out of
+// order or never, and a repeated entry, so every valid payload decodes
+// to the one partition that re-encodes to the same bytes. Version 1 of
+// the chaos layout (five row columns) is no longer read: a lake that
+// holds it is an older generation and is rebuilt.
 //
 // Strings (probe countries, CHAOS TXT answers, parsed site countries)
 // live once in the per-partition dictionary; columns hold codes. The
 // trace and chaos code spaces share one dictionary per partition, so
-// "answer is domestic" is a single integer comparison between the cc
-// and siteCC columns.
+// "answer is domestic" is a single integer comparison between a
+// probe's and an answer's country codes.
 const (
-	frameMagic   = "VZFC"
-	frameVersion = 1
+	frameMagic = "VZFC"
+
+	// traceVersion and chaosVersion are the format versions the
+	// kinds are written and read at.
+	traceVersion = 1
+	chaosVersion = 2
 
 	// KindTrace and KindChaos tag a partition's fact table.
 	KindTrace = 1
@@ -81,7 +88,7 @@ const (
 	// of a given size can possibly hold, so a corrupt header can never
 	// drive a large allocation before validation.
 	minTraceRowBytes = 8 + 4 + 2 + 1
-	minChaosRowBytes = 4 + 4 + 2 + 2 + 1
+	minChaosRowBytes = 2 + 2
 )
 
 // pad8 rounds n up to the next multiple of 8; every column section
@@ -99,9 +106,9 @@ func dictBlobLen(dict []string) int {
 
 // encodeHeader writes the common VZFC header and dictionary, returning
 // the offset where columns begin.
-func encodeHeader(buf []byte, kind byte, m months.Month, rows int, dict []string) int {
+func encodeHeader(buf []byte, kind byte, version uint16, m months.Month, rows int, dict []string) int {
 	copy(buf[0:4], frameMagic)
-	binary.LittleEndian.PutUint16(buf[4:6], frameVersion)
+	binary.LittleEndian.PutUint16(buf[4:6], version)
 	buf[6] = kind
 	buf[7] = 0
 	binary.LittleEndian.PutUint64(buf[8:16], uint64(int64(m)))
@@ -134,7 +141,7 @@ func EncodeTracePartition(p *atlas.TracePartition) []byte {
 	size := pad8(frameHeaderSize+dictBlobLen(p.Dict)) +
 		pad8(8*rows) + pad8(4*rows) + pad8(2*rows) + pad8(rows)
 	buf := make([]byte, size)
-	off := encodeHeader(buf, KindTrace, p.Month, rows, p.Dict)
+	off := encodeHeader(buf, KindTrace, traceVersion, p.Month, rows, p.Dict)
 	for i, v := range p.RTT {
 		binary.LittleEndian.PutUint64(buf[off+8*i:], math.Float64bits(v))
 	}
@@ -143,39 +150,62 @@ func EncodeTracePartition(p *atlas.TracePartition) []byte {
 		binary.LittleEndian.PutUint32(buf[off+4*i:], uint32(v))
 	}
 	off += pad8(4 * rows)
-	for i, v := range p.CC {
-		binary.LittleEndian.PutUint16(buf[off+2*i:], v)
-	}
-	off += pad8(2 * rows)
+	off = putUint16s(buf, off, p.CC)
 	copy(buf[off:], p.Hops)
 	return buf
 }
 
-// EncodeChaosPartition encodes p into a VZFC payload, expanding each
-// row's probe and answer codes back into the five row columns.
+// chaosColumnsLen is the size of a chaos payload's column sections for
+// the given row and table counts, computed in 64 bits so a corrupt
+// header cannot overflow it.
+func chaosColumnsLen(rows, probes, answers uint64) uint64 {
+	p8 := func(n uint64) uint64 { return (n + 7) &^ 7 }
+	return 8 + 2*p8(2*rows) + p8(4*probes) + p8(2*probes) + p8(answers) + 2*p8(2*answers)
+}
+
+// putUint16s writes vs at off and returns the next (padded) offset.
+func putUint16s(buf []byte, off int, vs []uint16) int {
+	for i, v := range vs {
+		binary.LittleEndian.PutUint16(buf[off+2*i:], v)
+	}
+	return off + pad8(2*len(vs))
+}
+
+// EncodeChaosPartition encodes p into a VZFC payload: its two row
+// columns and both tables, copied as they are.
 func EncodeChaosPartition(p *atlas.ChaosPartition) []byte {
-	rows := p.Rows()
-	if len(p.Answer) != rows {
+	if len(p.Answer) != p.Rows() {
 		panic("facts: chaos partition column lengths disagree")
 	}
 	if len(p.Dict) > maxDictEntries {
 		panic("facts: chaos partition dictionary overflows uint16 codes")
 	}
-	size := pad8(frameHeaderSize+dictBlobLen(p.Dict)) +
-		pad8(4*rows) + pad8(4*rows) + pad8(2*rows) + pad8(2*rows) + pad8(rows)
+	if len(p.Probes) > atlas.MaxChaosCodes || len(p.Answers) > atlas.MaxChaosCodes {
+		panic("facts: chaos partition table overflows uint16 codes")
+	}
+	return encodeChaos(p)
+}
+
+// encodeChaos is EncodeChaosPartition without its checks.
+func encodeChaos(p *atlas.ChaosPartition) []byte {
+	rows, np, na := p.Rows(), len(p.Probes), len(p.Answers)
+	size := pad8(frameHeaderSize+dictBlobLen(p.Dict)) + int(chaosColumnsLen(uint64(rows), uint64(np), uint64(na)))
 	buf := make([]byte, size)
-	idOff := encodeHeader(buf, KindChaos, p.Month, rows, p.Dict)
-	txtOff := idOff + pad8(4*rows)
-	ccOff := txtOff + pad8(4*rows)
-	siteOff := ccOff + pad8(2*rows)
-	letterOff := siteOff + pad8(2*rows)
-	for i := range rows {
-		pr, an := p.Probes[p.Probe[i]], p.Answers[p.Answer[i]]
-		binary.LittleEndian.PutUint32(buf[idOff+4*i:], uint32(pr.ID))
-		binary.LittleEndian.PutUint32(buf[txtOff+4*i:], uint32(an.TXT))
-		binary.LittleEndian.PutUint16(buf[ccOff+2*i:], pr.CC)
-		binary.LittleEndian.PutUint16(buf[siteOff+2*i:], an.SiteCC)
-		buf[letterOff+i] = an.Letter
+	off := encodeHeader(buf, KindChaos, chaosVersion, p.Month, rows, p.Dict)
+	binary.LittleEndian.PutUint32(buf[off:], uint32(np))
+	binary.LittleEndian.PutUint32(buf[off+4:], uint32(na))
+	off += 8
+	off = putUint16s(buf, off, p.Probe)
+	off = putUint16s(buf, off, p.Answer)
+	for i, pr := range p.Probes {
+		binary.LittleEndian.PutUint32(buf[off+4*i:], uint32(pr.ID))
+		binary.LittleEndian.PutUint16(buf[off+pad8(4*np)+2*i:], pr.CC)
+	}
+	off += pad8(4*np) + pad8(2*np)
+	for i, an := range p.Answers {
+		buf[off+i] = an.Letter
+		binary.LittleEndian.PutUint16(buf[off+pad8(na)+2*i:], an.TXT)
+		binary.LittleEndian.PutUint16(buf[off+pad8(na)+pad8(2*na)+2*i:], an.SiteCC)
 	}
 	return buf
 }
@@ -201,12 +231,17 @@ func decodeHead(payload []byte) (frameHead, error) {
 	if string(payload[0:4]) != frameMagic {
 		return h, fmt.Errorf("%w: facts bad magic %q", ErrCorrupt, payload[0:4])
 	}
-	if v := binary.LittleEndian.Uint16(payload[4:6]); v != frameVersion {
-		return h, fmt.Errorf("%w: facts unsupported version %d", ErrCorrupt, v)
-	}
 	h.kind = payload[6]
-	if h.kind != KindTrace && h.kind != KindChaos {
+	want := uint16(traceVersion)
+	switch h.kind {
+	case KindTrace:
+	case KindChaos:
+		want = chaosVersion
+	default:
 		return h, fmt.Errorf("%w: facts unknown kind %d", ErrCorrupt, h.kind)
+	}
+	if v := binary.LittleEndian.Uint16(payload[4:6]); v != want {
+		return h, fmt.Errorf("%w: facts unsupported version %d for kind %d", ErrCorrupt, v, h.kind)
 	}
 	if payload[7] != 0 {
 		return h, fmt.Errorf("%w: facts nonzero reserved byte", ErrCorrupt)
@@ -325,113 +360,127 @@ func decodeTrace(payload []byte, h frameHead) (*atlas.TracePartition, error) {
 	return p, nil
 }
 
-// decodeChaos validates the five row columns and rebuilds the probe
-// and answer tables in first-appearance row order, so the partition
-// equals the one the builder coded. Tables are keyed on whole tuples:
-// a probe ID under two countries is two probes, and a TXT under two
-// letters two answers, so every valid payload decodes to one that
-// re-encodes to the same bytes.
+// decodeChaos validates a chaos payload's table sizes against its
+// length, then its columns: every code inside its table, every table
+// entry first referenced in table order and referenced at all, every
+// entry valid (a probe ID not negative, codes inside the dictionary, a
+// letter A–M) and distinct from the table's others. Distinctness is
+// checked over sorted packed keys, so decode builds no index.
 func decodeChaos(payload []byte, h frameHead) (*atlas.ChaosPartition, error) {
 	rows := h.rows
-	want := pad8(4*rows) + pad8(4*rows) + pad8(2*rows) + pad8(2*rows) + pad8(rows)
-	if len(payload)-h.off != want {
+	if len(payload)-h.off < 8 {
+		return nil, fmt.Errorf("%w: facts chaos payload has no table sizes", ErrCorrupt)
+	}
+	np := binary.LittleEndian.Uint32(payload[h.off:])
+	na := binary.LittleEndian.Uint32(payload[h.off+4:])
+	if np > atlas.MaxChaosCodes {
+		return nil, fmt.Errorf("%w: facts chaos partition has more than %d distinct probes", ErrCorrupt, atlas.MaxChaosCodes)
+	}
+	if na > atlas.MaxChaosCodes {
+		return nil, fmt.Errorf("%w: facts chaos partition has more than %d distinct answers", ErrCorrupt, atlas.MaxChaosCodes)
+	}
+	if want := chaosColumnsLen(uint64(rows), uint64(np), uint64(na)); uint64(len(payload)-h.off) != want {
 		return nil, fmt.Errorf("%w: facts chaos payload %d bytes, want %d after header", ErrCorrupt, len(payload)-h.off, want)
 	}
-	ids, off, err := section(payload, h.off, 4*rows)
-	if err != nil {
-		return nil, err
-	}
-	txts, off, err := section(payload, off, 4*rows)
-	if err != nil {
-		return nil, err
-	}
-	ccs, off, err := section(payload, off, 2*rows)
-	if err != nil {
-		return nil, err
-	}
-	sites, off, err := section(payload, off, 2*rows)
-	if err != nil {
-		return nil, err
-	}
-	letters, _, err := section(payload, off, rows)
-	if err != nil {
-		return nil, err
-	}
+	// Every section now fits: the size check covered them all.
 	p := &atlas.ChaosPartition{
-		Month:  h.month,
-		Probe:  make([]uint16, rows),
-		Answer: make([]uint16, rows),
-		Dict:   h.dict,
+		Month:   h.month,
+		Probe:   make([]uint16, rows),
+		Answer:  make([]uint16, rows),
+		Probes:  make([]atlas.ChaosProbe, np),
+		Answers: make([]atlas.ChaosAnswer, na),
+		Dict:    h.dict,
 	}
 	ndict := len(p.Dict)
-	// The indexes key on tuples packed into a uint64, which hashes far
-	// faster than the structs; their hints are bounded by rows, as
-	// every allocation here is. Before an index lookup a row tries the
-	// code its predecessor suggests, the next probe and the same
-	// answer: letter-major, probe-minor rows mostly repeat the probe
-	// order and run the same site.
-	probes := make(map[uint64]uint16, min(rows, 512))
-	answers := make(map[uint64]uint16, min(rows, 256))
-	nextProbe, lastAnswer := 0, 0
-	for i := range rows {
-		pr := atlas.ChaosProbe{
-			ID: int32(binary.LittleEndian.Uint32(ids[4*i:])),
-			CC: binary.LittleEndian.Uint16(ccs[2*i:]),
-		}
+	off := h.off + 8
+	off = getUint16s(payload, off, p.Probe)
+	off = getUint16s(payload, off, p.Answer)
+	for i := range p.Probes {
+		pr := &p.Probes[i]
+		pr.ID = int32(binary.LittleEndian.Uint32(payload[off+4*i:]))
+		pr.CC = binary.LittleEndian.Uint16(payload[off+pad8(4*int(np))+2*i:])
 		if pr.ID < 0 {
 			return nil, fmt.Errorf("%w: facts negative probe ID", ErrCorrupt)
 		}
 		if int(pr.CC) >= ndict {
 			return nil, fmt.Errorf("%w: facts cc code %d outside dictionary", ErrCorrupt, pr.CC)
 		}
-		// Check the stored TXT code before narrowing it: a bare uint16
-		// of 0x10000 would be a valid 0.
-		txt := binary.LittleEndian.Uint32(txts[4*i:])
-		if uint64(txt) >= uint64(ndict) {
-			return nil, fmt.Errorf("%w: facts txt code %d outside dictionary", ErrCorrupt, txt)
-		}
-		an := atlas.ChaosAnswer{Letter: letters[i], TXT: uint16(txt), SiteCC: binary.LittleEndian.Uint16(sites[2*i:])}
-		if an.SiteCC != atlas.DictNone && int(an.SiteCC) >= ndict {
-			return nil, fmt.Errorf("%w: facts siteCC code %d outside dictionary", ErrCorrupt, an.SiteCC)
-		}
+	}
+	off += pad8(4*int(np)) + pad8(2*int(np))
+	for i := range p.Answers {
+		an := &p.Answers[i]
+		an.Letter = payload[off+i]
+		an.TXT = binary.LittleEndian.Uint16(payload[off+pad8(int(na))+2*i:])
+		an.SiteCC = binary.LittleEndian.Uint16(payload[off+pad8(int(na))+pad8(2*int(na))+2*i:])
 		if an.Letter < 'A' || an.Letter > 'M' {
 			return nil, fmt.Errorf("%w: facts letter %d outside A-M", ErrCorrupt, an.Letter)
 		}
-		if nextProbe == len(p.Probes) {
-			nextProbe = 0
+		if int(an.TXT) >= ndict {
+			return nil, fmt.Errorf("%w: facts txt code %d outside dictionary", ErrCorrupt, an.TXT)
 		}
-		c, ok := tableCode(&p.Probes, probes, nextProbe, pr, uint64(uint32(pr.ID))<<16|uint64(pr.CC))
-		if !ok {
-			return nil, fmt.Errorf("%w: facts chaos partition has more than %d distinct probes", ErrCorrupt, atlas.MaxChaosCodes)
+		if an.SiteCC != atlas.DictNone && int(an.SiteCC) >= ndict {
+			return nil, fmt.Errorf("%w: facts siteCC code %d outside dictionary", ErrCorrupt, an.SiteCC)
 		}
-		p.Probe[i], nextProbe = c, int(c)+1
-		c, ok = tableCode(&p.Answers, answers, lastAnswer, an, uint64(an.Letter)<<32|uint64(an.TXT)<<16|uint64(an.SiteCC))
-		if !ok {
-			return nil, fmt.Errorf("%w: facts chaos partition has more than %d distinct answers", ErrCorrupt, atlas.MaxChaosCodes)
-		}
-		p.Answer[i], lastAnswer = c, int(c)
 	}
-	p.Probes = slices.Clone(p.Probes)
-	p.Answers = slices.Clone(p.Answers)
+	if err := firstAppearance("probe", p.Probe, len(p.Probes)); err != nil {
+		return nil, err
+	}
+	if err := firstAppearance("answer", p.Answer, len(p.Answers)); err != nil {
+		return nil, err
+	}
+	keys := make([]uint64, max(np, na))
+	for i, pr := range p.Probes {
+		keys[i] = uint64(uint32(pr.ID))<<16 | uint64(pr.CC)
+	}
+	if !distinct(keys[:np]) {
+		return nil, fmt.Errorf("%w: facts chaos probe table repeats an entry", ErrCorrupt)
+	}
+	for i, an := range p.Answers {
+		keys[i] = uint64(an.Letter)<<16 | uint64(an.TXT)
+	}
+	if !distinct(keys[:na]) {
+		return nil, fmt.Errorf("%w: facts chaos answer table repeats an entry", ErrCorrupt)
+	}
 	return p, nil
 }
 
-// tableCode returns v's code in *table, whose entries are distinct:
-// guess when that entry is v, else the code index holds under key,
-// else a new code, appending v. It reports false when the table
-// already holds atlas.MaxChaosCodes entries.
-func tableCode[T comparable](table *[]T, index map[uint64]uint16, guess int, v T, key uint64) (uint16, bool) {
-	if guess < len(*table) && (*table)[guess] == v {
-		return uint16(guess), true
+// getUint16s reads len(vs) codes at off and returns the next (padded)
+// offset; the caller has checked that they fit.
+func getUint16s(payload []byte, off int, vs []uint16) int {
+	for i := range vs {
+		vs[i] = binary.LittleEndian.Uint16(payload[off+2*i:])
 	}
-	if c, ok := index[key]; ok {
-		return c, true
+	return off + pad8(2*len(vs))
+}
+
+// firstAppearance checks that codes index a table of n entries in
+// first-appearance order: each code at most one past the largest
+// before it, and every entry referenced.
+func firstAppearance(table string, codes []uint16, n int) error {
+	next := 0
+	for _, c := range codes {
+		switch {
+		case int(c) >= n:
+			return fmt.Errorf("%w: facts %s code %d past its %d-entry table", ErrCorrupt, table, c, n)
+		case int(c) == next:
+			next++
+		case int(c) > next:
+			return fmt.Errorf("%w: facts %s table entry %d first referenced before entry %d", ErrCorrupt, table, c, next)
+		}
 	}
-	if len(*table) >= atlas.MaxChaosCodes {
-		return 0, false
+	if next != n {
+		return fmt.Errorf("%w: facts %s table holds %d entries, rows reference %d", ErrCorrupt, table, n, next)
 	}
-	c := uint16(len(*table))
-	index[key] = c
-	*table = append(*table, v)
-	return c, true
+	return nil
+}
+
+// distinct sorts keys and reports whether none repeats.
+func distinct(keys []uint64) bool {
+	slices.Sort(keys)
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] {
+			return false
+		}
+	}
+	return true
 }

@@ -12,11 +12,15 @@ import (
 
 // FuzzFactFrame pins the decoder's safety contract: arbitrary bytes
 // either decode into a structurally valid partition or fail with
-// ErrCorrupt — never a panic, and never an allocation larger than the
-// input itself (every length is bounded against the payload before any
-// make). Successful decodes must re-encode into a payload that decodes
-// back equal, so the fuzzer also guards round-trip fidelity (RTTs
-// bit for bit, so a NaN read from arbitrary bytes must survive too).
+// ErrCorrupt — never a panic, and never an allocation sized by a
+// header rather than the input (every length is bounded against the
+// payload before any make; TestDecodeCorrupt measures the bound).
+// Successful decodes must re-encode into a payload that decodes back
+// equal, so the fuzzer also guards round-trip fidelity (RTTs bit for
+// bit, so a NaN read from arbitrary bytes must survive too). The seeds
+// include a valid version-2 chaos frame and two that break its table
+// rules: a table entry first referenced out of order, and a probe
+// entry repeated.
 func FuzzFactFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("VZFC"))
@@ -36,6 +40,9 @@ func FuzzFactFrame(f *testing.F) {
 		Answers: []atlas.ChaosAnswer{{Letter: 'K', TXT: 0, SiteCC: atlas.DictNone}},
 		Dict:    []string{"ns1.ve-ccs.k.ripe.net", "VE"},
 	}))
+	f.Add(chaosPayload(func(*atlas.ChaosPartition) {}))
+	f.Add(chaosPayload(func(p *atlas.ChaosPartition) { p.Probe[0], p.Probe[1] = 1, 0 }))
+	f.Add(chaosPayload(func(p *atlas.ChaosPartition) { p.Probes[1] = p.Probes[0] }))
 	f.Add(chaosTableOverflow("probes"))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		tp, cp, err := DecodePartition(payload)

@@ -1,6 +1,7 @@
 package facts
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -19,11 +20,11 @@ import (
 	"vzlens/internal/world"
 )
 
-// Lake is the on-disk fact lake. A generation is at most four files:
-// one segment per fact table holding that table's month partitions as
-// VZRS-framed VZFC partitions back to back, a dimension document, and
-// a manifest recording the world-configuration scope that produced
-// them and where each month's frame sits in its segment. Reads are
+// Lake is the on-disk fact lake. A generation is three files: one
+// segment per fact table holding that table's month partitions as
+// VZRS-framed VZFC partitions back to back, and a manifest recording
+// the world-configuration scope that produced them, where each month's
+// frame sits in its segment, and the dimension rows. Reads are
 // pruned structurally — a partition outside the queried month window
 // is never read, let alone decoded — and decoded partitions cache in
 // memory, so a warm query touches no disk and allocates almost
@@ -45,16 +46,18 @@ type Lake struct {
 	quarantines atomic.Uint64
 }
 
-// manifest commits a lake generation: it is written last, after every
-// file it names is durable, so a crash mid-build leaves the previous
-// manifest (or none) and never a manifest naming missing segments. The
-// generation number names the generation's files.
+// manifest commits a lake generation: it is written last, after both
+// segments it names are durable, so a crash mid-build leaves the
+// previous manifest (or none) and never a manifest naming missing
+// segments. The generation number names the segments; the dimensions
+// ride in the manifest itself.
 type manifest struct {
-	Version    int        `json:"version"`
-	Scope      string     `json:"scope"`
-	Generation uint64     `json:"generation"`
-	Trace      []frameRef `json:"trace"`
-	Chaos      []frameRef `json:"chaos"`
+	Version    int         `json:"version"`
+	Scope      string      `json:"scope"`
+	Generation uint64      `json:"generation"`
+	Trace      []frameRef  `json:"trace"`
+	Chaos      []frameRef  `json:"chaos"`
+	Dims       *Dimensions `json:"dims"`
 }
 
 // frameRef locates one month's frame in its table's segment.
@@ -64,9 +67,12 @@ type frameRef struct {
 	Length int64  `json:"length"`
 }
 
-// manifestVersion 2 is the segment layout; a version-1 lake (one file
-// per partition) opens as not ready and the next build replaces it.
-const manifestVersion = 2
+// manifestVersion 3 is the segment layout with the dimensions in the
+// manifest and chaos frames at VZFC version 2. An older lake — version
+// 1 (one file per partition) or 2 (a separate dimension document and
+// five-column chaos frames) — opens as not ready and the next build
+// replaces it.
+const manifestVersion = 3
 
 const manifestName = "manifest.vzr"
 
@@ -148,9 +154,10 @@ func (l *Lake) Build(ctx context.Context, w *world.World) error {
 	return l.BuildFrom(w, tc, cc)
 }
 
-// BuildFrom writes a fresh lake generation from the two campaigns and
-// the dimensions derived from w (writeGeneration), then commits it and
-// deletes the files of every earlier generation (commit). The new
+// BuildFrom writes a fresh lake generation's segments from the two
+// campaigns (writeGeneration), then commits it with the dimensions
+// derived from w and deletes the files of every earlier generation
+// (commit). The new
 // generation holds the campaigns' own partitions, so the lake and the
 // caller share them and nothing just written is decoded again. A
 // campaign ingested from outside the kernel has no hop counts; its
@@ -166,11 +173,12 @@ func (l *Lake) BuildFrom(w *world.World, tc *atlas.TraceCampaign, cc *atlas.Chao
 	return l.commit(st)
 }
 
-// writeGeneration writes a generation's files without committing it:
-// each fact table's partitions, month by month, as the frames of one
-// segment, then the dimensions, each file fsynced and renamed, and
-// then the directory fsynced once. It returns the state that serves
-// them, its cells already holding the partitions their frames encode.
+// writeGeneration writes a generation's segments without committing
+// it: each fact table's partitions, month by month, as the frames of
+// one segment, the two tables encoded and written concurrently, each
+// segment fsynced and renamed, and then the directory fsynced once. It
+// returns the state that serves them, its cells already holding the
+// partitions their frames encode.
 func (l *Lake) writeGeneration(w *world.World, tc *atlas.TraceCampaign, cc *atlas.ChaosCampaign) (*lakeState, error) {
 	if w.Config.Scope() != l.scope {
 		return nil, fmt.Errorf("facts: world scope %q does not match lake scope %q", w.Config.Scope(), l.scope)
@@ -181,50 +189,47 @@ func (l *Lake) writeGeneration(w *world.World, tc *atlas.TraceCampaign, cc *atla
 	}
 	st := newState(gen, BuildDimensions(w))
 
-	tparts := tc.Partitions()
-	payloads := make([][]byte, len(tparts))
-	for i, p := range tparts {
-		payloads[i] = EncodeTracePartition(p)
-	}
-	cells, err := writeSegment(filepath.Join(l.dir, segmentName(KindTrace, gen)), payloads)
-	if err != nil {
-		return nil, err
-	}
-	for i, p := range tparts {
-		cells[i].tp = p
-		st.traceMonths = append(st.traceMonths, p.Month)
-		st.trace[p.Month] = cells[i]
-	}
-
 	cparts := cc.Partitions()
-	payloads = make([][]byte, len(cparts))
-	for i, p := range cparts {
-		payloads[i] = EncodeChaosPartition(p)
-	}
-	if cells, err = writeSegment(filepath.Join(l.dir, segmentName(KindChaos, gen)), payloads); err != nil {
+	var (
+		chaosCells []*partCell
+		chaosErr   error
+		wg         sync.WaitGroup
+	)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		chaosCells, chaosErr = writeSegment(filepath.Join(l.dir, segmentName(KindChaos, gen)), len(cparts),
+			func(i int) []byte { return EncodeChaosPartition(cparts[i]) })
+	}()
+	tparts := tc.Partitions()
+	traceCells, traceErr := writeSegment(filepath.Join(l.dir, segmentName(KindTrace, gen)), len(tparts),
+		func(i int) []byte { return EncodeTracePartition(tparts[i]) })
+	wg.Wait()
+	if err := cmp.Or(traceErr, chaosErr); err != nil {
 		return nil, err
 	}
+	for i, p := range tparts {
+		traceCells[i].tp = p
+		st.traceMonths = append(st.traceMonths, p.Month)
+		st.trace[p.Month] = traceCells[i]
+	}
 	for i, p := range cparts {
-		cells[i].cp = p
+		chaosCells[i].cp = p
 		st.chaosMonths = append(st.chaosMonths, p.Month)
-		st.chaos[p.Month] = cells[i]
-	}
-
-	dimsDoc, err := json.Marshal(st.dims)
-	if err != nil {
-		return nil, fmt.Errorf("facts: encode dimensions: %w", err)
-	}
-	if _, err := resultstore.ReplaceEntries(filepath.Join(l.dir, dimsName(gen)), [][]byte{dimsDoc}); err != nil {
-		return nil, err
+		st.chaos[p.Month] = chaosCells[i]
 	}
 	resultstore.SyncDir(l.dir)
 	return st, nil
 }
 
-// writeSegment writes payloads, in order, as the frames of the segment
-// at path and returns one cell per frame, marked decoded: the caller
-// seeds each with the partition its frame encodes.
-func writeSegment(path string, payloads [][]byte) ([]*partCell, error) {
+// writeSegment writes the n payloads encode returns, in order, as the
+// frames of the segment at path and returns one cell per frame, marked
+// decoded: the caller seeds each with the partition its frame encodes.
+func writeSegment(path string, n int, encode func(i int) []byte) ([]*partCell, error) {
+	payloads := make([][]byte, n)
+	for i := range payloads {
+		payloads[i] = encode(i)
+	}
 	ends, err := resultstore.ReplaceEntries(path, payloads)
 	if err != nil {
 		return nil, err
@@ -241,13 +246,14 @@ func writeSegment(path string, payloads [][]byte) ([]*partCell, error) {
 
 // commit writes the manifest describing st, swaps st in, and then
 // deletes every other lake file in the directory: earlier generations,
-// version-1 partition files, and temp files a crashed write left
+// the files of older layouts, and temp files a crashed write left
 // behind. Until the manifest's rename the previous generation stays
 // whole on disk.
 func (l *Lake) commit(st *lakeState) error {
 	man := manifest{Version: manifestVersion, Scope: l.scope, Generation: st.gen,
 		Trace: frameRefs(st.traceMonths, st.trace),
-		Chaos: frameRefs(st.chaosMonths, st.chaos)}
+		Chaos: frameRefs(st.chaosMonths, st.chaos),
+		Dims:  st.dims}
 	manDoc, err := json.Marshal(man)
 	if err != nil {
 		return fmt.Errorf("facts: encode manifest: %w", err)
@@ -262,7 +268,6 @@ func (l *Lake) commit(st *lakeState) error {
 		manifestName:                   true,
 		segmentName(KindTrace, st.gen): true,
 		segmentName(KindChaos, st.gen): true,
-		dimsName(st.gen):               true,
 	}
 	ents, err := os.ReadDir(l.dir)
 	if err != nil {
@@ -301,13 +306,11 @@ func segmentName(kind byte, gen uint64) string {
 	return fmt.Sprintf("trace-%016x.vzfs", gen)
 }
 
-// dimsName names a generation's dimension document.
-func dimsName(gen uint64) string { return fmt.Sprintf("dims-%016x.vzr", gen) }
-
 // lakeFile reports whether name is a file some lake generation wrote,
-// of either layout, or a temp file left by writing one: segments,
-// dimension documents, the manifest, and version-1 partition files
-// (trace-2019-03.vzfp) and dimensions (dims.vzr). Other files in the
+// of any layout, or a temp file left by writing one: segments, the
+// manifest, version-2 dimension documents (dims-<generation>.vzr), and
+// version-1 partition files (trace-2019-03.vzfp) and dimensions
+// (dims.vzr). Other files in the
 // directory are not the lake's and are never deleted.
 func lakeFile(name string) bool {
 	if i := strings.Index(name, ".tmp-"); i >= 0 {
@@ -325,12 +328,12 @@ func lakeFile(name string) bool {
 	return false
 }
 
-// loadState reads the manifest and dimensions of a committed lake.
-// Returns (nil, nil) when no lake is committed or the committed one has
-// another layout version or belongs to a different scope. A corrupt
-// manifest or dimension document is reported as an error wrapping
+// loadState reads the manifest of a committed lake, dimensions
+// included. Returns (nil, nil) when no lake is committed or the
+// committed one has another layout version or belongs to a different
+// scope. A corrupt manifest is reported as an error wrapping
 // ErrCorrupt and left in place: Open treats that as no lake, and the
-// next Build replaces both.
+// next Build replaces it.
 func loadState(dir, scope string) (*lakeState, error) {
 	manRaw, err := resultstore.ReadEntry(filepath.Join(dir, manifestName))
 	if errors.Is(err, os.ErrNotExist) {
@@ -346,16 +349,11 @@ func loadState(dir, scope string) (*lakeState, error) {
 	if man.Version != manifestVersion || man.Scope != scope {
 		return nil, nil
 	}
-	dimsRaw, err := resultstore.ReadEntry(filepath.Join(dir, dimsName(man.Generation)))
-	if err != nil {
-		return nil, err
+	if man.Dims == nil {
+		return nil, fmt.Errorf("%w: facts manifest has no dimensions", ErrCorrupt)
 	}
-	dims := &Dimensions{}
-	if err := json.Unmarshal(dimsRaw, dims); err != nil {
-		return nil, fmt.Errorf("%w: facts dimensions undecodable: %v", ErrCorrupt, err)
-	}
-	dims.index()
-	st := newState(man.Generation, dims)
+	man.Dims.index()
+	st := newState(man.Generation, man.Dims)
 	if st.traceMonths, err = loadCells(st.trace, filepath.Join(dir, segmentName(KindTrace, man.Generation)), man.Trace); err != nil {
 		return nil, err
 	}

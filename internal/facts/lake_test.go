@@ -3,6 +3,7 @@ package facts
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -65,16 +66,16 @@ func checkPartitionsEqual(t *testing.T, l *Lake, tc *atlas.TraceCampaign, cc *at
 }
 
 // TestCrashBeforeManifestKeepsGeneration interrupts a rebuild after it
-// has written its segments and dimensions but before its manifest: a
-// cold open still serves the previous generation, every partition
-// decoding to the bytes it was built from. The next completed build
-// leaves one generation of four files.
+// has written its segments but before its manifest: a cold open still
+// serves the previous generation, every partition decoding to the
+// bytes it was built from. The next completed build leaves one
+// generation of three files.
 func TestCrashBeforeManifestKeepsGeneration(t *testing.T) {
 	w := testWorld(t)
 	l := builtLake(t, w)
 	before := lakeFiles(t, l.Dir())
-	if len(before) != 4 {
-		t.Fatalf("a generation is %v, want four files", before)
+	if len(before) != 3 {
+		t.Fatalf("a generation is %v, want three files", before)
 	}
 
 	// The interrupted rebuild holds other campaigns, so a manifest that
@@ -86,8 +87,8 @@ func TestCrashBeforeManifestKeepsGeneration(t *testing.T) {
 	if _, err := l.writeGeneration(w, other, atlas.NewChaosCampaign()); err != nil {
 		t.Fatalf("write uncommitted generation: %v", err)
 	}
-	if after := lakeFiles(t, l.Dir()); len(after) != 7 {
-		t.Fatalf("after the interrupted rebuild the lake holds %v, want the old four and three new files", after)
+	if after := lakeFiles(t, l.Dir()); len(after) != 5 {
+		t.Fatalf("after the interrupted rebuild the lake holds %v, want the old three and two new segments", after)
 	}
 
 	l2, err := Open(l.Dir(), w.Config.Scope())
@@ -106,8 +107,8 @@ func TestCrashBeforeManifestKeepsGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := lakeFiles(t, l.Dir())
-	if len(after) != 4 {
-		t.Fatalf("after a completed rebuild the lake holds %v, want four files", after)
+	if len(after) != 3 {
+		t.Fatalf("after a completed rebuild the lake holds %v, want three files", after)
 	}
 	for _, name := range after {
 		if slices.Contains(before, name) && name != manifestName {
@@ -175,8 +176,79 @@ func TestOpenV1LakeRebuilds(t *testing.T) {
 	if !slices.Contains(files, "notes.txt") {
 		t.Error("the rebuild deleted a file that is not the lake's")
 	}
-	if len(files) != 5 {
+	if len(files) != 4 {
 		t.Errorf("directory holds %v, want one generation and notes.txt", files)
+	}
+	l2, err := Open(dir, w.Config.Scope())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !l2.Ready() {
+		t.Fatal("rebuilt lake not ready on reopen")
+	}
+	checkPartitionsEqual(t, l2, tc, cc)
+}
+
+// TestOpenV2LakeRebuilds opens a directory holding a manifest-version-2
+// lake (its dimensions in a separate dims-<generation> document beside
+// the two segments): it is not ready, and the next build replaces it
+// with a generation of three files, leaving no dimension document.
+func TestOpenV2LakeRebuilds(t *testing.T) {
+	w := testWorld(t)
+	dir := t.TempDir()
+	tc, cc := w.TraceCampaign(), w.ChaosCampaign()
+	const gen = 0x1234
+	frames := func(n int) []frameRef {
+		refs := make([]frameRef, n)
+		for i := range refs {
+			refs[i] = frameRef{Month: months.MustParse("2018-01").Add(3 * i).String(), Offset: int64(i), Length: 1}
+		}
+		return refs
+	}
+	man, err := json.Marshal(map[string]any{
+		"version":    2,
+		"scope":      w.Config.Scope(),
+		"generation": gen,
+		"trace":      frames(len(tc.Partitions())),
+		"chaos":      frames(len(cc.Partitions())),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims, err := json.Marshal(BuildDimensions(w))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dimsName := fmt.Sprintf("dims-%016x.vzr", gen)
+	for name, payload := range map[string][]byte{
+		segmentName(KindTrace, gen): EncodeTracePartition(tc.Partitions()[0]),
+		segmentName(KindChaos, gen): []byte("a version-1 chaos frame"),
+		dimsName:                    dims,
+		manifestName:                man,
+	} {
+		if err := resultstore.WriteAtomic(filepath.Join(dir, name), resultstore.EncodeEntry(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	l, err := Open(dir, w.Config.Scope())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Ready() {
+		t.Fatal("a version-2 lake opened as ready")
+	}
+	if err := l.BuildFrom(w, tc, cc); err != nil {
+		t.Fatal(err)
+	}
+	files := lakeFiles(t, dir)
+	if slices.Contains(files, dimsName) || len(files) != 3 {
+		t.Errorf("directory holds %v, want one generation of three files and no %s", files, dimsName)
+	}
+	for _, name := range files {
+		if strings.HasPrefix(name, "dims") {
+			t.Errorf("%s survived the rebuild", name)
+		}
 	}
 	l2, err := Open(dir, w.Config.Scope())
 	if err != nil {

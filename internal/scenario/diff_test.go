@@ -20,10 +20,12 @@ import (
 func TestDiffSharedMonths(t *testing.T) {
 	jan, feb := months.MustParse("2020-01"), months.MustParse("2020-02")
 	trace := func(m months.Month, rows ...atlas.TraceSample) *atlas.TracePartition {
-		for i := range rows {
-			rows[i].Month = m
+		tc := atlas.NewTraceCampaign()
+		for _, r := range rows {
+			r.Month = m
+			tc.Add(r)
 		}
-		return atlas.NewTracePartition(m, rows, make([]uint8, len(rows)))
+		return tc.Partitions()[0]
 	}
 	janRows := func() *atlas.TracePartition {
 		return trace(jan,

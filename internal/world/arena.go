@@ -3,30 +3,34 @@ package world
 import (
 	"math/rand"
 	"time"
+
+	"vzlens/internal/dnsroot"
 )
 
 // campaignArena is the reusable scratch a month shard simulates into:
-// flat per-class columns (reachability, selected site, one-way
-// latency, access delay) and the value-type jitter source its
-// *rand.Rand draws from. Arenas live in a World-level pool, so columns
-// allocated for one month — or one sweep spec — are reused by the next
-// instead of re-made per shard; steady-state campaign months allocate
-// only their output: the exactly-sized sample slice of a traceroute
-// month, the coded partition of a CHAOS month. An arena is owned by one
-// goroutine between acquire and release and carries no cross-month
-// state: every column is fully overwritten per month and the RNG is
-// re-seeded per probe.
+// flat columns by probe class id — reachability and selected site
+// thirteen class-id ranges deep, so every CHAOS letter has its own, and
+// a trace month's one-way latency, access delay and hop count — and
+// the value-type jitter source its *rand.Rand draws from. Arenas live
+// in a World-level pool, so columns allocated for one month — or one
+// sweep spec — are reused by the next instead of re-made per shard;
+// every month sizes them to the World's class count, so an arena never
+// grows once built, and steady-state campaign months allocate only
+// their output partition. An arena is owned by one goroutine between
+// acquire and release and carries no cross-month state: every slot a
+// month reads it writes first, and the RNG is re-seeded per probe.
 type campaignArena struct {
 	jit jitterSource
 	rng *rand.Rand
 
-	ok     []bool    // class (or letter x class) reachability
-	idx    []int32   // selected site index per slot
-	oneWay []float64 // one-way latency per slot
-	access []float64 // access delay per slot
-	hops   []uint8   // catchment AS-path length per slot (the Hops column)
+	ok     []bool    // reachability per class (trace) or letter x class (CHAOS)
+	idx    []int32   // selected site (CHAOS) or country code (trace) per ok slot
+	oneWay []float64 // one-way latency per class
+	access []float64 // access delay per class
+	hops   []uint8   // catchment AS-path length per class (the Hops column)
 
-	codes []int32 // CHAOS probe and answer code memos (see memo)
+	codes []int32  // CHAOS probe and answer code memos (see memo)
+	dict  []string // a trace month's dictionary as it is coded
 }
 
 // newCampaignArena builds an empty arena whose Rand permanently wraps
@@ -38,23 +42,27 @@ func newCampaignArena() *campaignArena {
 	return ar
 }
 
-// ensure sizes the columns to n slots, reporting whether backing
-// arrays had to grow. Contents are unspecified afterwards; the kernels
-// write every slot they read.
-func (ar *campaignArena) ensure(n int) bool {
-	if cap(ar.ok) >= n && cap(ar.idx) >= n && cap(ar.oneWay) >= n && cap(ar.access) >= n && cap(ar.hops) >= n {
+// ensure sizes the columns for w's probe classes, reporting whether
+// backing arrays had to grow: only an arena built since w's last month
+// does. Contents are unspecified afterwards; the kernels write every
+// slot they read.
+func (ar *campaignArena) ensure(w *World) bool {
+	keys, _ := w.probeClasses()
+	nc := len(keys)
+	n := len(dnsroot.Letters()) * nc
+	if cap(ar.ok) >= n && cap(ar.idx) >= n && cap(ar.oneWay) >= nc && cap(ar.access) >= nc && cap(ar.hops) >= nc {
 		ar.ok = ar.ok[:n]
 		ar.idx = ar.idx[:n]
-		ar.oneWay = ar.oneWay[:n]
-		ar.access = ar.access[:n]
-		ar.hops = ar.hops[:n]
+		ar.oneWay = ar.oneWay[:nc]
+		ar.access = ar.access[:nc]
+		ar.hops = ar.hops[:nc]
 		return false
 	}
 	ar.ok = make([]bool, n)
 	ar.idx = make([]int32, n)
-	ar.oneWay = make([]float64, n)
-	ar.access = make([]float64, n)
-	ar.hops = make([]uint8, n)
+	ar.oneWay = make([]float64, nc)
+	ar.access = make([]float64, nc)
+	ar.hops = make([]uint8, nc)
 	return true
 }
 

@@ -3,6 +3,7 @@ package world
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,9 +111,9 @@ func (w *World) TraceCampaignCtx(ctx context.Context) *atlas.TraceCampaign {
 // baseline), fanning monthly snapshots over the worker pool. Each
 // worker iteration checks a scratch arena out of the World's pool, so
 // steady-state shards reuse columns instead of reallocating them, and
-// codes its month into a partition; the row fragment is transient. A
-// baseline run is a kernel pass: the signature resolvers' path trees
-// live until the last pass in flight returns (see kernel.go).
+// emits its month's partition. A baseline run is a kernel pass: the
+// signature resolvers' path trees live until the last pass in flight
+// returns (see kernel.go).
 func (w *World) traceCampaign(ctx context.Context, plan *ScenarioPlan) *atlas.TraceCampaign {
 	ctx, span := obs.StartSpan(ctx, "campaign.trace")
 	if plan != nil {
@@ -128,9 +129,8 @@ func (w *World) traceCampaign(ctx context.Context, plan *ScenarioPlan) *atlas.Tr
 	forEachIndex(len(ms), w.workers(), func(i int) {
 		t0 := time.Now()
 		ar, acq := w.acquireArena()
-		samples, hops := w.traceMonth(ctx, ms[i], plan, ar)
+		parts[i] = w.traceMonth(ctx, ms[i], plan, ar)
 		w.releaseArena(ar)
-		parts[i] = atlas.NewTracePartition(ms[i], samples, hops)
 		d := time.Since(t0)
 		busy.Add(int64(d))
 		arenaWait.Add(int64(acq))
@@ -165,18 +165,21 @@ func utilization(busyNS int64, wall time.Duration, workers, shards int) float64 
 }
 
 // traceMonth simulates one monthly snapshot of the traceroute campaign
-// into the arena's columns, under plan's overlay when non-nil (a nil
-// arena checks one out for the call). The simulation runs in two
-// passes: one catchment per probe CLASS — probes sharing (country, AS,
-// city) are indistinguishable upstream of their RNG — materialized
-// into flat columns, then one exactly-sized emission pass in probe
-// order. The jitter RNG streams are scenario-blind (sampleSeed hashes
-// only seed, month, probe) and per-probe, so the columnar order of
-// computation cannot change a single draw: a baseline-vs-scenario RTT
-// delta reflects the topology change alone, and output is
-// byte-identical to the per-probe loop this replaced. hops parallels
-// samples: the AS-path length of each sample's selected anycast site.
-func (w *World) traceMonth(ctx context.Context, m months.Month, plan *ScenarioPlan, ar *campaignArena) (samples []atlas.TraceSample, hops []uint8) {
+// into its partition, under plan's overlay when non-nil (a nil arena
+// checks one out for the call). The simulation runs in two passes: one
+// catchment per probe CLASS — probes sharing (country, AS, city) are
+// indistinguishable upstream of their RNG — materialized into the
+// arena's columns by class id, then one emission pass in probe order
+// that writes the partition's exactly-sized columns, coding each
+// class's country into the dictionary once, at its first row, so the
+// dictionary keeps first-appearance row order. The jitter RNG streams
+// are scenario-blind (sampleSeed hashes only seed, month, probe) and
+// per-probe, so the columnar order of computation cannot change a
+// single draw: a baseline-vs-scenario RTT delta reflects the topology
+// change alone, and output is byte-identical to the per-probe loop
+// this replaced. The Hops column holds the AS-path length of each
+// sample's selected anycast site.
+func (w *World) traceMonth(ctx context.Context, m months.Month, plan *ScenarioPlan, ar *campaignArena) *atlas.TracePartition {
 	_, span := obs.StartSpan(ctx, "campaign.month")
 	if ar == nil {
 		var own *campaignArena
@@ -187,21 +190,21 @@ func (w *World) traceMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 	resolver := w.topologyFor(m, plan)
 	list := w.traceSiteListAt(m, plan)
 	mc := w.classesAt(m)
-	nc := len(mc.keys)
-	if ar.ensure(nc) {
+	if ar.ensure(w) {
 		w.met.arenaGrows.Inc()
 	}
-	memo := w.listMemoFor(resolver, plan, list, nc)
-	for c, k := range mc.keys {
-		got, err := w.catchment(memo, resolver, k, list)
+	memo := w.listMemoFor(resolver, plan, list)
+	for _, c := range mc.classes {
+		got, err := w.catchment(memo, resolver, c, list)
 		if err != nil {
 			ar.ok[c] = false
 			continue
 		}
 		ar.ok[c] = true
 		ar.oneWay[c] = got.Latency
-		ar.access[c] = AccessDelayMs(k.country, m)
+		ar.access[c] = AccessDelayMs(w.classKeys[c].country, m)
 		ar.hops[c] = clampHops(got.Hops)
+		ar.idx[c] = -1 // the class's country code, once coded
 	}
 	reach := 0
 	for _, c := range mc.classOf {
@@ -209,32 +212,50 @@ func (w *World) traceMonth(ctx context.Context, m months.Month, plan *ScenarioPl
 			reach++
 		}
 	}
-	samples = make([]atlas.TraceSample, 0, reach*w.Config.SamplesPerProbe)
-	hops = make([]uint8, 0, cap(samples))
+	rows, spp := reach*w.Config.SamplesPerProbe, w.Config.SamplesPerProbe
+	p := &atlas.TracePartition{
+		Month:   m,
+		RTT:     make([]float64, rows),
+		ProbeID: make([]int32, rows),
+		CC:      make([]uint16, rows),
+		Hops:    make([]uint8, rows),
+	}
+	dict, r := ar.dict[:0], 0
 	for i, c := range mc.classOf {
 		if !ar.ok[c] {
 			continue
 		}
-		id, cc := int(mc.ids[i]), mc.keys[c].country
-		ar.jit.Seed(sampleSeed(w.Config.Seed, m, id))
-		for s := 0; s < w.Config.SamplesPerProbe; s++ {
-			samples = append(samples, atlas.TraceSample{
-				Month:   m,
-				ProbeID: id,
-				ProbeCC: cc,
-				RTTms:   netsim.RTT(ar.oneWay[c], ar.access[c], ar.rng),
-			})
-			hops = append(hops, ar.hops[c])
+		cc := ar.idx[c]
+		if cc < 0 {
+			country := w.classKeys[c].country
+			if cc = int32(slices.Index(dict, country)); cc < 0 {
+				cc = int32(len(dict))
+				dict = append(dict, country)
+			}
+			ar.idx[c] = cc
+		}
+		id := mc.ids[i]
+		ar.jit.Seed(sampleSeed(w.Config.Seed, m, int(id)))
+		for range spp {
+			p.RTT[r] = netsim.RTT(ar.oneWay[c], ar.access[c], ar.rng)
+			p.ProbeID[r] = id
+			p.CC[r] = uint16(cc)
+			p.Hops[r] = ar.hops[c]
+			r++
 		}
 	}
+	if len(dict) > 0 {
+		p.Dict = slices.Clone(dict)
+	}
+	ar.dict = dict[:0]
 	if span != nil {
 		span.SetAttr("campaign", "trace")
 		span.SetAttr("month", m.String())
 		span.SetAttr("probes", len(mc.ids))
-		span.SetAttr("samples", len(samples))
+		span.SetAttr("samples", rows)
 		span.End()
 	}
-	return samples, hops
+	return p
 }
 
 // clampHops saturates an AS-path length into the fact lake's uint8 hop
@@ -340,9 +361,9 @@ func (w *World) chaosCampaign(ctx context.Context, plan *ScenarioPlan) *atlas.Ch
 func (w *World) chaosCells(m months.Month, plan *ScenarioPlan, ar *campaignArena, txts *[16][]string) (*monthClasses, int) {
 	resolver := w.topologyFor(m, plan)
 	mc := w.classesAt(m)
-	nc := len(mc.keys)
+	nc := len(w.classKeys)
 	letters := dnsroot.Letters()
-	if ar.ensure(len(letters) * nc) {
+	if ar.ensure(w) {
 		w.met.arenaGrows.Inc()
 	}
 	for li, letter := range letters {
@@ -353,15 +374,15 @@ func (w *World) chaosCells(m months.Month, plan *ScenarioPlan, ar *campaignArena
 		}
 		txts[li] = w.txtFor(rl, m)
 		base := li * nc
-		memo := w.listMemoFor(resolver, plan, rl.sites, nc)
-		for c, k := range mc.keys {
-			got, err := w.catchment(memo, resolver, k, rl.sites)
+		memo := w.listMemoFor(resolver, plan, rl.sites)
+		for _, c := range mc.classes {
+			got, err := w.catchment(memo, resolver, c, rl.sites)
 			if err != nil {
-				ar.ok[base+c] = false
+				ar.ok[base+int(c)] = false
 				continue
 			}
-			ar.ok[base+c] = true
-			ar.idx[base+c] = int32(got.Index)
+			ar.ok[base+int(c)] = true
+			ar.idx[base+int(c)] = int32(got.Index)
 		}
 	}
 	total := 0
@@ -396,7 +417,7 @@ func (w *World) chaosPartition(ctx context.Context, m months.Month, plan *Scenar
 	}
 	var txts [16][]string
 	mc, total := w.chaosCells(m, plan, ar, &txts)
-	nc := len(mc.keys)
+	nc := len(w.classKeys)
 	letters := dnsroot.Letters()
 	sites := 0
 	for _, t := range txts {
@@ -418,7 +439,7 @@ func (w *World) chaosPartition(ctx context.Context, m months.Month, plan *Scenar
 				continue
 			}
 			s := ar.idx[base+int(c)]
-			b.AddMemo(&probes[i], &ans[s], mc.ids[i], mc.keys[c].country, letter, txt[s])
+			b.AddMemo(&probes[i], &ans[s], mc.ids[i], w.classKeys[c].country, letter, txt[s])
 		}
 	}
 	p := b.Partition()

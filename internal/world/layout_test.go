@@ -142,11 +142,11 @@ func TestKernelPathTreesMatchReference(t *testing.T) {
 // to the snapshots they replace, for every month of 1998–2025: the
 // class factoring's probe ids are Fleet.ActiveAt's IDs in order, each
 // probe's class key is its (Country, ASN, City), equal keys are one
-// pointer across months, and the root lists a one-pass fill interns
+// class id across months, and the root lists a one-pass fill interns
 // for all thirteen letters equal RootSitesAt.
 func TestMonthSnapshotsMatchReference(t *testing.T) {
 	w := mustBuild(Config{})
-	keys := map[probeClassKey]*probeClassKey{}
+	keys := map[probeClassKey]int32{}
 	for m := mm(1998, time.January); !m.After(mm(2025, time.December)); m = m.Add(1) {
 		mc := w.classesAt(m)
 		probes := w.Fleet.ActiveAt(m)
@@ -157,14 +157,15 @@ func TestMonthSnapshotsMatchReference(t *testing.T) {
 			if int(mc.ids[i]) != p.ID {
 				t.Fatalf("%s: probe %d: id %d, Fleet.ActiveAt has %d", m, i, mc.ids[i], p.ID)
 			}
-			k := mc.keys[mc.classOf[i]]
-			if want := (probeClassKey{country: p.Country, asn: p.ASN, city: p.City}); *k != want {
-				t.Fatalf("%s: probe %d: class key %+v, want %+v", m, p.ID, *k, want)
+			c := mc.classOf[i]
+			k := w.classKeys[c]
+			if want := (probeClassKey{country: p.Country, asn: p.ASN, city: p.City}); k != want {
+				t.Fatalf("%s: probe %d: class key %+v, want %+v", m, p.ID, k, want)
 			}
-			if prev, ok := keys[*k]; ok && prev != k {
-				t.Fatalf("%s: class key %+v is not interned (two pointers)", m, *k)
+			if prev, ok := keys[k]; ok && prev != c {
+				t.Fatalf("%s: class key %+v is not interned (two ids)", m, k)
 			}
-			keys[*k] = k
+			keys[k] = c
 		}
 		checkRootLists(t, w, m)
 	}

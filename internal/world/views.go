@@ -32,20 +32,49 @@ type probeClassKey struct {
 }
 
 // monthClasses is one month's probe fleet factored into classes: ids
-// are the active probes' IDs in ID order (Fleet.ActiveAt's), classOf maps
-// each to its class, keys lists the classes (interned per world) in
-// first-seen order. A probe's country is its class key's country.
+// are the active probes' IDs in ID order (Fleet.ActiveAt's), classOf
+// maps each to its class id (see probeClasses), and classes lists the
+// month's class ids in first-seen order. A probe's country is its
+// class key's country.
 type monthClasses struct {
 	ids     []int32
 	classOf []int32
-	keys    []*probeClassKey
+	classes []int32
+}
+
+// probeClasses interns every fleet probe's class once per World, the
+// fleet being fixed once the World is built: keys lists the classes by
+// dense id, in first-seen order over the ID-ordered fleet, and of
+// gives the class id of each probe of Fleet.Sorted(). Every month, the
+// kernel arenas and the pass memo index classes by these ids.
+func (w *World) probeClasses() (keys []probeClassKey, of []int32) {
+	w.classOnce.Do(func() {
+		probes := w.Fleet.Sorted()
+		w.fleetClass = make([]int32, len(probes))
+		idx := make(map[probeClassKey]int32, 256)
+		for j := range probes {
+			p := &probes[j]
+			k := probeClassKey{country: p.Country, asn: p.ASN, city: p.City}
+			c, ok := idx[k]
+			if !ok {
+				c = int32(len(w.classKeys))
+				idx[k] = c
+				w.classKeys = append(w.classKeys, k)
+			}
+			w.fleetClass[j] = c
+		}
+	})
+	return w.classKeys, w.fleetClass
 }
 
 // classesAt memoizes the class factoring per month. The trace campaign
 // and all thirteen CHAOS letters share one factoring. It reads the
-// fleet's ID-ordered probes in place: one pass counts the month's
-// active probes, the next fills their columns.
+// fleet's ID-ordered probes and their interned class ids in place: one
+// pass counts the month's active probes and distinct classes, the next
+// fills their columns, both deduplicating classes with a slice by
+// class id.
 func (w *World) classesAt(m months.Month) *monthClasses {
+	keys, of := w.probeClasses()
 	w.classMu.Lock()
 	defer w.classMu.Unlock()
 	if mc, ok := w.classCache[m]; ok {
@@ -53,41 +82,33 @@ func (w *World) classesAt(m months.Month) *monthClasses {
 	}
 	if w.classCache == nil {
 		w.classCache = map[months.Month]*monthClasses{}
-		w.classKeys = map[probeClassKey]*probeClassKey{}
 	}
 	probes := w.Fleet.Sorted()
-	n := 0
-	for i := range probes {
-		if probes[i].ActiveAt(m) {
+	seen := make([]bool, len(keys))
+	n, nc := 0, 0
+	for j := range probes {
+		if probes[j].ActiveAt(m) {
 			n++
+			if c := of[j]; !seen[c] {
+				seen[c] = true
+				nc++
+			}
 		}
 	}
-	cols := make([]int32, 2*n) // ids and classOf in one allocation
-	mc := &monthClasses{ids: cols[:n:n], classOf: cols[n:]}
-	idx := make(map[*probeClassKey]int32, 64)
+	clear(seen)
+	cols := make([]int32, 2*n+nc) // ids, classOf and classes in one allocation
+	mc := &monthClasses{ids: cols[:n:n], classOf: cols[n : 2*n : 2*n], classes: cols[2*n : 2*n]}
 	i := 0
 	for j := range probes {
-		p := &probes[j]
-		if !p.ActiveAt(m) {
+		if !probes[j].ActiveAt(m) {
 			continue
 		}
-		k := probeClassKey{country: p.Country, asn: p.ASN, city: p.City}
-		kp, ok := w.classKeys[k]
-		if !ok {
-			if len(w.keySlab) == cap(w.keySlab) { // keys never move: a full slab is left, not grown
-				w.keySlab = make([]probeClassKey, 0, 64)
-			}
-			w.keySlab = append(w.keySlab, k)
-			kp = &w.keySlab[len(w.keySlab)-1]
-			w.classKeys[k] = kp
+		c := of[j]
+		if !seen[c] {
+			seen[c] = true
+			mc.classes = append(mc.classes, c)
 		}
-		c, ok := idx[kp]
-		if !ok {
-			c = int32(len(mc.keys))
-			idx[kp] = c
-			mc.keys = append(mc.keys, kp)
-		}
-		mc.ids[i] = int32(p.ID)
+		mc.ids[i] = int32(probes[j].ID)
 		mc.classOf[i] = c
 		i++
 	}

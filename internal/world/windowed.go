@@ -125,9 +125,8 @@ func (w *World) TraceCampaignScenarioWindowed(ctx context.Context, plan *Scenari
 		// The arena pool is World-level, so a sweep of many specs reuses
 		// the same scratch columns across specs, not just across months.
 		ar, _ := w.acquireArena()
-		samples, hops := w.traceMonth(ctx, ms[i], plan, ar)
+		parts[i] = w.traceMonth(ctx, ms[i], plan, ar)
 		w.releaseArena(ar)
-		parts[i] = atlas.NewTracePartition(ms[i], samples, hops)
 	})
 	tc := atlas.NewTraceCampaignOf(parts)
 	span.SetAttr("months", len(ms))

@@ -103,9 +103,9 @@ type World struct {
 	// once under kernelBaseOnce), one cell per Venezuelan wiring
 	// signature holding its overlay resolver, which borrows the base
 	// resolver's trees, and its faithful relationship graph (the
-	// Fig 8/9 archive's), the per-month probe-class factorings (probe
-	// ids and pointers into the world's interned class keys; no fleet
-	// copy), the interned GPDNS/root site lists (root lists by (letter,
+	// Fig 8/9 archive's), the fleet's probe classes interned once with
+	// dense ids, the per-month probe-class factorings (probe ids and
+	// class ids; no fleet copy), the interned GPDNS/root site lists (root lists by (letter,
 	// month) in front of the per-letter distinct active sets; no
 	// deployment copy), and the interned CHAOS TXT strings. All of it
 	// memoizes pure functions of the month (or list identity), so
@@ -118,10 +118,11 @@ type World struct {
 	kernelBase     *netsim.Resolver
 	kernelMu       sync.Mutex
 	sigCells       map[kernelSig]*sigCell
+	classOnce      sync.Once
+	classKeys      []probeClassKey // by class id
+	fleetClass     []int32         // class id per Fleet.Sorted() probe
 	classMu        sync.Mutex
 	classCache     map[months.Month]*monthClasses
-	classKeys      map[probeClassKey]*probeClassKey
-	keySlab        []probeClassKey // backs classKeys, 64 keys per allocation
 	siteMu         sync.Mutex
 	gpdnsLists     map[uint32]*netsim.SiteList
 	rootLists      map[rootListKey]*rootList

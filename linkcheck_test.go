@@ -47,6 +47,8 @@ var linkAllowlist = map[string]linkAllowed{
 	"atlas.NewTraceCampaign":      {"parser", "ParseResultsJSON assembles its trace campaign row by row"},
 	"atlas.TraceCampaign.Add":     {"parser", "ParseResultsJSON appends each traceroute sample"},
 	"atlas.TraceCampaign.builder": {"parser", "TraceCampaign.Add's per-month builder"},
+	"atlas.newTraceBuilder":       {"parser", "TraceCampaign.builder starts a month's partition with it"},
+	"atlas.traceBuilder.add":      {"parser", "TraceCampaign.Add's row coder"},
 	"atlas.ParseProbesJSON":       {"parser", "reads RIPE Atlas probe archive documents"},
 	"bgp.ParseOrgMap":             {"parser", "reads asn|name|cc|org AS-to-organization files"},
 	"bgp.ParseGraph":              {"parser", "reads CAIDA serial-1 AS-relationship files"},
