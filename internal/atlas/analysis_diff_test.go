@@ -345,8 +345,8 @@ func TestAnalysisMatchesRowScanHandBuilt(t *testing.T) {
 
 	f := atlas.NewFleet()
 	sci, _ := geo.LookupIATA("SCI")
-	f.Add(atlas.Probe{ID: 1, Country: "VE", City: sci, Connected: jan})
-	f.Add(atlas.Probe{ID: 3, Country: "BR", City: sci, Connected: jan})
+	f.Add(atlas.Probe{ID: 1, Country: "VE", City: sci, Window: months.Window{From: jan}})
+	f.Add(atlas.Probe{ID: 3, Country: "BR", City: sci, Window: months.Window{From: jan}})
 	checkTrace(t, "hand-built", tc, trace, f)
 	checkChaos(t, "hand-built", cc, chaos, nil)
 

@@ -13,18 +13,18 @@ import (
 func mon(y int, m time.Month) months.Month { return months.New(y, m) }
 
 func TestProbeActiveWindow(t *testing.T) {
-	p := Probe{Connected: mon(2016, time.March), Disconnected: mon(2020, time.January)}
-	if p.ActiveAt(mon(2016, time.February)) {
+	p := Probe{Window: months.Window{From: mon(2016, time.March), To: mon(2020, time.January)}}
+	if p.Contains(mon(2016, time.February)) {
 		t.Error("active before connect")
 	}
-	if !p.ActiveAt(mon(2018, time.June)) {
+	if !p.Contains(mon(2018, time.June)) {
 		t.Error("inactive mid-life")
 	}
-	if p.ActiveAt(mon(2020, time.January)) {
+	if p.Contains(mon(2020, time.January)) {
 		t.Error("active after disconnect")
 	}
-	forever := Probe{Connected: mon(2016, time.March)}
-	if !forever.ActiveAt(mon(2030, time.January)) {
+	forever := Probe{Window: months.Window{From: mon(2016, time.March)}}
+	if !forever.Contains(mon(2030, time.January)) {
 		t.Error("open-ended probe should stay active")
 	}
 }
@@ -113,7 +113,7 @@ func TestCountryRank(t *testing.T) {
 	addN := func(cc string, n int) {
 		for i := 0; i < n; i++ {
 			id++
-			f.Add(Probe{ID: id, Country: cc, Connected: mon(2016, time.January)})
+			f.Add(Probe{ID: id, Country: cc, Window: months.Window{From: mon(2016, time.January)}})
 		}
 	}
 	addN("BR", 100)
@@ -268,7 +268,7 @@ func TestTraceMedianPanel(t *testing.T) {
 func TestProbeMinsWithLocation(t *testing.T) {
 	f := NewFleet()
 	sci, _ := geo.LookupIATA("SCI")
-	f.Add(Probe{ID: 7, Country: "VE", City: sci, Connected: mon(2016, time.January)})
+	f.Add(Probe{ID: 7, Country: "VE", City: sci, Window: months.Window{From: mon(2016, time.January)}})
 	tc := NewTraceCampaign()
 	m := mon(2023, time.December)
 	tc.Add(TraceSample{m, 7, "VE", 9.5})

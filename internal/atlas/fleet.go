@@ -16,22 +16,14 @@ import (
 	"vzlens/internal/months"
 )
 
-// Probe is one Atlas vantage point.
+// Probe is one Atlas vantage point, connected over its Window: From is
+// its first month online, To is zero while it is still online.
 type Probe struct {
-	ID           int
-	Country      string
-	City         geo.City
-	ASN          bgp.ASN
-	Connected    months.Month // first month online
-	Disconnected months.Month // zero while still online
-}
-
-// ActiveAt reports whether the probe is connected during month m.
-func (p Probe) ActiveAt(m months.Month) bool {
-	if m.Before(p.Connected) {
-		return false
-	}
-	return p.Disconnected.IsZero() || m.Before(p.Disconnected)
+	ID      int
+	Country string
+	City    geo.City
+	ASN     bgp.ASN
+	months.Window
 }
 
 // Fleet is the set of probes over time.
@@ -102,7 +94,7 @@ func (f *Fleet) Sorted() []Probe { return f.inOrder() }
 func (f *Fleet) ActiveAt(m months.Month) []Probe {
 	var out []Probe
 	for _, p := range f.inOrder() {
-		if p.ActiveAt(m) {
+		if p.Contains(m) {
 			out = append(out, p)
 		}
 	}
@@ -126,7 +118,7 @@ func (f *Fleet) ActiveIn(cc string, m months.Month) []Probe {
 func (f *Fleet) CountByCountry(m months.Month) map[string]int {
 	out := map[string]int{}
 	for _, p := range f.probes {
-		if p.ActiveAt(m) {
+		if p.Contains(m) {
 			out[p.Country]++
 		}
 	}
@@ -195,11 +187,11 @@ func BuildFleet(plans []CountryPlan) *Fleet {
 				cityIdx = 1 + (k/3)%(len(cities)-1)
 			}
 			f.Add(Probe{
-				ID:        id,
-				Country:   plan.CC,
-				City:      cities[cityIdx],
-				ASN:       asn,
-				Connected: start,
+				ID:      id,
+				Country: plan.CC,
+				City:    cities[cityIdx],
+				ASN:     asn,
+				Window:  months.Window{From: start},
 			})
 			id++
 		}

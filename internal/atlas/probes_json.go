@@ -43,14 +43,14 @@ func WriteProbesJSON(w io.Writer, f *Fleet, m months.Month) error {
 	enc := json.NewEncoder(w)
 	for _, p := range f.All() {
 		status := "Abandoned"
-		if p.ActiveAt(m) {
+		if p.Contains(m) {
 			status = "Connected"
 		}
 		doc := wireProbe{
 			ID:             p.ID,
 			CountryCode:    p.Country,
 			ASNv4:          uint32(p.ASN),
-			FirstConnected: p.Connected.Time().Unix(),
+			FirstConnected: p.From.Time().Unix(),
 			Status:         wireStatus{Name: status},
 			City:           p.City.Name,
 		}
@@ -101,11 +101,11 @@ func ParseProbesJSON(r io.Reader) (*Fleet, error) {
 			city.Lat = doc.Geometry.Coordinates[1]
 		}
 		f.Add(Probe{
-			ID:        doc.ID,
-			Country:   doc.CountryCode,
-			City:      city,
-			ASN:       bgp.ASN(doc.ASNv4),
-			Connected: months.FromTime(time.Unix(doc.FirstConnected, 0).UTC()),
+			ID:      doc.ID,
+			Country: doc.CountryCode,
+			City:    city,
+			ASN:     bgp.ASN(doc.ASNv4),
+			Window:  months.Window{From: months.FromTime(time.Unix(doc.FirstConnected, 0).UTC())},
 		})
 	}
 	if err := sc.Err(); err != nil {

@@ -8,15 +8,16 @@ import (
 
 	"vzlens/internal/bgp"
 	"vzlens/internal/geo"
+	"vzlens/internal/months"
 )
 
 func probeFleet() *Fleet {
 	f := NewFleet()
 	ccs, _ := geo.LookupIATA("CCS")
 	sci, _ := geo.LookupIATA("SCI")
-	f.Add(Probe{ID: 1, Country: "VE", City: ccs, ASN: 8048, Connected: mon(2014, time.March)})
-	f.Add(Probe{ID: 2, Country: "VE", City: sci, ASN: 263703, Connected: mon(2019, time.January)})
-	f.Add(Probe{ID: 3, Country: "BR", City: geo.City{Name: "Sao Paulo", Country: "BR", Lat: -23.55, Lon: -46.63}, ASN: 4230, Connected: mon(2016, time.June), Disconnected: mon(2020, time.January)})
+	f.Add(Probe{ID: 1, Country: "VE", City: ccs, ASN: 8048, Window: months.Window{From: mon(2014, time.March)}})
+	f.Add(Probe{ID: 2, Country: "VE", City: sci, ASN: 263703, Window: months.Window{From: mon(2019, time.January)}})
+	f.Add(Probe{ID: 3, Country: "BR", City: geo.City{Name: "Sao Paulo", Country: "BR", Lat: -23.55, Lon: -46.63}, ASN: 4230, Window: months.Window{From: mon(2016, time.June), To: mon(2020, time.January)}})
 	return f
 }
 
@@ -37,8 +38,8 @@ func TestProbesJSONRoundTrip(t *testing.T) {
 	if !ok || p1.Country != "VE" || p1.ASN != bgp.ASN(8048) {
 		t.Errorf("probe 1 = %+v", p1)
 	}
-	if p1.Connected != mon(2014, time.March) {
-		t.Errorf("connected = %v", p1.Connected)
+	if p1.From != mon(2014, time.March) {
+		t.Errorf("connected = %v", p1.From)
 	}
 	if p1.City.Name != "Caracas" || p1.City.Lat == 0 {
 		t.Errorf("city = %+v", p1.City)

@@ -9,22 +9,13 @@ import (
 	"vzlens/internal/months"
 )
 
-// Instance is one anycast root server deployment at a site, active over
-// [Start, End). A zero End means still active.
+// Instance is one anycast root server deployment at a site, serving
+// traffic over its Window. A zero To means still active.
 type Instance struct {
 	Letter Letter
 	City   geo.City
 	Index  int
-	Start  months.Month
-	End    months.Month
-}
-
-// ActiveAt reports whether the instance serves traffic during month m.
-func (i Instance) ActiveAt(m months.Month) bool {
-	if m.Before(i.Start) {
-		return false
-	}
-	return i.End.IsZero() || m.Before(i.End)
+	months.Window
 }
 
 // lRootRename is when ICANN switched L-root instance naming conventions.
@@ -102,7 +93,7 @@ func (d *Deployment) Sorted() []Instance { return d.inOrder() }
 func (d *Deployment) ActiveAt(m months.Month) []Instance {
 	var out []Instance
 	for _, i := range d.inOrder() {
-		if i.ActiveAt(m) {
+		if i.Contains(m) {
 			out = append(out, i)
 		}
 	}
@@ -114,7 +105,7 @@ func (d *Deployment) ActiveAt(m months.Month) []Instance {
 func (d *Deployment) CountByCountry(m months.Month) map[string]int {
 	out := map[string]int{}
 	for _, i := range d.instances {
-		if i.ActiveAt(m) {
+		if i.Contains(m) {
 			out[i.City.Country]++
 		}
 	}
@@ -181,7 +172,7 @@ func DefaultDeployment() *Deployment {
 				Letter: letterCycle[k%len(letterCycle)],
 				City:   cities[k%len(cities)],
 				Index:  k/len(cities) + 1,
-				Start:  start,
+				Window: months.Window{From: start},
 			})
 		}
 	}
@@ -196,7 +187,7 @@ func DefaultDeployment() *Deployment {
 				Letter: letterCycle[k%len(letterCycle)],
 				City:   cities[k%len(cities)],
 				Index:  k/len(cities) + 1,
-				Start:  preStudy,
+				Window: months.Window{From: preStudy},
 			})
 		}
 	}
@@ -205,9 +196,9 @@ func DefaultDeployment() *Deployment {
 	// gone by 2019-2020; aa.ve-mar.l.root in Maracaibo until mid-2022.
 	caracas, _ := geo.LookupIATA("CCS")
 	maracaibo, _ := geo.LookupIATA("MAR")
-	d.Add(Instance{Letter: 'L', City: caracas, Index: 1, Start: preStudy, End: months.New(2019, time.July)})
-	d.Add(Instance{Letter: 'F', City: caracas, Index: 1, Start: preStudy, End: months.New(2020, time.April)})
-	d.Add(Instance{Letter: 'L', City: maracaibo, Index: 1, Start: months.New(2019, time.July), End: months.New(2022, time.July)})
+	d.Add(Instance{Letter: 'L', City: caracas, Index: 1, Window: months.Window{From: preStudy, To: months.New(2019, time.July)}})
+	d.Add(Instance{Letter: 'F', City: caracas, Index: 1, Window: months.Window{From: preStudy, To: months.New(2020, time.April)}})
+	d.Add(Instance{Letter: 'L', City: maracaibo, Index: 1, Window: months.Window{From: months.New(2019, time.July), To: months.New(2022, time.July)}})
 
 	return d
 }

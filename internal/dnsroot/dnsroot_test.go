@@ -105,25 +105,25 @@ func TestServerTag(t *testing.T) {
 func mon(y int, m time.Month) months.Month { return months.New(y, m) }
 
 func TestInstanceActiveWindow(t *testing.T) {
-	i := Instance{Start: mon(2016, time.January), End: mon(2019, time.July)}
-	if i.ActiveAt(mon(2015, time.December)) {
+	i := Instance{Window: months.Window{From: mon(2016, time.January), To: mon(2019, time.July)}}
+	if i.Contains(mon(2015, time.December)) {
 		t.Error("active before start")
 	}
-	if !i.ActiveAt(mon(2016, time.January)) || !i.ActiveAt(mon(2019, time.June)) {
+	if !i.Contains(mon(2016, time.January)) || !i.Contains(mon(2019, time.June)) {
 		t.Error("inactive inside window")
 	}
-	if i.ActiveAt(mon(2019, time.July)) {
+	if i.Contains(mon(2019, time.July)) {
 		t.Error("active at exclusive end")
 	}
-	open := Instance{Start: mon(2016, time.January)}
-	if !open.ActiveAt(mon(2030, time.January)) {
+	open := Instance{Window: months.Window{From: mon(2016, time.January)}}
+	if !open.Contains(mon(2030, time.January)) {
 		t.Error("open-ended instance should stay active")
 	}
 }
 
 func TestLRootRename(t *testing.T) {
 	ccs, _ := geo.LookupIATA("CCS")
-	i := Instance{Letter: 'L', City: ccs, Index: 1, Start: mon(2015, time.January)}
+	i := Instance{Letter: 'L', City: ccs, Index: 1, Window: months.Window{From: mon(2015, time.January)}}
 	before := i.ChaosName(mon(2017, time.January))
 	after := i.ChaosName(mon(2019, time.January))
 	if before != "ccs01.l.root-servers.org" {
@@ -133,7 +133,7 @@ func TestLRootRename(t *testing.T) {
 		t.Errorf("after rename = %q", after)
 	}
 	// Non-L letters never change convention.
-	f := Instance{Letter: 'F', City: ccs, Index: 1, Start: mon(2015, time.January)}
+	f := Instance{Letter: 'F', City: ccs, Index: 1, Window: months.Window{From: mon(2015, time.January)}}
 	if f.ChaosName(mon(2017, time.January)) != f.ChaosName(mon(2019, time.January)) {
 		t.Error("F convention should not change")
 	}

@@ -13,23 +13,16 @@ import (
 
 // ProbeRow is one probe's fleet-membership window: attributes are
 // immutable over a probe's life in the modeled fleet, so each probe
-// contributes exactly one row, valid [ValidFrom, ValidTo).
+// contributes exactly one row, valid over its Window (a zero To means
+// still connected). The window stays last: the manifest's format
+// encodes its bounds as valid_from and valid_to after the row's
+// attributes (TestProbeRowWireKeys).
 type ProbeRow struct {
-	ID        int          `json:"id"`
-	CC        string       `json:"cc"`
-	ASN       uint32       `json:"asn"`
-	City      string       `json:"city"`
-	ValidFrom months.Month `json:"valid_from"`
-	// ValidTo is exclusive; zero means still connected.
-	ValidTo months.Month `json:"valid_to"`
-}
-
-// ActiveAt reports whether the row's window covers m.
-func (p ProbeRow) ActiveAt(m months.Month) bool {
-	if m.Before(p.ValidFrom) {
-		return false
-	}
-	return p.ValidTo.IsZero() || m.Before(p.ValidTo)
+	ID   int    `json:"id"`
+	CC   string `json:"cc"`
+	ASN  uint32 `json:"asn"`
+	City string `json:"city"`
+	months.Window
 }
 
 // Dimensions is the lake's dimension store, serialized as JSON inside
@@ -46,12 +39,11 @@ func BuildDimensions(w *world.World) *Dimensions {
 	d := &Dimensions{}
 	for _, p := range w.Fleet.All() {
 		d.Probes = append(d.Probes, ProbeRow{
-			ID:        p.ID,
-			CC:        p.Country,
-			ASN:       uint32(p.ASN),
-			City:      p.City.Name,
-			ValidFrom: p.Connected,
-			ValidTo:   p.Disconnected,
+			ID:     p.ID,
+			CC:     p.Country,
+			ASN:    uint32(p.ASN),
+			City:   p.City.Name,
+			Window: p.Window,
 		})
 	}
 	d.index()
@@ -79,7 +71,7 @@ func (d *Dimensions) ActiveProbes(m months.Month, cc string, asn uint32) int {
 	n := 0
 	for i := range d.Probes {
 		p := &d.Probes[i]
-		if !p.ActiveAt(m) {
+		if !p.Contains(m) {
 			continue
 		}
 		if cc != "" && p.CC != cc {

@@ -114,3 +114,50 @@ func Range(lo, hi Month) []Month {
 	}
 	return out
 }
+
+// Window is the half-open validity window [From, To) of a time-varying
+// fact — a transit relationship, a root replica, an Atlas probe, a
+// what-if edit: the SCD type-2 test valid_from <= T AND (valid_to IS
+// NULL OR valid_to > T). A zero bound is an open end: a zero From has
+// always held, a zero To still holds. A struct embedding a Window
+// serializes its bounds under the SCD2 keys valid_from and valid_to.
+type Window struct {
+	From Month `json:"valid_from"`
+	To   Month `json:"valid_to"`
+}
+
+// Contains reports whether the window covers month m. Every valid
+// month is after the zero Month, so a zero From needs no test of its
+// own.
+func (w Window) Contains(m Month) bool {
+	return !m.Before(w.From) && (w.To.IsZero() || m.Before(w.To))
+}
+
+// Overlaps reports whether some month lies in both w and o: the later
+// of the two starts comes before each window's end.
+func (w Window) Overlaps(o Window) bool {
+	from := max(w.From, o.From)
+	return (w.To.IsZero() || from.Before(w.To)) && (o.To.IsZero() || from.Before(o.To))
+}
+
+// ParseWindow parses a window's "YYYY-MM" bounds, until exclusive; an
+// empty string is an open end. A window whose from is not before its
+// until is rejected as inverted.
+func ParseWindow(from, until string) (Window, error) {
+	var w Window
+	var err error
+	if from != "" {
+		if w.From, err = Parse(from); err != nil {
+			return Window{}, fmt.Errorf("bad from %q: %w", from, err)
+		}
+	}
+	if until != "" {
+		if w.To, err = Parse(until); err != nil {
+			return Window{}, fmt.Errorf("bad until %q: %w", until, err)
+		}
+	}
+	if !w.From.IsZero() && !w.To.IsZero() && !w.From.Before(w.To) {
+		return Window{}, fmt.Errorf("window inverted: from %s not before until %s", from, until)
+	}
+	return w, nil
+}

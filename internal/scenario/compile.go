@@ -18,13 +18,20 @@ import (
 // default 2024-01 end, are unknown). A dangling ASN or unknown city is
 // a compile error, not a silent no-op.
 func (s *Spec) Compile(w *world.World) (*world.ScenarioPlan, error) {
-	if err := s.Validate(); err != nil {
+	wins, err := s.validate()
+	if err != nil {
 		return nil, err
 	}
 	end := w.Config.TraceEnd
 	if w.Config.ChaosEnd.After(end) {
 		end = w.Config.ChaosEnd
 	}
+	// A plan must touch the campaign range [TraceStart, end]: a
+	// scenario whose every edit misses the modeled months would serve a
+	// diff of all zeros and mislead more than it informs. A shift moves
+	// the whole timeline, so it always touches it.
+	campaign := months.Window{From: w.Config.TraceStart, To: end.Add(1)}
+	touches := false
 	g := w.ASRelArchive(end, end).Get(end)
 	checkAS := func(op string, asn uint32) error {
 		if p, c, peer := g.Degree(bgp.ASN(asn)); p+c+peer == 0 {
@@ -41,11 +48,9 @@ func (s *Spec) Compile(w *world.World) (*world.ScenarioPlan, error) {
 	}
 
 	plan := &world.ScenarioPlan{Key: s.Key()}
-	for _, op := range s.Ops {
-		from, until, err := op.window()
-		if err != nil {
-			return nil, err // unreachable after Validate, kept for safety
-		}
+	for i, op := range s.Ops {
+		win := wins[i]
+		touches = touches || op.Op == OpShiftEvent || win.Overlaps(campaign)
 		switch op.Op {
 		case OpAddLink, OpRemoveLink:
 			kind, _ := relKind(op.Kind)
@@ -56,7 +61,7 @@ func (s *Spec) Compile(w *world.World) (*world.ScenarioPlan, error) {
 				return nil, err
 			}
 			l := world.ScenarioLink{
-				A: bgp.ASN(op.A), B: bgp.ASN(op.B), Kind: kind, From: from, Until: until,
+				A: bgp.ASN(op.A), B: bgp.ASN(op.B), Kind: kind, Window: win,
 			}
 			if op.Op == OpAddLink {
 				plan.AddLinks = append(plan.AddLinks, l)
@@ -68,7 +73,7 @@ func (s *Spec) Compile(w *world.World) (*world.ScenarioPlan, error) {
 				return nil, err
 			}
 			plan.Depeers = append(plan.Depeers, world.ScenarioDepeer{
-				ASN: bgp.ASN(op.ASN), From: from, Until: until,
+				ASN: bgp.ASN(op.ASN), Window: win,
 			})
 		case OpMoveAS:
 			if err := checkAS(op.Op, op.ASN); err != nil {
@@ -79,7 +84,7 @@ func (s *Spec) Compile(w *world.World) (*world.ScenarioPlan, error) {
 				return nil, err
 			}
 			plan.Moves = append(plan.Moves, world.ScenarioMove{
-				ASN: bgp.ASN(op.ASN), City: c, From: from, Until: until,
+				ASN: bgp.ASN(op.ASN), City: c, Window: win,
 			})
 		case OpAddGPDNS, OpRemoveGPDNS:
 			c, err := city(op.Op, op.IATA)
@@ -88,7 +93,7 @@ func (s *Spec) Compile(w *world.World) (*world.ScenarioPlan, error) {
 			}
 			ch := world.ScenarioGPDNSSite{
 				Remove: op.Op == OpRemoveGPDNS, Host: bgp.ASN(op.Host),
-				City: c, From: from, Until: until,
+				City: c, Window: win,
 			}
 			if !ch.Remove {
 				if err := checkAS(op.Op, op.Host); err != nil {
@@ -103,7 +108,7 @@ func (s *Spec) Compile(w *world.World) (*world.ScenarioPlan, error) {
 			}
 			ch := world.ScenarioRootReplica{
 				Remove: op.Op == OpRemoveRoot, Letter: op.letter(),
-				Host: bgp.ASN(op.Host), City: c, From: from, Until: until,
+				Host: bgp.ASN(op.Host), City: c, Window: win,
 			}
 			if !ch.Remove {
 				if err := checkAS(op.Op, op.Host); err != nil {
@@ -115,10 +120,7 @@ func (s *Spec) Compile(w *world.World) (*world.ScenarioPlan, error) {
 			plan.EventShiftMonths = op.Months
 		}
 	}
-	// Reject plans that are pure no-ops over the whole campaign window:
-	// a scenario whose every edit misses the modeled months would serve
-	// a diff of all zeros and mislead more than it informs.
-	if !s.touchesWindow(w.Config.TraceStart, end) {
+	if !touches {
 		return nil, fmt.Errorf("scenario %q: no op's window overlaps the campaign range %s..%s",
 			s.ID, w.Config.TraceStart, end)
 	}
@@ -131,25 +133,4 @@ func (op Op) letter() (l dnsroot.Letter) {
 		l = dnsroot.Letter(op.Letter[0])
 	}
 	return l
-}
-
-// touchesWindow reports whether any op's window overlaps [start, end].
-func (s *Spec) touchesWindow(start, end months.Month) bool {
-	for _, op := range s.Ops {
-		if op.Op == OpShiftEvent {
-			return true // shifts the whole timeline
-		}
-		from, until, err := op.window()
-		if err != nil {
-			continue
-		}
-		if !until.IsZero() && until.Before(start) {
-			continue
-		}
-		if !from.IsZero() && end.Before(from) {
-			continue
-		}
-		return true
-	}
-	return false
 }

@@ -138,6 +138,9 @@ func TestCompileRejects(t *testing.T) {
 		{"unknown city", `{"id":"x1","ops":[{"op":"move_as","asn":8048,"iata":"XXQ"}]}`, "unknown city"},
 		{"dangling site host", `{"id":"x1","ops":[{"op":"add_gpdns","host":424242,"iata":"CCS"}]}`, "unknown to the world"},
 		{"window misses campaign", `{"id":"x1","ops":[{"op":"depeer","asn":8048,"from":"1999-01","until":"2000-01"}]}`, "no op's window overlaps"},
+		// until is exclusive: a window ending at the campaign's first
+		// month (TraceStart, 2018-01) covers none of its months.
+		{"window ends at campaign start", `{"id":"x1","ops":[{"op":"depeer","asn":8048,"until":"2018-01"}]}`, "no op's window overlaps"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -161,31 +161,44 @@ func (s *Spec) Key() string {
 // or directly conflicting ops. Semantic checks that need a world (do
 // the ASNs exist?) live in Compile.
 func (s *Spec) Validate() error {
+	_, err := s.validate()
+	return err
+}
+
+// validate is Validate that also returns each op's window, parsed once
+// and in op order, for the conflict check and Compile.
+func (s *Spec) validate() ([]months.Window, error) {
 	if err := validateID(s.ID); err != nil {
-		return err
+		return nil, err
 	}
 	if len(s.Ops) == 0 {
-		return fmt.Errorf("scenario %q: no ops", s.ID)
+		return nil, fmt.Errorf("scenario %q: no ops", s.ID)
 	}
 	if len(s.Ops) > maxOps {
-		return fmt.Errorf("scenario %q: %d ops exceeds limit of %d", s.ID, len(s.Ops), maxOps)
+		return nil, fmt.Errorf("scenario %q: %d ops exceeds limit of %d", s.ID, len(s.Ops), maxOps)
 	}
+	wins := make([]months.Window, len(s.Ops))
 	seen := map[string]bool{}
 	for i, op := range s.Ops {
-		if err := op.validate(); err != nil {
-			return fmt.Errorf("scenario %q op %d: %w", s.ID, i, err)
+		win, err := months.ParseWindow(op.From, op.Until)
+		if err == nil {
+			err = op.validate()
 		}
+		if err != nil {
+			return nil, fmt.Errorf("scenario %q op %d: %w", s.ID, i, err)
+		}
+		wins[i] = win
 		// Exact duplicates are always a spec bug.
 		key := fmt.Sprintf("%+v", op)
 		if seen[key] {
-			return fmt.Errorf("scenario %q op %d: duplicate of an earlier op", s.ID, i)
+			return nil, fmt.Errorf("scenario %q op %d: duplicate of an earlier op", s.ID, i)
 		}
 		seen[key] = true
 	}
-	if err := s.checkConflicts(); err != nil {
-		return err
+	if err := s.checkConflicts(wins); err != nil {
+		return nil, err
 	}
-	return nil
+	return wins, nil
 }
 
 // validateID enforces lowercase-kebab scenario IDs so they embed
@@ -207,24 +220,6 @@ func validateID(id string) error {
 	return nil
 }
 
-// window parses the op's activity window, rejecting inversions.
-func (op Op) window() (from, until months.Month, err error) {
-	if op.From != "" {
-		if from, err = months.Parse(op.From); err != nil {
-			return 0, 0, fmt.Errorf("bad from %q: %w", op.From, err)
-		}
-	}
-	if op.Until != "" {
-		if until, err = months.Parse(op.Until); err != nil {
-			return 0, 0, fmt.Errorf("bad until %q: %w", op.Until, err)
-		}
-	}
-	if !from.IsZero() && !until.IsZero() && !from.Before(until) {
-		return 0, 0, fmt.Errorf("window inverted: from %s not before until %s", op.From, op.Until)
-	}
-	return from, until, nil
-}
-
 // relKind maps the spec's kind string onto bgp's encoding.
 func relKind(kind string) (bgp.RelKind, error) {
 	switch kind {
@@ -237,11 +232,8 @@ func relKind(kind string) (bgp.RelKind, error) {
 	}
 }
 
-// validate checks one op's fields.
+// validate checks one op's fields other than its window.
 func (op Op) validate() error {
-	if _, _, err := op.window(); err != nil {
-		return err
-	}
 	need := func(cond bool, what string) error {
 		if !cond {
 			return fmt.Errorf("%s: %s", op.Op, what)
@@ -304,19 +296,9 @@ func validLetter(l string) bool {
 // removing the same link (or the same root replica / GPDNS site) over
 // overlapping windows, relocating one AS twice in overlapping windows,
 // or more than one shift_event. Such specs have no well-defined
-// meaning and would otherwise depend silently on op order.
-func (s *Spec) checkConflicts() error {
-	overlap := func(a, b Op) bool {
-		af, au, _ := a.window()
-		bf, bu, _ := b.window()
-		if !au.IsZero() && !bf.IsZero() && !bf.Before(au) {
-			return false
-		}
-		if !bu.IsZero() && !af.IsZero() && !af.Before(bu) {
-			return false
-		}
-		return true
-	}
+// meaning and would otherwise depend silently on op order. wins holds
+// each op's window, in op order.
+func (s *Spec) checkConflicts(wins []months.Window) error {
 	sameLink := func(a, b Op) bool {
 		return a.Kind == b.Kind &&
 			(a.A == b.A && a.B == b.B || a.A == b.B && a.B == b.A)
@@ -328,8 +310,8 @@ func (s *Spec) checkConflicts() error {
 				return fmt.Errorf("scenario %q: multiple shift_event ops", s.ID)
 			}
 		}
-		for _, b := range s.Ops[i+1:] {
-			if !overlap(a, b) {
+		for j, b := range s.Ops[i+1:] {
+			if !wins[i].Overlaps(wins[i+1+j]) {
 				continue
 			}
 			conflict := false

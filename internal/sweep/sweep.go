@@ -112,20 +112,8 @@ func (r *Request) Validate() error {
 	default:
 		return fmt.Errorf("sweep %q: unknown family %q", r.ID, r.Family)
 	}
-	var from, until months.Month
-	var err error
-	if r.From != "" {
-		if from, err = months.Parse(r.From); err != nil {
-			return fmt.Errorf("sweep %q: bad from %q: %w", r.ID, r.From, err)
-		}
-	}
-	if r.Until != "" {
-		if until, err = months.Parse(r.Until); err != nil {
-			return fmt.Errorf("sweep %q: bad until %q: %w", r.ID, r.Until, err)
-		}
-	}
-	if !from.IsZero() && !until.IsZero() && !from.Before(until) {
-		return fmt.Errorf("sweep %q: window inverted: from %s not before until %s", r.ID, r.From, r.Until)
+	if _, err := months.ParseWindow(r.From, r.Until); err != nil {
+		return fmt.Errorf("sweep %q: %w", r.ID, err)
 	}
 	for _, l := range r.Letters {
 		if len(l) != 1 || l[0] < 'A' || l[0] > 'M' {

@@ -2,6 +2,7 @@ package world
 
 import (
 	"net/netip"
+	"slices"
 	"time"
 
 	"vzlens/internal/bgp"
@@ -9,17 +10,9 @@ import (
 	"vzlens/internal/registry"
 )
 
-// span is a half-open activity window [from, to); a zero to means open.
-type span struct {
-	from, to months.Month
-}
-
-func (s span) active(m months.Month) bool {
-	if m.Before(s.from) {
-		return false
-	}
-	return s.to.IsZero() || m.Before(s.to)
-}
+// span is a months.Window declared here so the tables below keep one
+// positional literal a row.
+type span months.Window
 
 func mm(y int, mo time.Month) months.Month { return months.New(y, mo) }
 
@@ -55,22 +48,14 @@ func CANTVProvidersAt(m months.Month) []bgp.ASN {
 	var out []bgp.ASN
 	for asn, spans := range cantvTransits {
 		for _, s := range spans {
-			if s.active(m) {
+			if months.Window(s).Contains(m) {
 				out = append(out, asn)
 				break
 			}
 		}
 	}
-	sortASNs(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortASNs(xs []bgp.ASN) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // maxCANTVCustomers is the ceiling of cantvCustomerCount: the campaign
@@ -181,7 +166,7 @@ func VEPrefixOrigins() []struct {
 				Prefix netip.Prefix
 				Origin bgp.ASN
 				Span   [2]months.Month
-			}{netip.MustParsePrefix(ps.cidr), origin, [2]months.Month{ps.span.from, ps.span.to}})
+			}{netip.MustParsePrefix(ps.cidr), origin, [2]months.Month{ps.span.From, ps.span.To}})
 		}
 	}
 	add(ASCANTV, cantvPrefixes)
@@ -197,7 +182,7 @@ func buildVERIB(m months.Month) *bgp.RIB {
 	rib := bgp.NewRIB()
 	appendActive := func(origin bgp.ASN, specs []prefixSpan) {
 		for _, ps := range specs {
-			if ps.span.active(m) {
+			if months.Window(ps.span).Contains(m) {
 				rib.Announce(bgp.Prefix{Network: netip.MustParsePrefix(ps.cidr), Origin: origin})
 			}
 		}

@@ -58,7 +58,7 @@ func (w *World) DNSAnswerAt(letter dnsroot.Letter, m months.Month, cc string, as
 // queries whose ECS names a probe address.
 func (w *World) ProbeAt(id int, m months.Month) (atlas.Probe, bool) {
 	p, ok := w.Fleet.Probe(id)
-	if !ok || !p.ActiveAt(m) {
+	if !ok || !p.Contains(m) {
 		return atlas.Probe{}, false
 	}
 	return p, true

@@ -80,7 +80,7 @@ func kernelSigAt(m months.Month) kernelSig {
 	var sig kernelSig
 	for i, asn := range cantvTransitOrder {
 		for _, s := range cantvTransits[asn] {
-			if s.active(m) {
+			if months.Window(s).Contains(m) {
 				sig.prov |= 1 << i
 				break
 			}

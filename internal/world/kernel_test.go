@@ -143,11 +143,11 @@ func kernelTestPlan(t *testing.T) *ScenarioPlan {
 	from, until := mm(2016, time.January), mm(2024, time.January)
 	return &ScenarioPlan{
 		Key:     "kernel-mixed",
-		Depeers: []ScenarioDepeer{{ASN: ASTelefonica, From: from, Until: until}},
-		Moves:   []ScenarioMove{{ASN: 21826, City: bog, From: from, Until: until}},
-		GPDNS:   []ScenarioGPDNSSite{{Host: ASCANTV, City: ccs, From: from}},
+		Depeers: []ScenarioDepeer{{ASN: ASTelefonica, Window: months.Window{From: from, To: until}}},
+		Moves:   []ScenarioMove{{ASN: 21826, City: bog, Window: months.Window{From: from, To: until}}},
+		GPDNS:   []ScenarioGPDNSSite{{Host: ASCANTV, City: ccs, Window: months.Window{From: from}}},
 		Roots: []ScenarioRootReplica{{
-			Letter: dnsroot.Letter('L'), Host: ASCANTV, City: ccs, From: from,
+			Letter: dnsroot.Letter('L'), Host: ASCANTV, City: ccs, Window: months.Window{From: from},
 		}},
 	}
 }

@@ -1,6 +1,8 @@
 package world
 
 import (
+	"slices"
+
 	"vzlens/internal/bgp"
 	"vzlens/internal/months"
 )
@@ -37,6 +39,6 @@ func (w *World) DefaultCollectors() []bgp.ASN {
 	for _, cc := range []string{"BR", "AR", "CL", "MX", "CO"} {
 		out = append(out, w.Nets[cc].Transit)
 	}
-	sortASNs(out)
+	slices.Sort(out)
 	return out
 }

@@ -24,28 +24,28 @@ import (
 // isolates the topology change: the jitter draws cancel exactly.
 
 // ScenarioLink is one windowed link edit: the relationship A→B exists
-// (for additions) or is suppressed (for removals) during [From, Until).
-// A zero From means from the beginning; a zero Until means forever.
+// (for additions) or is suppressed (for removals) during its Window.
+// A zero From means from the beginning; a zero To means forever.
 type ScenarioLink struct {
-	A, B        bgp.ASN // provider (or first peer), second endpoint
-	Kind        bgp.RelKind
-	From, Until months.Month
+	A, B bgp.ASN // provider (or first peer), second endpoint
+	Kind bgp.RelKind
+	months.Window
 }
 
 // ScenarioDepeer strips every provider and peer edge of ASN during its
 // window — the conflict-driven disconnection counterfactual. Customer
 // edges survive: the AS keeps its cone, it just loses its upstreams.
 type ScenarioDepeer struct {
-	ASN         bgp.ASN
-	From, Until months.Month
+	ASN bgp.ASN
+	months.Window
 }
 
 // ScenarioMove relocates an AS's interconnection city during its
 // window.
 type ScenarioMove struct {
-	ASN         bgp.ASN
-	City        geo.City
-	From, Until months.Month
+	ASN  bgp.ASN
+	City geo.City
+	months.Window
 }
 
 // ScenarioGPDNSSite adds (or, with Remove, suppresses) a Google Public
@@ -53,20 +53,20 @@ type ScenarioMove struct {
 // announcing the prefix at City; for removals any baseline site in
 // City is dropped.
 type ScenarioGPDNSSite struct {
-	Remove      bool
-	Host        bgp.ASN
-	City        geo.City
-	From, Until months.Month
+	Remove bool
+	Host   bgp.ASN
+	City   geo.City
+	months.Window
 }
 
 // ScenarioRootReplica adds (or suppresses) a root-server instance of
 // Letter at City during its window, hosted by Host when adding.
 type ScenarioRootReplica struct {
-	Remove      bool
-	Letter      dnsroot.Letter
-	Host        bgp.ASN
-	City        geo.City
-	From, Until months.Month
+	Remove bool
+	Letter dnsroot.Letter
+	Host   bgp.ASN
+	City   geo.City
+	months.Window
 }
 
 // ScenarioPlan is a compiled, validated scenario: the form the world
@@ -138,14 +138,6 @@ func (p *planMemo) cell(w *World, m months.Month) *topoCell {
 	return c
 }
 
-// windowActive reports whether [from, until) covers m.
-func windowActive(from, until, m months.Month) bool {
-	if !from.IsZero() && m.Before(from) {
-		return false
-	}
-	return until.IsZero() || m.Before(until)
-}
-
 // editsAt compiles the plan's topology changes for month m into
 // overlay edits against base (month m's baseline topology).
 // Edits that cannot apply this month — an endpoint that doesn't exist
@@ -198,17 +190,17 @@ func (p *ScenarioPlan) editsAt(m months.Month, base *netsim.Topology) []netsim.E
 		}
 	}
 	for _, l := range p.AddLinks {
-		if windowActive(l.From, l.Until, m) {
+		if l.Contains(m) {
 			addLink(l.A, l.B, l.Kind)
 		}
 	}
 	for _, l := range p.RemoveLinks {
-		if windowActive(l.From, l.Until, m) {
+		if l.Contains(m) {
 			removeLink(l.A, l.B, l.Kind)
 		}
 	}
 	for _, d := range p.Depeers {
-		if !windowActive(d.From, d.Until, m) || !base.HasAS(d.ASN) {
+		if !d.Contains(m) || !base.HasAS(d.ASN) {
 			continue
 		}
 		// Walk the view's effective adjacency, not Graph()'s: when base
@@ -222,7 +214,7 @@ func (p *ScenarioPlan) editsAt(m months.Month, base *netsim.Topology) []netsim.E
 		}
 	}
 	for _, mv := range p.Moves {
-		if windowActive(mv.From, mv.Until, m) && base.HasAS(mv.ASN) {
+		if mv.Contains(m) && base.HasAS(mv.ASN) {
 			add(netsim.Edit{Op: netsim.EditRelocate, A: mv.ASN, City: mv.City})
 		}
 	}
@@ -280,7 +272,7 @@ func (w *World) gpdnsSitesFor(m months.Month, plan *ScenarioPlan) []netsim.Site 
 func applySiteChanges(sites []netsim.Site, m months.Month, changes []ScenarioGPDNSSite) []netsim.Site {
 	out := sites
 	for _, ch := range changes {
-		if !windowActive(ch.From, ch.Until, m) {
+		if !ch.Contains(m) {
 			continue
 		}
 		if ch.Remove {
@@ -308,7 +300,7 @@ func (w *World) rootSitesFor(letter dnsroot.Letter, m months.Month, plan *Scenar
 		return sites, insts
 	}
 	for _, ch := range plan.Roots {
-		if ch.Letter != letter || !windowActive(ch.From, ch.Until, m) {
+		if ch.Letter != letter || !ch.Contains(m) {
 			continue
 		}
 		if ch.Remove {
@@ -326,7 +318,7 @@ func (w *World) rootSitesFor(letter dnsroot.Letter, m months.Month, plan *Scenar
 		}
 		sites = append(append([]netsim.Site(nil), sites...), netsim.Site{Host: ch.Host, City: ch.City})
 		insts = append(append([]dnsroot.Instance(nil), insts...), dnsroot.Instance{
-			Letter: ch.Letter, City: ch.City, Index: 9, Start: ch.From, End: ch.Until,
+			Letter: ch.Letter, City: ch.City, Index: 9, Window: ch.Window,
 		})
 	}
 	return sites, insts

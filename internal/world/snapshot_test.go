@@ -18,7 +18,7 @@ import (
 func refActiveRoots(all []dnsroot.Instance, m months.Month) []dnsroot.Instance {
 	var out []dnsroot.Instance
 	for _, i := range all {
-		if i.ActiveAt(m) {
+		if i.Contains(m) {
 			out = append(out, i)
 		}
 	}
@@ -39,7 +39,7 @@ func refActiveRoots(all []dnsroot.Instance, m months.Month) []dnsroot.Instance {
 func refActiveProbes(all []atlas.Probe, m months.Month) []atlas.Probe {
 	var out []atlas.Probe
 	for _, p := range all {
-		if p.ActiveAt(m) {
+		if p.Contains(m) {
 			out = append(out, p)
 		}
 	}
@@ -82,13 +82,13 @@ func TestActiveAtMatchesReference(t *testing.T) {
 	check("default world")
 
 	ccs, _ := geo.LookupIATA("CCS")
-	extra := dnsroot.Instance{Letter: 'A', City: ccs, Index: 1, Start: mm(2020, time.January)}
+	extra := dnsroot.Instance{Letter: 'A', City: ccs, Index: 1, Window: months.Window{From: mm(2020, time.January)}}
 	w.Roots.Add(extra)
 	roots = append(roots, extra)
-	first := atlas.Probe{ID: 0, Country: "VE", City: ccs, ASN: ASCANTV, Connected: mm(2019, time.June)}
+	first := atlas.Probe{ID: 0, Country: "VE", City: ccs, ASN: ASCANTV, Window: months.Window{From: mm(2019, time.June)}}
 	w.Fleet.Add(first)
 	replaced := probes[len(probes)/2]
-	replaced.Disconnected = mm(2021, time.March)
+	replaced.To = mm(2021, time.March)
 	w.Fleet.Add(replaced)
 	probes = append([]atlas.Probe{first}, probes...)
 	for i := range probes {

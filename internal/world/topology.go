@@ -2,6 +2,7 @@ package world
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"vzlens/internal/bgp"
@@ -98,7 +99,7 @@ func (w *World) buildTopology(provs []bgp.ASN, customers int) *netsim.Topology {
 		t.Locate(asn, cityAt(iata))
 		tier1s = append(tier1s, asn)
 	}
-	sortASNs(tier1s)
+	slices.Sort(tier1s)
 	for i, a := range tier1s {
 		for _, b := range tier1s[i+1:] {
 			t.AddLink(a, b, bgp.PeerPeer)

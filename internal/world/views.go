@@ -87,7 +87,7 @@ func (w *World) classesAt(m months.Month) *monthClasses {
 	seen := make([]bool, len(keys))
 	n, nc := 0, 0
 	for j := range probes {
-		if probes[j].ActiveAt(m) {
+		if probes[j].Contains(m) {
 			n++
 			if c := of[j]; !seen[c] {
 				seen[c] = true
@@ -100,7 +100,7 @@ func (w *World) classesAt(m months.Month) *monthClasses {
 	mc := &monthClasses{ids: cols[:n:n], classOf: cols[n : 2*n : 2*n], classes: cols[2*n : 2*n]}
 	i := 0
 	for j := range probes {
-		if !probes[j].ActiveAt(m) {
+		if !probes[j].Contains(m) {
 			continue
 		}
 		c := of[j]
@@ -137,7 +137,7 @@ func init() {
 func (w *World) traceSiteListAt(m months.Month, plan *ScenarioPlan) *netsim.SiteList {
 	if plan != nil {
 		for _, ch := range plan.GPDNS {
-			if windowActive(ch.From, ch.Until, m) {
+			if ch.Contains(m) {
 				return w.prepareSites(w.gpdnsSitesFor(m, plan))
 			}
 		}
@@ -190,7 +190,7 @@ type rootListKey struct {
 func (w *World) rootSiteListAt(letter dnsroot.Letter, m months.Month, plan *ScenarioPlan) *rootList {
 	if plan != nil {
 		for _, ch := range plan.Roots {
-			if ch.Letter == letter && windowActive(ch.From, ch.Until, m) {
+			if ch.Letter == letter && ch.Contains(m) {
 				sites, insts := w.rootSitesFor(letter, m, plan)
 				return &rootList{sites: w.prepareSites(sites), letter: letter, insts: insts}
 			}
@@ -228,7 +228,7 @@ func (w *World) rootSetAt(letter dnsroot.Letter, insts []dnsroot.Instance, m mon
 	}
 	var active []dnsroot.Instance
 	for _, inst := range insts {
-		if inst.ActiveAt(m) {
+		if inst.Contains(m) {
 			active = append(active, inst)
 		}
 	}
@@ -243,7 +243,7 @@ func (w *World) rootSetAt(letter dnsroot.Letter, insts []dnsroot.Instance, m mon
 func activeEqual(insts []dnsroot.Instance, m months.Month, set []dnsroot.Instance) bool {
 	j := 0
 	for _, inst := range insts {
-		if !inst.ActiveAt(m) {
+		if !inst.Contains(m) {
 			continue
 		}
 		if j == len(set) || inst != set[j] {

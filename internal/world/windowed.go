@@ -2,9 +2,9 @@ package world
 
 import (
 	"context"
+	"slices"
 
 	"vzlens/internal/atlas"
-	"vzlens/internal/bgp"
 	"vzlens/internal/months"
 	"vzlens/internal/obs"
 )
@@ -20,82 +20,65 @@ import (
 // specs this turns N full campaign replays into N small fractions of
 // one, and copies no baseline rows.
 
-// topoActiveAt reports whether the plan's topology edits (links,
-// depeers, moves, or a provider-timeline shift) can alter month m.
+// windows lists the validity windows of the plan's edits that can
+// reach a campaign: every topology edit (links, depeers, moves), plus
+// the root replica changes for the CHAOS sweep (roots) or the GPDNS
+// site changes for the traceroute campaign. Root replica edits never
+// reach the traceroute campaign, nor GPDNS edits the CHAOS sweep.
+func (p *ScenarioPlan) windows(roots bool) []months.Window {
+	var ws []months.Window
+	for _, l := range p.AddLinks {
+		ws = append(ws, l.Window)
+	}
+	for _, l := range p.RemoveLinks {
+		ws = append(ws, l.Window)
+	}
+	for _, d := range p.Depeers {
+		ws = append(ws, d.Window)
+	}
+	for _, mv := range p.Moves {
+		ws = append(ws, mv.Window)
+	}
+	if roots {
+		for _, ch := range p.Roots {
+			ws = append(ws, ch.Window)
+		}
+	} else {
+		for _, ch := range p.GPDNS {
+			ws = append(ws, ch.Window)
+		}
+	}
+	return ws
+}
+
+// affectsAt reports whether the plan can alter month m of a campaign
+// its edits reach through windows ws: one of them covers m, or the
+// provider-timeline shift changes CANTV's provider set at m.
 // Conservative by design: a window that covers m counts even if the
 // edit turns out to be a no-op against that month's topology — the
 // recomputation then reproduces the baseline bytes exactly.
-func (p *ScenarioPlan) topoActiveAt(m months.Month) bool {
-	if s := p.EventShiftMonths; s != 0 {
-		if !equalASNs(CANTVProvidersAt(m), CANTVProvidersAt(m.Add(-s))) {
+func (p *ScenarioPlan) affectsAt(m months.Month, ws []months.Window) bool {
+	for _, w := range ws {
+		if w.Contains(m) {
 			return true
 		}
 	}
-	for _, l := range p.AddLinks {
-		if windowActive(l.From, l.Until, m) {
-			return true
-		}
-	}
-	for _, l := range p.RemoveLinks {
-		if windowActive(l.From, l.Until, m) {
-			return true
-		}
-	}
-	for _, d := range p.Depeers {
-		if windowActive(d.From, d.Until, m) {
-			return true
-		}
-	}
-	for _, mv := range p.Moves {
-		if windowActive(mv.From, mv.Until, m) {
-			return true
-		}
-	}
-	return false
+	s := p.EventShiftMonths
+	return s != 0 && !slices.Equal(CANTVProvidersAt(m), CANTVProvidersAt(m.Add(-s)))
 }
 
 // AffectsTraceAt reports whether the plan can change the traceroute
 // campaign's month m: any topology edit, or a GPDNS site change, active
-// that month. Root replica edits never reach the traceroute campaign.
+// that month.
 func (p *ScenarioPlan) AffectsTraceAt(m months.Month) bool {
-	if p.topoActiveAt(m) {
-		return true
-	}
-	for _, ch := range p.GPDNS {
-		if windowActive(ch.From, ch.Until, m) {
-			return true
-		}
-	}
-	return false
+	return p.affectsAt(m, p.windows(false))
 }
 
 // AffectsChaosAt is AffectsTraceAt for the CHAOS sweep, whose anycast
 // targets are the root letters: root replica edits matter, GPDNS edits
 // do not.
 func (p *ScenarioPlan) AffectsChaosAt(m months.Month) bool {
-	if p.topoActiveAt(m) {
-		return true
-	}
-	for _, ch := range p.Roots {
-		if windowActive(ch.From, ch.Until, m) {
-			return true
-		}
-	}
-	return false
-}
-
-// equalASNs compares two sorted provider lists (CANTVProvidersAt
-// returns them sorted).
-func equalASNs(a, b []bgp.ASN) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return p.affectsAt(m, p.windows(true))
 }
 
 // TraceCampaignScenarioWindowed simulates the traceroute campaign under

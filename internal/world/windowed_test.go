@@ -2,6 +2,7 @@ package world
 
 import (
 	"context"
+	"slices"
 	"testing"
 	"time"
 
@@ -43,16 +44,16 @@ func windowedPlans(t *testing.T) map[string]*ScenarioPlan {
 	return map[string]*ScenarioPlan{
 		"depeer_window": {
 			Key:     "w-depeer",
-			Depeers: []ScenarioDepeer{{ASN: ASCANTV, From: from, Until: until}},
+			Depeers: []ScenarioDepeer{{ASN: ASCANTV, Window: months.Window{From: from, To: until}}},
 		},
 		"gpdns_only": {
 			Key:   "w-gpdns",
-			GPDNS: []ScenarioGPDNSSite{{Host: ASCANTV, City: ccs, From: from}},
+			GPDNS: []ScenarioGPDNSSite{{Host: ASCANTV, City: ccs, Window: months.Window{From: from}}},
 		},
 		"roots_only": {
 			Key: "w-roots",
 			Roots: []ScenarioRootReplica{{
-				Letter: dnsroot.Letter('L'), Host: ASCANTV, City: ccs, From: from,
+				Letter: dnsroot.Letter('L'), Host: ASCANTV, City: ccs, Window: months.Window{From: from},
 			}},
 		},
 		"event_shift": {
@@ -139,7 +140,7 @@ func TestAffectsMonthPredicates(t *testing.T) {
 	plan := &ScenarioPlan{
 		Key: "w-pred",
 		AddLinks: []ScenarioLink{{
-			A: ASCANTV, B: bgp.ASN(3816), Kind: bgp.PeerPeer, From: from, Until: until,
+			A: ASCANTV, B: bgp.ASN(3816), Kind: bgp.PeerPeer, Window: months.Window{From: from, To: until},
 		}},
 	}
 	for _, tc := range []struct {
@@ -168,7 +169,7 @@ func TestAffectsMonthPredicates(t *testing.T) {
 	// Far before any transition difference: 2005 vs 2003 providers are
 	// identical only if the table says so; pick a month where they are.
 	if shift.AffectsTraceAt(months.New(2012, time.January)) !=
-		!equalASNs(CANTVProvidersAt(months.New(2012, time.January)), CANTVProvidersAt(months.New(2010, time.January))) {
+		!slices.Equal(CANTVProvidersAt(months.New(2012, time.January)), CANTVProvidersAt(months.New(2010, time.January))) {
 		t.Error("event-shift affectedness must equal provider-set inequality")
 	}
 }

@@ -351,11 +351,11 @@ func buildFleet(nets map[string]CountryNet, scale float64) *atlas.Fleet {
 	for k := 0; k < keep; k++ {
 		spec := veProbeSpec[int(float64(k)*stride)]
 		f.Add(atlas.Probe{
-			ID:        id,
-			Country:   "VE",
-			City:      cityAt(spec.iata),
-			ASN:       spec.asn,
-			Connected: spec.since,
+			ID:      id,
+			Country: "VE",
+			City:    cityAt(spec.iata),
+			ASN:     spec.asn,
+			Window:  months.Window{From: spec.since},
 		})
 		id++
 	}
